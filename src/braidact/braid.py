@@ -130,9 +130,14 @@ def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
     """Image of a braid word: letters act in word order (right action)."""
     if rep.n != b.n:
         raise ValueError(f"strand mismatch: rep has {rep.n}, braid has {b.n}")
+    # Each core used by a negative crossing is inverted once, not per crossing.
+    negative = {-l for l in b.letters if l < 0}
+    inverse = LocalRep(
+        rep.n, tuple(c.inverse() if i in negative else c for i, c in enumerate(rep.cores, 1))
+    )
     endo = Endo.identity(rep.n)
     for l in b.letters:
-        endo = endo.compose(local_endo(rep, abs(l), 1 if l > 0 else -1))
+        endo = endo.compose(local_endo(rep if l > 0 else inverse, abs(l)))
     return endo
 
 

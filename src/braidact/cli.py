@@ -24,6 +24,7 @@ from .invariant import (
 from .localrep import (
     ARTIN_CORE,
     COMPONENT_KINDS,
+    _DECORATIONS,
     FamilyId,
     LocalRep,
     Quad,
@@ -39,17 +40,6 @@ from .localrep import (
     outgoing_cores,
     quad_sort_key,
     rep_from_cores,
-)
-
-_DECORATION_FLAGS = (
-    (False, False, False),
-    (True, False, False),
-    (False, True, False),
-    (False, False, True),
-    (True, True, False),
-    (True, False, True),
-    (False, True, True),
-    (True, True, True),
 )
 
 
@@ -151,12 +141,8 @@ def _cmd_classify(args) -> int:
 def _cmd_catalog(args) -> int:
     base = FamilyId.parse(args.family)
     r = args.r if args.r is not None else base.r
-    ids = []
-    if args.all_decorations:
-        for inv, swap, backward in _DECORATION_FLAGS:
-            ids.append(FamilyId(base.family, r, inv, swap, backward))
-    else:
-        ids.append(FamilyId(base.family, r, base.inv, base.swap, base.backward))
+    flags = _DECORATIONS if args.all_decorations else [(base.inv, base.swap, base.backward)]
+    ids = [FamilyId(base.family, r, *f) for f in flags]
     entries = []
     lines = []
     for fid in ids:

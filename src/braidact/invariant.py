@@ -187,9 +187,10 @@ def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> GroupPresent
 class S1Report:
     """Verdict on whether a core collapses the two-generator quotient to Z.
 
-    status is one of "holds" (the relation forces a = b), the separately
-    reported "holds-up-to-inversion" (forces a = b^-1), "fails" (provably
-    neither), or "unknown" (the one-relator question was not decided).
+    status is one of "holds" (core and inverse core both force a = b), the
+    separately reported "holds-up-to-inversion" (both force a = b^-1),
+    "fails" (a side forces neither, or the two sides force different
+    collapses), or "unknown" (a one-relator question was not decided).
     """
 
     status: str
@@ -230,20 +231,17 @@ def check_S1(core: AutF2) -> S1Report:
     """Decide the collapse property for a core and for its inverse.
 
     Both directions matter because a stabilizing crossing can carry either
-    sign.  The result is the weaker of the two one-sided verdicts.
+    sign, and both signs must give the same group: a = b on one side with
+    a = b^-1 on the other fails.  Otherwise the weaker verdict wins.
     """
     s1, w1 = _s1_side(core)
     s2, w2 = _s1_side(core.inverse())
+    witness = f"core: {w1}; inverse core: {w2}"
     statuses = {s1, s2}
-    if "fails" in statuses:
-        status = "fails"
-    elif "unknown" in statuses:
-        status = "unknown"
-    elif statuses == {"holds"}:
-        status = "holds"
-    else:
-        status = "holds-up-to-inversion"
-    return S1Report(status, f"core: {w1}; inverse core: {w2}")
+    if statuses == {"holds", "holds-up-to-inversion"}:
+        return S1Report("fails", f"the two sides collapse differently: {witness}")
+    weakest_first = ("fails", "unknown", "holds-up-to-inversion", "holds")
+    return S1Report(min(statuses, key=weakest_first.index), witness)
 
 
 @dataclass(frozen=True)

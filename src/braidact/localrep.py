@@ -12,6 +12,7 @@ graph whose edge-paths enumerate local actions on F_n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -215,20 +216,24 @@ def backward_dual(q: Quad) -> Quad:
     return _backward_quad(q)
 
 
+# (inv, swap, backward) flags; the symmetry images apply them in that order.
+_DECORATIONS = tuple(itertools.product((False, True), repeat=3))
+
+
+def _decorate(q: Quad, inv: bool, swap: bool, backward: bool) -> Quad:
+    if inv:
+        q = _inverse_quad(q)
+    if swap:
+        q = _swap_quad(q)
+    if backward:
+        q = _backward_quad(q)
+    return q
+
+
 def symmetry_orbit(q: Quad) -> tuple[Quad, ...]:
     """The 8 symmetry images of a valid quad (duplicates possible)."""
     _require_valid(q, "symmetry_orbit")
-    out = []
-    for inv, swap, backward in itertools.product((False, True), repeat=3):
-        img = q
-        if inv:
-            img = _inverse_quad(img)
-        if swap:
-            img = _swap_quad(img)
-        if backward:
-            img = _backward_quad(img)
-        out.append(img)
-    return tuple(out)
+    return tuple(_decorate(q, *flags) for flags in _DECORATIONS)
 
 
 def quad_sort_key(q: Quad) -> tuple:
@@ -352,40 +357,44 @@ class FamilyId:
 
 def catalog(fid: FamilyId) -> Quad:
     """Exact quad for a (possibly decorated) family identifier."""
-    q = base_quad(fid.family, fid.r)
-    if fid.inv:
-        q = _inverse_quad(q)
-    if fid.swap:
-        q = _swap_quad(q)
-    if fid.backward:
-        q = _backward_quad(q)
-    return q
+    return _decorate(base_quad(fid.family, fid.r), fid.inv, fid.swap, fid.backward)
 
 
-_DECORATIONS = tuple(
-    (inv, swap, backward)
-    for inv, swap, backward in itertools.product((False, True), repeat=3)
-)
+@functools.cache
+def _catalog_level(r: int | None):
+    """Read-only index of the fixed families (r None) or the A families at r.
+
+    Maps each quad to its first identifier in catalog order, and each first
+    core to its (target, first identifier) pairs in order of first sight.
+    Every decorated A quad at r has max word length 2r+1, in its first core
+    too, so a query of length L meets only level None and level (L-1)/2.
+    """
+    by_quad: dict[Quad, FamilyId] = {}
+    by_core: dict[AutF2, dict[AutF2, FamilyId]] = {}
+    families = _A_FAMILIES if r is not None else [f for f in FAMILY_TAGS if f not in _A_FAMILIES]
+    for family in families:
+        for inv, swap, backward in _DECORATIONS:
+            fid = FamilyId(family, r, inv, swap, backward)
+            q = catalog(fid)
+            by_quad.setdefault(q, fid)
+            by_core.setdefault(q.tau, {}).setdefault(q.kappa, fid)
+    return by_quad, {core: tuple(targets.items()) for core, targets in by_core.items()}
 
 
-def _family_ids(max_word_len: int):
-    for family in FAMILY_TAGS:
-        rs: Sequence[int | None]
-        if family in _A_FAMILIES:
-            rs = range(0, (max_word_len - 1) // 2 + 1)
-        else:
-            rs = (None,)
-        for r in rs:
-            for inv, swap, backward in _DECORATIONS:
-                yield FamilyId(family, r, inv, swap, backward)
+def _levels(word_len: int):
+    yield _catalog_level(None)
+    if word_len % 2:
+        yield _catalog_level((word_len - 1) // 2)
+
+
+def _catalog_rank(fid: FamilyId) -> int:
+    return FAMILY_TAGS.index(fid.family)
 
 
 def identify_quad(q: Quad) -> FamilyId | None:
     """First decorated family identifier whose quad equals q, if any."""
-    for fid in _family_ids(q.max_word_length()):
-        if catalog(fid) == q:
-            return fid
-    return None
+    hits = [fid for by_quad, _ in _levels(q.max_word_length()) if (fid := by_quad.get(q))]
+    return min(hits, key=_catalog_rank, default=None)
 
 
 # -- bounded exhaustive classification search ------------------------------
@@ -628,21 +637,16 @@ def rep_from_path(graph: GammaGraph, path: Sequence[AutF2]) -> LocalRep:
 def outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:
     """All successors of a core, found by matching decorated family quads.
 
-    Every valid pair is a symmetry image of a classified family, so scanning
-    the decorated quads whose first core equals `core` enumerates the full
-    outgoing edge set, self-loop included.
+    Every valid pair is a symmetry image of a classified family, so the
+    decorated quads whose first core equals `core` give the full outgoing
+    edge set, self-loop included; each target keeps its first identifier.
     """
-    lmax = max(len(core.image_a), len(core.image_b), 1)
-    seen: list[AutF2] = []
-    out = []
-    for fid in _family_ids(lmax):
-        q = catalog(fid)
-        if (q.a, q.b) == (core.image_a, core.image_b):
-            target = AutF2(q.c, q.d)
-            if target not in seen:
-                seen.append(target)
-                out.append((target, fid))
-    return tuple(out)
+    word_len = max(len(core.image_a), len(core.image_b))
+    found = [e for _, by_core in _levels(word_len) for e in by_core.get(core, ())]
+    out: dict[AutF2, FamilyId] = {}
+    for target, fid in sorted(found, key=lambda e: _catalog_rank(e[1])):
+        out.setdefault(target, fid)
+    return tuple(out.items())
 
 
 def can_extend(rep: LocalRep) -> bool:

@@ -83,7 +83,9 @@ class TestCatalog:
     def test_all_decorations(self, capsys):
         code, out, _ = run(capsys, "catalog", "--family", "B1", "--all-decorations")
         assert code == 0
-        assert len(out.strip().splitlines()) == 8
+        lines = out.strip().splitlines()
+        assert len(lines) == 8
+        assert len({line.split(": ")[0] for line in lines}) == 8
 
     def test_missing_r_exits_one(self, capsys):
         code, _, err = run(capsys, "catalog", "--family", "A1")
@@ -192,9 +194,11 @@ class TestCheckStab:
         assert "stabilization properties: satisfied" in out
 
     def test_trivial_family_violates(self, capsys):
-        code, out, _ = run(capsys, "check-stab", "--rep", "wada:T")
-        assert code == 0
-        assert "stabilization properties: violated" in out
+        # B1: the core forces a = b but its inverse forces a = b^-1
+        for rep in ("wada:T", "wada:B1"):
+            code, out, _ = run(capsys, "check-stab", "--rep", rep)
+            assert code == 0
+            assert "stabilization properties: violated" in out
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "check-stab", "--rep", "wada:C1", "--json")

@@ -20,7 +20,7 @@ from braidact.invariant import (
 from braidact.localrep import ARTIN_CORE, FamilyId, LocalRep, catalog, constant_rep
 from braidact.words import Word
 
-from .util import brute_hom_count
+from .util import brute_hom_count, scan_family_ids
 
 S3 = builtin_group("S3")
 S4 = builtin_group("S4")
@@ -191,6 +191,24 @@ class TestCheckS1:
     def test_conjugation_family_second_core_inverts(self):
         core = catalog(FamilyId("A2", 1)).kappa
         assert check_S1(core).status == "holds-up-to-inversion"
+
+    def test_type_b_sides_disagree(self):
+        # B,a: the core forces a = b, its inverse b,A forces a = b^-1
+        for text in ("B,a", "b,A"):
+            report = check_S1(AutF2.parse(text))
+            assert report.status == "fails"
+            assert report.witness.count("forces a = b") == 2
+            assert report.witness.count("forces a = b^-1") == 1
+
+    def test_only_type_b_mixes_in_catalog(self):
+        cores = set()
+        for fid in scan_family_ids(7):
+            quad = catalog(fid)
+            cores.update((quad.tau, quad.kappa))
+        mixed = {
+            str(core) for core in cores if "collapse differently" in check_S1(core).witness
+        }
+        assert mixed == {"B,a", "b,A"}
 
 
 class TestFingerprint:

@@ -30,7 +30,7 @@ from braidact.localrep import (
 )
 from braidact.words import Word
 
-from .util import reduced_words
+from .util import reduced_words, scan_family_ids, scan_identify_quad, scan_outgoing_cores
 
 
 def q(text):
@@ -198,12 +198,45 @@ class TestCatalog:
         assert identify_quad(q("a,b,a,b")) == FamilyId("T")
         assert identify_quad(catalog(FamilyId("A2", 1))) == FamilyId("A2", 1)
         assert identify_quad(q("a,b,b,a")) is None
+        # D2 and D3:-sbw share this quad; the first family in catalog order wins
+        assert identify_quad(catalog(FamilyId.parse("D3:-sbw"))) == FamilyId("D2")
 
     def test_shared_orbit_of_two_mixing_families(self):
         # D3 is the inverse-swap-backward image of D2; one orbit, two names
         assert catalog(FamilyId("D3")) == catalog(
             FamilyId("D2", inv=True, swap=True, backward=True)
         )
+
+
+class TestCatalogIndex:
+    """The lazily built index against the linear scan over the catalog."""
+
+    FIDS = list(scan_family_ids(13))  # every decorated id with r <= 6
+
+    def test_a_parameter_follows_from_word_length(self):
+        for fid in self.FIDS:
+            if fid.r is not None:
+                quad = catalog(fid)
+                assert quad.max_word_length() == 2 * fid.r + 1, fid
+                assert max(len(quad.a), len(quad.b)) == 2 * fid.r + 1, fid
+
+    def test_identify_quad_matches_scan(self):
+        for fid in self.FIDS:
+            quad = catalog(fid)
+            assert identify_quad(quad) == scan_identify_quad(quad), fid
+
+    def test_outgoing_cores_match_scan(self):
+        cores = {catalog(fid).tau for fid in self.FIDS}
+        for core in cores:
+            assert outgoing_cores(core) == scan_outgoing_cores(core), str(core)
+
+    def test_non_catalog_queries(self):
+        for text in ("a,b,b,a", "b,a,a,b", "aa,b,a,b", "1,1,1,1", "abA,a,aBA,a"):
+            assert identify_quad(q(text)) is None
+            assert scan_identify_quad(q(text)) is None
+        for text in ("A,b", "aa,b", "1,1", "aabb,a", "aaabAAA,b"):
+            core = AutF2.parse(text)
+            assert outgoing_cores(core) == scan_outgoing_cores(core) == (), text
 
 
 class TestClassifySearch:

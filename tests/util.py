@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
+from braidact.autf2 import AutF2
 from braidact.groups import FiniteGroupTable
 from braidact.invariant import GroupPresentation
+from braidact.localrep import FAMILY_TAGS, FamilyId, Quad, catalog
 from braidact.words import Word
 
 
@@ -53,3 +56,42 @@ def brute_hom_count(p: GroupPresentation, group: FiniteGroupTable) -> int:
         if ok:
             count += 1
     return count
+
+
+# -- linear-scan oracle for the catalog index ---------------------------------
+
+
+def scan_family_ids(max_word_len: int):
+    """Every decorated family id whose A parameter r has 2r+1 <= max_word_len,
+    in catalog order: family tag, then r, then decoration."""
+    for family in FAMILY_TAGS:
+        rs = range((max_word_len - 1) // 2 + 1) if family in ("A1", "A2", "A3") else (None,)
+        for r in rs:
+            for inv, swap, backward in itertools.product((False, True), repeat=3):
+                yield FamilyId(family, r, inv, swap, backward)
+
+
+# Memoized here only so the oracle runs fast; the scans below still test
+# every id in order.
+_scan_catalog = functools.cache(catalog)
+
+
+def scan_identify_quad(q: Quad) -> FamilyId | None:
+    """First decorated family id whose quad equals q, by a linear scan."""
+    for fid in scan_family_ids(q.max_word_length()):
+        if _scan_catalog(fid) == q:
+            return fid
+    return None
+
+
+def scan_outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:
+    """Successors of a core by a linear scan; first-seen targets, in order."""
+    lmax = max(len(core.image_a), len(core.image_b), 1)
+    seen: list[AutF2] = []
+    out = []
+    for fid in scan_family_ids(lmax):
+        q = _scan_catalog(fid)
+        if q.tau == core and q.kappa not in seen:
+            seen.append(q.kappa)
+            out.append((q.kappa, fid))
+    return tuple(out)
