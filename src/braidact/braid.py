@@ -17,6 +17,10 @@ __all__ = [
     "verify_braid_relations",
 ]
 
+# Refuse a braid whose image words outgrow this many letters in total; the
+# images can grow exponentially with the crossing count.
+MAX_IMAGE_LETTERS = 1_000_000
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -127,7 +131,10 @@ def local_endo(rep: LocalRep, i: int, sign: int = 1) -> Endo:
 
 
 def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
-    """Image of a braid word: letters act in word order (right action)."""
+    """Image of a braid word: letters act in word order (right action).
+
+    Raises ValueError once the images total more than MAX_IMAGE_LETTERS.
+    """
     if rep.n != b.n:
         raise ValueError(f"strand mismatch: rep has {rep.n}, braid has {b.n}")
     # Each core used by a negative crossing is inverted once, not per crossing.
@@ -136,8 +143,12 @@ def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
         rep.n, tuple(c.inverse() if i in negative else c for i, c in enumerate(rep.cores, 1))
     )
     endo = Endo.identity(rep.n)
-    for l in b.letters:
+    for k, l in enumerate(b.letters, 1):
         endo = endo.compose(local_endo(rep if l > 0 else inverse, abs(l)))
+        if (size := sum(map(len, endo.images))) > MAX_IMAGE_LETTERS:
+            raise ValueError(
+                f"braid image has {size} letters after crossing {k}, over {MAX_IMAGE_LETTERS}"
+            )
     return endo
 
 

@@ -125,7 +125,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    classes = sorted(classify_search(args.max_len, jobs=args.jobs), key=quad_sort_key)
+    classes = sorted(classify_search(args.max_len), key=quad_sort_key)
     entries = []
     for q in classes:
         fid = identify_quad(q)
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="bounded exhaustive classification search")
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

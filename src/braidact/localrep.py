@@ -400,99 +400,78 @@ def identify_quad(q: Quad) -> FamilyId | None:
 # -- bounded exhaustive classification search ------------------------------
 
 
-def _reduced_letter_tuples(max_len: int) -> list[tuple[int, ...]]:
-    words: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        step = []
-        for w in frontier:
-            for letter in (1, -1, 2, -2):
-                if w and w[-1] == -letter:
-                    continue
-                step.append(w + (letter,))
-        words.extend(step)
-        frontier = step
-    return words
+def _reduced_words(max_len: int) -> list[Word]:
+    return [
+        Word(t)
+        for n in range(max_len + 1)
+        for t in itertools.product((1, -1, 2, -2), repeat=n)
+        if all(x != -y for x, y in zip(t, t[1:]))
+    ]
 
 
-def _basis_pairs_up_to(max_len: int) -> list[tuple[Word, Word]]:
-    ws = [Word(t) for t in _reduced_letter_tuples(max_len)]
-    exps = [(w.exponent_sum(1), w.exponent_sum(2)) for w in ws]
-    pairs = []
-    for u, (ua, ub) in zip(ws, exps):
-        for v, (va, vb) in zip(ws, exps):
-            if abs(ua * vb - ub * va) != 1:
-                continue
-            if is_basis(u, v):
-                pairs.append((u, v))
-    return pairs
+def _basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], list[tuple[Word, Word]]]:
+    """Basis pairs (u, v) of words of length <= max_len, keyed by their
+    exponent-sum matrix (u_a, u_b, v_a, v_b), whose determinant is +-1."""
+    by_vector: dict[tuple[int, int], list[Word]] = {}
+    for w in _reduced_words(max_len):
+        by_vector.setdefault((w.exponent_sum(1), w.exponent_sum(2)), []).append(w)
+    out = {}
+    for (ua, ub), (va, vb) in itertools.product(by_vector, repeat=2):
+        if abs(ua * vb - ub * va) != 1:
+            continue
+        pairs = [(u, v) for u in by_vector[ua, ub] for v in by_vector[va, vb] if is_basis(u, v)]
+        if pairs:
+            out[ua, ub, va, vb] = pairs
+    return out
 
 
-def _scan_block(max_len: int, lo: int, hi: int | None) -> list[Quad]:
-    """Check every quad whose (A, B) pair falls in pairs[lo:hi]."""
-    pairs = _basis_pairs_up_to(max_len)
-    shifted: dict[tuple[int, ...], Word] = {}
-    b_xc: dict[tuple[tuple[int, ...], tuple[int, ...]], Word] = {}
-    c_bz: dict[tuple[tuple[int, ...], tuple[int, ...]], Word] = {}
-    rhs_t: dict[tuple[tuple[int, ...], tuple[int, ...]], Word] = {}
-
-    def shift(w: Word) -> Word:
-        key = w.letters
-        got = shifted.get(key)
-        if got is None:
-            got = shifted[key] = w.substitute((_Y, _Z))
-        return got
-
-    survivors = []
-    for a, b in pairs[lo:hi]:
-        for c, d in pairs:
-            cs = shift(c)
-            ds = shift(d)
-            key_bc = (b.letters, c.letters)
-            bxc = b_xc.get(key_bc)
-            if bxc is None:
-                bxc = b_xc[key_bc] = b.substitute((_X, cs))
-            if d.substitute((b, _Z)) != d.substitute((bxc, ds)):
-                continue
-            cbz = c_bz.get(key_bc)
-            if cbz is None:
-                cbz = c_bz[key_bc] = c.substitute((b, _Z))
-            key_ac = (a.letters, c.letters)
-            rhs = rhs_t.get(key_ac)
-            if rhs is None:
-                rhs = rhs_t[key_ac] = a.substitute((_X, cs))
-            if a.substitute((a, cbz)) != rhs:
-                continue
-            if b.substitute((a, cbz)) != c.substitute((bxc, ds)):
-                continue
-            survivors.append(Quad(a, b, c, d))
-    return survivors
+def _mul3(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two 3x3 integer matrices stored row by row."""
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
+    return (
+        p0 * q0 + p1 * q3 + p2 * q6, p0 * q1 + p1 * q4 + p2 * q7, p0 * q2 + p1 * q5 + p2 * q8,
+        p3 * q0 + p4 * q3 + p5 * q6, p3 * q1 + p4 * q4 + p5 * q7, p3 * q2 + p4 * q5 + p5 * q8,
+        p6 * q0 + p7 * q3 + p8 * q6, p6 * q1 + p7 * q4 + p8 * q7, p6 * q2 + p7 * q5 + p8 * q8,
+    )
 
 
-def classify_search(max_len: int, jobs: int = 1) -> set[Quad]:
+def _abelian_braid(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
+    """Whether E1 = diag(m, 1) and E2 = diag(1, n), the exponent-sum
+    matrices of the 1-local and 2-local maps, satisfy E1 E2 E1 = E2 E1 E2."""
+    e1 = (m[0], m[1], 0, m[2], m[3], 0, 0, 0, 1)
+    e2 = (1, 0, 0, 0, n[0], n[1], 0, n[2], n[3])
+    e12 = _mul3(e1, e2)
+    return _mul3(e12, e1) == _mul3(e2, e12)
+
+
+def classify_search(max_len: int) -> set[Quad]:
     """All canonical classes of valid quads with word lengths <= max_len.
 
-    Candidates are pruned by the abelianized determinant, then both basis
-    tests, then the word equations (cheapest reject first).  The result is
-    a set of canonical representatives and does not depend on `jobs`.
+    The search runs in three stages.  First it enumerates the basis pairs
+    of words up to max_len (exponent-sum determinant +-1, then the basis
+    test) and groups them by their 2x2 exponent-sum matrix.  Then it tests
+    each pair of matrices once against the abelianized braid relation.
+    Last, only the quads of the surviving matrix pairs go through the word
+    equations of :func:`check_quad`; the valid ones are canonicalized.
+
+    The second stage is sound: a quad is valid exactly when its two cores
+    satisfy the braid relation on F_3 (:func:`check_pair_via_braid`), and
+    abelianizing is multiplicative, so the 3x3 exponent-sum matrices of the
+    two local maps then satisfy E1 E2 E1 = E2 E1 E2.  The relation word is
+    a palindrome, so the row or column convention does not matter.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if jobs <= 1:
-        found = _scan_block(max_len, 0, None)
-    else:
-        import multiprocessing
-
-        npairs = len(_basis_pairs_up_to(max_len))
-        chunks = max(1, jobs)
-        step = -(-npairs // chunks)
-        bounds = [(i, min(i + step, npairs)) for i in range(0, npairs, step)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(
-                _scan_block, [(max_len, lo, hi) for lo, hi in bounds]
-            )
-        found = [q for part in parts for q in part]
-    return {canonicalize(q) for q in found}
+    by_matrix = _basis_pairs_by_matrix(max_len)
+    found = set()
+    for m, n in itertools.product(by_matrix, repeat=2):
+        if not _abelian_braid(m, n):
+            continue
+        for (a, b), (c, d) in itertools.product(by_matrix[m], by_matrix[n]):
+            if check_quad(a, b, c, d).valid:
+                found.add(canonicalize(Quad(a, b, c, d)))
+    return found
 
 
 # -- representations as core sequences -------------------------------------

@@ -117,19 +117,26 @@ def test_criterion_2_classification_completeness():
             names.setdefault(canonicalize(quad), []).append(str(fid))
     merged = [v for v in names.values() if len(v) > 1]
     assert merged == [["D2", "D3"]]
+    search5 = classify_search(5)
+    assert search5 == _truncated_catalog_classes(5)
+    assert len(search5) == 19
+    search6 = classify_search(6)
+    assert search6 == _truncated_catalog_classes(6)
+    assert len(search6) == 19
     _report(2, True,
-            f"search(1) = 7 classes, search(3) = 16 classes, both equal the "
-            f"truncated catalog; D2/D3 share one symmetry orbit ({time.time() - t0:.1f}s)")
+            f"search(1) = 7, search(3) = 16, search(5) = search(6) = 19 classes, each "
+            f"equal to the truncated catalog; D2/D3 share one symmetry orbit "
+            f"({time.time() - t0:.1f}s)")
 
 
 @pytest.mark.extended
-def test_criterion_2_extended_length_five():
+def test_criterion_2_extended_length_seven():
     t0 = time.time()
-    search5 = classify_search(5, jobs=4)
-    truncated5 = _truncated_catalog_classes(5)
-    assert search5 == truncated5
-    _report("2x", True, f"search(5) = {len(search5)} classes, equals truncated catalog "
-                        f"({time.time() - t0:.1f}s with 4 jobs)")
+    search7 = classify_search(7)
+    assert search7 == _truncated_catalog_classes(7)
+    assert len(search7) == 22
+    _report("2x", True, f"search(7) = {len(search7)} classes, equals truncated catalog "
+                        f"({time.time() - t0:.1f}s)")
 
 
 # Expected labelled edge sets read off the classification graph figure,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braidact import braid
 from braidact.autf2 import AutF2
 from braidact.braid import (
     BraidWord,
@@ -12,6 +13,7 @@ from braidact.braid import (
     parse_braid,
     verify_braid_relations,
 )
+from braidact.invariant import fingerprint, presentation
 from braidact.localrep import ARTIN_CORE, constant_rep, rep_from_cores
 from braidact.words import Word
 
@@ -133,6 +135,17 @@ class TestEndoOfBraid:
         rep = constant_rep(AutF2.parse("aBa,a"), 3)
         b = parse_braid("1 2 -1 2", 3)
         assert endo_of_braid(rep, b).compose(endo_of_braid(rep, b.inverse())).is_identity()
+
+    def test_refuses_oversized_images(self, monkeypatch):
+        rep = constant_rep(ARTIN_CORE, 2)
+        b = parse_braid("1 1 1", 2)
+        # The images total 4, 8 and 12 letters after the three crossings.
+        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 12)
+        assert sum(len(img) for img in endo_of_braid(rep, b).images) == 12
+        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 7)
+        for compute in (endo_of_braid, presentation, fingerprint):
+            with pytest.raises(ValueError, match="8 letters after crossing 2"):
+                compute(rep, b)
 
 
 class TestBraidRelations:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from braidact import braid
 from braidact.cli import main
 
 
@@ -134,6 +135,13 @@ class TestAct:
     def test_bad_braid_exits_one(self, capsys):
         code, _, err = run(capsys, "act", "--rep", "artin", "--n", "2", "--braid", "7")
         assert code == 1
+
+    def test_oversized_images_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 7)
+        code, out, err = run(capsys, "act", "--rep", "artin", "--n", "2", "--braid", "1 1 1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: braid image has 8 letters after crossing 2")
 
 
 class TestInvariant:

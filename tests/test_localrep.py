@@ -10,6 +10,7 @@ from braidact.localrep import (
     LocalRep,
     PathError,
     Quad,
+    _abelian_braid,
     backward_dual,
     build_gamma,
     can_extend,
@@ -30,7 +31,13 @@ from braidact.localrep import (
 )
 from braidact.words import Word
 
-from .util import reduced_words, scan_family_ids, scan_identify_quad, scan_outgoing_cores
+from .util import (
+    reduced_words,
+    scan_classify,
+    scan_family_ids,
+    scan_identify_quad,
+    scan_outgoing_cores,
+)
 
 
 def q(text):
@@ -266,8 +273,17 @@ class TestClassifySearch:
             assert check_quad(*quad.words).valid
             assert check_pair_via_braid(quad.tau, quad.kappa)
 
-    def test_jobs_do_not_change_result(self):
-        assert classify_search(1, jobs=2) == classify_search(1)
+    @pytest.mark.parametrize("max_len", [1, 2])
+    def test_matches_brute_force_scan(self, max_len):
+        assert classify_search(max_len) == scan_classify(max_len)
+
+    def test_catalog_passes_abelian_prune(self):
+        # A prune that rejected a valid pair would drop classes silently.
+        for fid in scan_family_ids(13):
+            quad = catalog(fid)
+            m = tuple(w.exponent_sum(g) for w in (quad.a, quad.b) for g in (1, 2))
+            n = tuple(w.exponent_sum(g) for w in (quad.c, quad.d) for g in (1, 2))
+            assert _abelian_braid(m, n), str(fid)
 
     def test_bad_max_len(self):
         with pytest.raises(ValueError):

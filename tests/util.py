@@ -5,10 +5,10 @@ from __future__ import annotations
 import functools
 import itertools
 
-from braidact.autf2 import AutF2
+from braidact.autf2 import AutF2, is_basis
 from braidact.groups import FiniteGroupTable
 from braidact.invariant import GroupPresentation
-from braidact.localrep import FAMILY_TAGS, FamilyId, Quad, catalog
+from braidact.localrep import FAMILY_TAGS, FamilyId, Quad, canonicalize, catalog, check_quad
 from braidact.words import Word
 
 
@@ -95,3 +95,18 @@ def scan_outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:
             seen.append(q.kappa)
             out.append((q.kappa, fid))
     return tuple(out)
+
+
+# -- brute-force oracle for the classification search ---------------------------
+
+
+def scan_classify(max_len: int) -> set[Quad]:
+    """Canonical classes of valid quads with word lengths <= max_len, by
+    running every basis pair against every basis pair through check_quad."""
+    words = reduced_words(max_len)
+    bases = [(u, v) for u in words for v in words if is_basis(u, v)]
+    return {
+        canonicalize(Quad(a, b, c, d))
+        for (a, b), (c, d) in itertools.product(bases, repeat=2)
+        if check_quad(a, b, c, d).valid
+    }
