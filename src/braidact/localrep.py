@@ -131,6 +131,19 @@ class QuadReport:
         return tuple(out)
 
 
+def _equations(a: Word, b: Word, c: Word, d: Word) -> tuple[bool, bool, bool]:
+    """The three defining word equations (T, M, B) in F_3."""
+    c_yz = c.substitute((_Y, _Z))
+    d_yz = d.substitute((_Y, _Z))
+    c_bz = c.substitute((b, _Z))
+    b_xc = b.substitute((_X, c_yz))
+    return (
+        a.substitute((a, c_bz)) == a.substitute((_X, c_yz)),
+        b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz)),
+        d.substitute((b, _Z)) == d.substitute((b_xc, d_yz)),
+    )
+
+
 def check_quad(a: Word, b: Word, c: Word, d: Word) -> QuadReport:
     """Evaluate the three defining word equations in F_3 plus both basis tests.
 
@@ -139,21 +152,7 @@ def check_quad(a: Word, b: Word, c: Word, d: Word) -> QuadReport:
     for w in (a, b, c, d):
         if w.max_generator() > 2:
             raise ValueError("quad words must be over a, b")
-    c_yz = c.substitute((_Y, _Z))
-    d_yz = d.substitute((_Y, _Z))
-    c_bz = c.substitute((b, _Z))
-    b_xc = b.substitute((_X, c_yz))
-    eq_t = a.substitute((a, c_bz)) == a.substitute((_X, c_yz))
-    eq_m = b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz))
-    eq_b = d.substitute((b, _Z)) == d.substitute((b_xc, d_yz))
-    return QuadReport(
-        quad=Quad(a, b, c, d),
-        basis_ab=is_basis(a, b),
-        basis_cd=is_basis(c, d),
-        eq_t=eq_t,
-        eq_m=eq_m,
-        eq_b=eq_b,
-    )
+    return QuadReport(Quad(a, b, c, d), is_basis(a, b), is_basis(c, d), *_equations(a, b, c, d))
 
 
 def check_pair_via_braid(tau: AutF2, kappa: AutF2) -> bool:
@@ -230,10 +229,19 @@ def _decorate(q: Quad, inv: bool, swap: bool, backward: bool) -> Quad:
     return q
 
 
+def _orbit(q: Quad) -> tuple[Quad, ...]:
+    # The inverse is the only costly symmetry; compute it once, not per image.
+    q_inv = _inverse_quad(q)
+    return tuple(
+        _decorate(q_inv if inv else q, False, swap, backward)
+        for inv, swap, backward in _DECORATIONS
+    )
+
+
 def symmetry_orbit(q: Quad) -> tuple[Quad, ...]:
     """The 8 symmetry images of a valid quad (duplicates possible)."""
     _require_valid(q, "symmetry_orbit")
-    return tuple(_decorate(q, *flags) for flags in _DECORATIONS)
+    return _orbit(q)
 
 
 def quad_sort_key(q: Quad) -> tuple:
@@ -409,12 +417,21 @@ def _reduced_words(max_len: int) -> list[Word]:
     ]
 
 
+def _single_signed(w: Word) -> bool:
+    """Whether the cyclic reduction of w uses each of a and b with one sign."""
+    letters = set(w.cyclically_reduce()[0].letters)
+    return not ({1, -1} <= letters or {2, -2} <= letters)
+
+
 def _basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], list[tuple[Word, Word]]]:
     """Basis pairs (u, v) of words of length <= max_len, keyed by their
-    exponent-sum matrix (u_a, u_b, v_a, v_b), whose determinant is +-1."""
+    exponent-sum matrix (u_a, u_b, v_a, v_b), whose determinant is +-1.
+
+    Only single-signed words can be basis elements (see classify_search)."""
     by_vector: dict[tuple[int, int], list[Word]] = {}
     for w in _reduced_words(max_len):
-        by_vector.setdefault((w.exponent_sum(1), w.exponent_sum(2)), []).append(w)
+        if _single_signed(w):
+            by_vector.setdefault((w.exponent_sum(1), w.exponent_sum(2)), []).append(w)
     out = {}
     for (ua, ub), (va, vb) in itertools.product(by_vector, repeat=2):
         if abs(ua * vb - ub * va) != 1:
@@ -425,52 +442,61 @@ def _basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], list[tuple[Wor
     return out
 
 
-def _mul3(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two 3x3 integer matrices stored row by row."""
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
-    q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
-    return (
-        p0 * q0 + p1 * q3 + p2 * q6, p0 * q1 + p1 * q4 + p2 * q7, p0 * q2 + p1 * q5 + p2 * q8,
-        p3 * q0 + p4 * q3 + p5 * q6, p3 * q1 + p4 * q4 + p5 * q7, p3 * q2 + p4 * q5 + p5 * q8,
-        p6 * q0 + p7 * q3 + p8 * q6, p6 * q1 + p7 * q4 + p8 * q7, p6 * q2 + p7 * q5 + p8 * q8,
-    )
-
-
 def _abelian_braid(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
     """Whether E1 = diag(m, 1) and E2 = diag(1, n), the exponent-sum
-    matrices of the 1-local and 2-local maps, satisfy E1 E2 E1 = E2 E1 E2."""
-    e1 = (m[0], m[1], 0, m[2], m[3], 0, 0, 0, 1)
-    e2 = (1, 0, 0, 0, n[0], n[1], 0, n[2], n[3])
-    e12 = _mul3(e1, e2)
-    return _mul3(e12, e1) == _mul3(e2, e12)
+    matrices of the 1-local and 2-local maps, satisfy E1 E2 E1 = E2 E1 E2.
+
+    The five conditions are the entries of that 3x3 equation written out;
+    the others hold identically."""
+    m0, m1, m2, m3 = m
+    n0, n1, n2, n3 = n
+    p, q = m1 * m2, n1 * n2
+    return (
+        m0 * m0 - m0 + p * n0 == 0
+        and (m1 == m2 == 0 or m0 + m3 * n0 - n0 == 0)
+        and p + m3 * m3 * n0 - m3 * n0 * n0 - q == 0
+        and (n1 == n2 == 0 or m3 * n0 - m3 + n3 == 0)
+        and n3 * n3 - n3 + m3 * q == 0
+    )
 
 
 def classify_search(max_len: int) -> set[Quad]:
     """All canonical classes of valid quads with word lengths <= max_len.
 
-    The search runs in three stages.  First it enumerates the basis pairs
-    of words up to max_len (exponent-sum determinant +-1, then the basis
-    test) and groups them by their 2x2 exponent-sum matrix.  Then it tests
-    each pair of matrices once against the abelianized braid relation.
-    Last, only the quads of the surviving matrix pairs go through the word
-    equations of :func:`check_quad`; the valid ones are canonicalized.
+    The search runs in four stages, each doing its work once.
 
-    The second stage is sound: a quad is valid exactly when its two cores
-    satisfy the braid relation on F_3 (:func:`check_pair_via_braid`), and
-    abelianizing is multiplicative, so the 3x3 exponent-sum matrices of the
-    two local maps then satisfy E1 E2 E1 = E2 E1 E2.  The relation word is
-    a palindrome, so the row or column convention does not matter.
+    1. Words.  Only words whose cyclic reduction uses each of a and b with
+       a single sign are kept: by the theorem of Cohen, Metzler and
+       Zimmermann (Math. Ann. 257, 1981) and of Osborne and Zieschang
+       (Invent. Math. 63, 1981), every primitive element of F_2 has such a
+       cyclic reduction.  The word pairs of exponent-sum determinant +-1
+       then go through the basis test, grouped by their 2x2 matrix.
+    2. Matrices.  Each pair of matrices is tested once against the
+       abelianized braid relation E1 E2 E1 = E2 E1 E2 in closed form.
+       This is sound: a quad is valid exactly when its two cores satisfy
+       the braid relation on F_3 (:func:`check_pair_via_braid`), and
+       abelianizing is multiplicative.  The relation word is a palindrome,
+       so the row or column convention does not matter.
+    3. Words again.  Only the quads of surviving matrix pairs meet the
+       three word equations; their basis tests are already known.
+    4. Orbits.  A valid quad's 8 symmetry images come from the quad and
+       its one inverse; the least is its class, and later quads of the
+       same orbit are skipped unchecked, since they are valid too.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     by_matrix = _basis_pairs_by_matrix(max_len)
     found = set()
+    seen: set[Quad] = set()
     for m, n in itertools.product(by_matrix, repeat=2):
         if not _abelian_braid(m, n):
             continue
         for (a, b), (c, d) in itertools.product(by_matrix[m], by_matrix[n]):
-            if check_quad(a, b, c, d).valid:
-                found.add(canonicalize(Quad(a, b, c, d)))
+            quad = Quad(a, b, c, d)
+            if quad not in seen and all(_equations(a, b, c, d)):
+                orbit = _orbit(quad)
+                seen.update(orbit)
+                found.add(min(orbit, key=quad_sort_key))
     return found
 
 

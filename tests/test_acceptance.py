@@ -123,19 +123,22 @@ def test_criterion_2_classification_completeness():
     search6 = classify_search(6)
     assert search6 == _truncated_catalog_classes(6)
     assert len(search6) == 19
+    search7 = classify_search(7)
+    assert search7 == _truncated_catalog_classes(7)
+    assert len(search7) == 22
     _report(2, True,
-            f"search(1) = 7, search(3) = 16, search(5) = search(6) = 19 classes, each "
-            f"equal to the truncated catalog; D2/D3 share one symmetry orbit "
+            f"search(1) = 7, search(3) = 16, search(5) = search(6) = 19, search(7) = 22 "
+            f"classes, each equal to the truncated catalog; D2/D3 share one symmetry orbit "
             f"({time.time() - t0:.1f}s)")
 
 
 @pytest.mark.extended
-def test_criterion_2_extended_length_seven():
+def test_criterion_2_extended_length_eight():
     t0 = time.time()
-    search7 = classify_search(7)
-    assert search7 == _truncated_catalog_classes(7)
-    assert len(search7) == 22
-    _report("2x", True, f"search(7) = {len(search7)} classes, equals truncated catalog "
+    search8 = classify_search(8)
+    assert search8 == _truncated_catalog_classes(8)
+    assert len(search8) == 22
+    _report("2x", True, f"search(8) = {len(search8)} classes, equals truncated catalog "
                         f"({time.time() - t0:.1f}s)")
 
 

@@ -11,6 +11,9 @@ from braidact.localrep import (
     PathError,
     Quad,
     _abelian_braid,
+    _basis_pairs_by_matrix,
+    _decorate,
+    _DECORATIONS,
     backward_dual,
     build_gamma,
     can_extend,
@@ -24,6 +27,7 @@ from braidact.localrep import (
     identify_quad,
     inverse_rep,
     outgoing_cores,
+    quad_sort_key,
     rep_from_cores,
     rep_from_path,
     swap_dual,
@@ -32,7 +36,9 @@ from braidact.localrep import (
 from braidact.words import Word
 
 from .util import (
+    abelian_braid_by_product,
     reduced_words,
+    scan_basis_pairs_by_matrix,
     scan_classify,
     scan_family_ids,
     scan_identify_quad,
@@ -164,6 +170,15 @@ class TestCanonicalize:
             orbit = set(symmetry_orbit(catalog(fid)))
             assert 8 % len(orbit) == 0
 
+    def test_orbit_matches_flagwise_decoration(self):
+        # The orbit shares one inverse between its images; it must equal the
+        # images decorated one flag triple at a time, in _DECORATIONS order.
+        for fid in scan_family_ids(7):
+            quad = catalog(fid)
+            flagwise = tuple(_decorate(quad, *flags) for flags in _DECORATIONS)
+            assert symmetry_orbit(quad) == flagwise, str(fid)
+            assert canonicalize(quad) == min(flagwise, key=quad_sort_key), str(fid)
+
 
 def test_every_catalog_core_inverts_cleanly():
     for fid in all_family_ids(3):
@@ -284,6 +299,23 @@ class TestClassifySearch:
             m = tuple(w.exponent_sum(g) for w in (quad.a, quad.b) for g in (1, 2))
             n = tuple(w.exponent_sum(g) for w in (quad.c, quad.d) for g in (1, 2))
             assert _abelian_braid(m, n), str(fid)
+
+    def test_closed_form_prune_matches_matrix_product(self):
+        matrices = list(_basis_pairs_by_matrix(5))
+        assert len(matrices) == 296
+        survivors = 0
+        for m, n in itertools.product(matrices, repeat=2):
+            assert _abelian_braid(m, n) == abelian_braid_by_product(m, n), (m, n)
+            survivors += _abelian_braid(m, n)
+        assert survivors == 34
+
+    @pytest.mark.parametrize(
+        "max_len", [1, 2, 3, 4, 5, pytest.param(7, marks=pytest.mark.extended)]
+    )
+    def test_basis_pairs_match_unfiltered_scan(self, max_len):
+        # Dropping words that use a generator with both signs loses no basis.
+        found = {k: set(v) for k, v in _basis_pairs_by_matrix(max_len).items()}
+        assert found == scan_basis_pairs_by_matrix(max_len)
 
     def test_bad_max_len(self):
         with pytest.raises(ValueError):

@@ -110,3 +110,39 @@ def scan_classify(max_len: int) -> set[Quad]:
         for (a, b), (c, d) in itertools.product(bases, repeat=2)
         if check_quad(a, b, c, d).valid
     }
+
+
+def scan_basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], set[tuple[Word, Word]]]:
+    """Basis pairs of words of length <= max_len keyed by exponent-sum matrix,
+    with every word pair of determinant +-1 through is_basis (no word filter)."""
+    by_vector: dict[tuple[int, int], list[Word]] = {}
+    for w in reduced_words(max_len):
+        by_vector.setdefault((w.exponent_sum(1), w.exponent_sum(2)), []).append(w)
+    out: dict[tuple[int, ...], set[tuple[Word, Word]]] = {}
+    for (ua, ub), (va, vb) in itertools.product(by_vector, repeat=2):
+        if abs(ua * vb - ub * va) == 1:
+            for u, v in itertools.product(by_vector[ua, ub], by_vector[va, vb]):
+                if is_basis(u, v):
+                    out.setdefault((ua, ub, va, vb), set()).add((u, v))
+    return out
+
+
+# -- explicit-product oracle for the abelian braid-relation prune ---------------
+
+
+def mul3(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two 3x3 integer matrices stored row by row."""
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
+    return (
+        p0 * q0 + p1 * q3 + p2 * q6, p0 * q1 + p1 * q4 + p2 * q7, p0 * q2 + p1 * q5 + p2 * q8,
+        p3 * q0 + p4 * q3 + p5 * q6, p3 * q1 + p4 * q4 + p5 * q7, p3 * q2 + p4 * q5 + p5 * q8,
+        p6 * q0 + p7 * q3 + p8 * q6, p6 * q1 + p7 * q4 + p8 * q7, p6 * q2 + p7 * q5 + p8 * q8,
+    )
+
+
+def abelian_braid_by_product(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
+    """E1 E2 E1 == E2 E1 E2 for E1 = diag(m, 1) and E2 = diag(1, n), multiplied out."""
+    e1 = (m[0], m[1], 0, m[2], m[3], 0, 0, 0, 1)
+    e2 = (1, 0, 0, 0, n[0], n[1], 0, n[2], n[3])
+    return mul3(mul3(e1, e2), e1) == mul3(mul3(e2, e1), e2)
