@@ -3,7 +3,8 @@
 An endomorphism a |-> image_a, b |-> image_b of F_2 is an automorphism
 exactly when (image_a, image_b) is a basis.  The primary basis test is
 the classical commutator criterion; greedy Nielsen reduction provides
-an independent cross-check and the mechanism for constructive inverses.
+an independent cross-check and the mechanism for constructive inverses,
+and its move table generates the basis pairs of the classification search.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ def is_basis(image_a: Word, image_b: Word) -> bool:
     return c.is_conjugate(_ABAB) or c.is_conjugate(_ABAB.inverse())
 
 
-# Elementary pair moves in a fixed tie-break order: inversions first, then
-# the multiplications (either side, either entry), then the swap.  Only the
-# multiplications can shorten the pair, so they are the ones that ever fire.
+# The elementary multiplications, in a fixed tie-break order: either entry
+# times the other entry or its inverse, on either side.  The other Nielsen
+# moves (inverting an entry, swapping the two) keep the total length, so a
+# greedy shortening never fires them.  The table is closed under inverses:
+# "a<-ab" and "a<-aB" undo each other, as do "a<-ba" and "a<-Ba", and the
+# same for b.
 _MOVES = (
-    ("a<-A", lambda u, v: (u.inverse(), v)),
-    ("b<-B", lambda u, v: (u, v.inverse())),
     ("a<-ab", lambda u, v: (u * v, v)),
     ("a<-aB", lambda u, v: (u * v.inverse(), v)),
     ("a<-ba", lambda u, v: (v * u, v)),
@@ -56,7 +58,6 @@ _MOVES = (
     ("b<-bA", lambda u, v: (u, v * u.inverse())),
     ("b<-ab", lambda u, v: (u, u * v)),
     ("b<-Ab", lambda u, v: (u, u.inverse() * v)),
-    ("swap", lambda u, v: (v, u)),
 )
 
 

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .autf2 import AutF2, aut_sort_key, is_basis
+from .autf2 import _MOVES, AutF2, aut_sort_key, is_basis
 from .words import Word, word_sort_key
 
 __all__ = [
@@ -408,37 +408,23 @@ def identify_quad(q: Quad) -> FamilyId | None:
 # -- bounded exhaustive classification search ------------------------------
 
 
-def _reduced_words(max_len: int) -> list[Word]:
-    return [
-        Word(t)
-        for n in range(max_len + 1)
-        for t in itertools.product((1, -1, 2, -2), repeat=n)
-        if all(x != -y for x, y in zip(t, t[1:]))
-    ]
-
-
-def _single_signed(w: Word) -> bool:
-    """Whether the cyclic reduction of w uses each of a and b with one sign."""
-    letters = set(w.cyclically_reduce()[0].letters)
-    return not ({1, -1} <= letters or {2, -2} <= letters)
-
-
 def _basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], list[tuple[Word, Word]]]:
     """Basis pairs (u, v) of words of length <= max_len, keyed by their
-    exponent-sum matrix (u_a, u_b, v_a, v_b), whose determinant is +-1.
+    exponent-sum matrix (u_a, u_b, v_a, v_b), each list in word order.
 
-    Only single-signed words can be basis elements (see classify_search)."""
-    by_vector: dict[tuple[int, int], list[Word]] = {}
-    for w in _reduced_words(max_len):
-        if _single_signed(w):
-            by_vector.setdefault((w.exponent_sum(1), w.exponent_sum(2)), []).append(w)
-    out = {}
-    for (ua, ub), (va, vb) in itertools.product(by_vector, repeat=2):
-        if abs(ua * vb - ub * va) != 1:
-            continue
-        pairs = [(u, v) for u in by_vector[ua, ub] for v in by_vector[va, vb] if is_basis(u, v)]
-        if pairs:
-            out[ua, ub, va, vb] = pairs
+    Generated from the 8 length-2 bases by Nielsen moves (see classify_search)."""
+    pairs = [p for x in (_A, _A.inverse()) for y in (_B, _B.inverse()) for p in ((x, y), (y, x))]
+    seen = set(pairs)
+    for u, v in pairs:  # breadth first: the loop also visits the pairs it appends
+        for _, move in _MOVES:
+            pair = move(u, v)
+            if pair not in seen and len(pair[0]) <= max_len and len(pair[1]) <= max_len:
+                seen.add(pair)
+                pairs.append(pair)
+    out: dict[tuple[int, ...], list[tuple[Word, Word]]] = {}
+    for u, v in sorted(pairs, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1]))):
+        matrix = (u.exponent_sum(1), u.exponent_sum(2), v.exponent_sum(1), v.exponent_sum(2))
+        out.setdefault(matrix, []).append((u, v))
     return out
 
 
@@ -465,12 +451,17 @@ def classify_search(max_len: int) -> set[Quad]:
 
     The search runs in four stages, each doing its work once.
 
-    1. Words.  Only words whose cyclic reduction uses each of a and b with
-       a single sign are kept: by the theorem of Cohen, Metzler and
-       Zimmermann (Math. Ann. 257, 1981) and of Osborne and Zieschang
-       (Invent. Math. 63, 1981), every primitive element of F_2 has such a
-       cyclic reduction.  The word pairs of exponent-sum determinant +-1
-       then go through the basis test, grouped by their 2x2 matrix.
+    1. Bases.  The basis pairs are generated, not tested.  A breadth-first
+       search from the 8 length-2 bases (a^+-1, b^+-1) and (b^+-1, a^+-1)
+       applies every Nielsen multiplication of ``autf2._MOVES`` and keeps a
+       pair when both its words have length <= max_len.  Each move is an
+       automorphism, so every pair found is a basis.  Every basis pair is
+       found: greedy Nielsen reduction (Magnus, Karrass and Solitar,
+       *Combinatorial Group Theory*, section 3.2) takes it to a length-2
+       basis by multiplications alone, each shortening the one word it
+       changes, and the table holds the inverse of each move, so the
+       reversed path reaches the pair without a word ever outgrowing the
+       bound.  The pairs are grouped by their 2x2 exponent-sum matrix.
     2. Matrices.  Each pair of matrices is tested once against the
        abelianized braid relation E1 E2 E1 = E2 E1 E2 in closed form.
        This is sound: a quad is valid exactly when its two cores satisfy

@@ -133,13 +133,16 @@ def test_criterion_2_classification_completeness():
 
 
 @pytest.mark.extended
-def test_criterion_2_extended_length_eight():
+def test_criterion_2_extended_lengths_eight_nine():
     t0 = time.time()
     search8 = classify_search(8)
     assert search8 == _truncated_catalog_classes(8)
     assert len(search8) == 22
-    _report("2x", True, f"search(8) = {len(search8)} classes, equals truncated catalog "
-                        f"({time.time() - t0:.1f}s)")
+    search9 = classify_search(9)
+    assert search9 == _truncated_catalog_classes(9)
+    assert len(search9) == 25
+    _report("2x", True, f"search(8) = {len(search8)}, search(9) = {len(search9)} classes, "
+                        f"each equal to the truncated catalog ({time.time() - t0:.1f}s)")
 
 
 # Expected labelled edge sets read off the classification graph figure,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidact.autf2 import AutF2, commutator, is_basis, nielsen_reduce
+from braidact.autf2 import _MOVES, AutF2, commutator, is_basis, nielsen_reduce
 from braidact.words import Word
 
 from .util import reduced_words
@@ -91,6 +91,19 @@ class TestNielsenReduce:
         for tag in moves:
             pair = replay[tag](*pair)
         assert pair == (p, q)
+
+    def test_moves_closed_under_inverses(self):
+        # Generating bases from the length-2 pairs reverses greedy reductions,
+        # so every move needs a partner in the table that undoes it.
+        words = [x for x in reduced_words(2) if x.letters]
+        samples = [(u, v) for u in words for v in words]
+        for tag, move in _MOVES:
+            partners = [
+                back_tag
+                for back_tag, back in _MOVES
+                if all(back(*move(u, v)) == (u, v) for u, v in samples)
+            ]
+            assert len(partners) == 1, tag
 
 
 class TestCompose:

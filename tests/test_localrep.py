@@ -33,7 +33,7 @@ from braidact.localrep import (
     swap_dual,
     symmetry_orbit,
 )
-from braidact.words import Word
+from braidact.words import Word, word_sort_key
 
 from .util import (
     abelian_braid_by_product,
@@ -102,11 +102,17 @@ class TestCheckPairViaBraid:
     def test_agreement_with_check_quad_random_longer(self):
         import random
 
-        from braidact.autf2 import is_basis
-
         rng = random.Random(31)
-        words = reduced_words(5)
-        bases = [(u, v) for u in words for v in words if len(u) + len(v) >= 5 and is_basis(u, v)]
+        bases = sorted(
+            (
+                (u, v)
+                for pairs in _basis_pairs_by_matrix(5).values()
+                for u, v in pairs
+                if len(u) + len(v) >= 5
+            ),
+            key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1])),
+        )
+        assert len(bases) == 2976
         for _ in range(150):
             a, b = rng.choice(bases)
             c, d = rng.choice(bases)
@@ -313,9 +319,18 @@ class TestClassifySearch:
         "max_len", [1, 2, 3, 4, 5, pytest.param(7, marks=pytest.mark.extended)]
     )
     def test_basis_pairs_match_unfiltered_scan(self, max_len):
-        # Dropping words that use a generator with both signs loses no basis.
-        found = {k: set(v) for k, v in _basis_pairs_by_matrix(max_len).items()}
-        assert found == scan_basis_pairs_by_matrix(max_len)
+        # Generation by Nielsen moves misses no basis pair and makes none up.
+        by_matrix = _basis_pairs_by_matrix(max_len)
+        assert {k: set(v) for k, v in by_matrix.items()} == scan_basis_pairs_by_matrix(max_len)
+        for pairs in by_matrix.values():
+            assert pairs == sorted(pairs, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1])))
+
+    def test_search_makes_no_basis_test(self, monkeypatch):
+        def refuse(u, v):
+            raise AssertionError("classify_search ran a basis test")
+
+        monkeypatch.setattr("braidact.localrep.is_basis", refuse)
+        assert len(classify_search(3)) == 16
 
     def test_bad_max_len(self):
         with pytest.raises(ValueError):

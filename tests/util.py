@@ -114,7 +114,7 @@ def scan_classify(max_len: int) -> set[Quad]:
 
 def scan_basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], set[tuple[Word, Word]]]:
     """Basis pairs of words of length <= max_len keyed by exponent-sum matrix,
-    with every word pair of determinant +-1 through is_basis (no word filter)."""
+    with every word pair of determinant +-1 through is_basis."""
     by_vector: dict[tuple[int, int], list[Word]] = {}
     for w in reduced_words(max_len):
         by_vector.setdefault((w.exponent_sum(1), w.exponent_sum(2)), []).append(w)
