@@ -133,23 +133,33 @@ def local_endo(rep: LocalRep, i: int, sign: int = 1) -> Endo:
 def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
     """Image of a braid word: letters act in word order (right action).
 
-    Raises ValueError once the images total more than MAX_IMAGE_LETTERS.
+    The image of l_1 ... l_m is local(l_1) composed with the image of the
+    suffix l_2 ... l_m, so the letters are applied last to first.  Crossing
+    i then evaluates its core's two words at the suffix's images i and i+1
+    and leaves the other n - 2 images as they are.
+
+    Raises ValueError once the suffix images l_k ... l_m total more than
+    MAX_IMAGE_LETTERS; the message names k, the letter's position in the word.
     """
     if rep.n != b.n:
         raise ValueError(f"strand mismatch: rep has {rep.n}, braid has {b.n}")
     # Each core used by a negative crossing is inverted once, not per crossing.
-    negative = {-l for l in b.letters if l < 0}
-    inverse = LocalRep(
-        rep.n, tuple(c.inverse() if i in negative else c for i, c in enumerate(rep.cores, 1))
-    )
-    endo = Endo.identity(rep.n)
-    for k, l in enumerate(b.letters, 1):
-        endo = endo.compose(local_endo(rep if l > 0 else inverse, abs(l)))
-        if (size := sum(map(len, endo.images))) > MAX_IMAGE_LETTERS:
+    inverse = {i: rep.cores[i - 1].inverse() for i in {-l for l in b.letters if l < 0}}
+    images = list(Endo.identity(rep.n).images)
+    size = rep.n
+    for k in range(len(b.letters), 0, -1):
+        l = b.letters[k - 1]
+        i = abs(l)
+        core = rep.cores[i - 1] if l > 0 else inverse[i]
+        pair = (images[i - 1], images[i])
+        images[i - 1] = core.image_a.substitute(pair)
+        images[i] = core.image_b.substitute(pair)
+        size += len(images[i - 1]) + len(images[i]) - len(pair[0]) - len(pair[1])
+        if size > MAX_IMAGE_LETTERS:
             raise ValueError(
                 f"braid image has {size} letters after crossing {k}, over {MAX_IMAGE_LETTERS}"
             )
-    return endo
+    return Endo(tuple(images))
 
 
 def verify_braid_relations(rep: LocalRep) -> bool:

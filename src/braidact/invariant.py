@@ -116,19 +116,21 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable, budget: int = 10_0
             f"hom counting refused: {group.order}^{p.ngens} = {total} tuples "
             f"exceeds the budget of {budget}"
         )
-    relators = [r.letters for r in p.relators]
+    n = p.ngens
+    # A tuple's images hold x_j's value at j - 1 and x_j^-1's at n + j - 1.
+    relators = [tuple(l - 1 if l > 0 else n - l - 1 for l in r.letters) for r in p.relators]
     table = group.table
-    inv = group.inverse
     e = group.identity
     count = 0
-    for assignment in itertools.product(range(group.order), repeat=p.ngens):
+    for values, inverted in zip(
+        itertools.product(range(group.order), repeat=n),
+        itertools.product(group.inverse, repeat=n),
+    ):
+        image = values + inverted
         for rel in relators:
             cur = e
-            for l in rel:
-                g = assignment[abs(l) - 1]
-                if l < 0:
-                    g = inv[g]
-                cur = table[cur][g]
+            for k in rel:
+                cur = table[cur][image[k]]
             if cur != e:
                 break
         else:

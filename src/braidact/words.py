@@ -157,7 +157,7 @@ class Word:
         return any(doubled[k : k + n] == c2.letters for k in range(n))
 
     def exponent_sum(self, gen: int) -> int:
-        return sum(1 if l == gen else -1 if l == -gen else 0 for l in self.letters)
+        return self.letters.count(gen) - self.letters.count(-gen)
 
     def max_generator(self) -> int:
         return max((abs(l) for l in self.letters), default=0)

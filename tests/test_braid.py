@@ -17,6 +17,8 @@ from braidact.invariant import fingerprint, presentation
 from braidact.localrep import ARTIN_CORE, constant_rep, rep_from_cores
 from braidact.words import Word
 
+from .util import prefix_endo_of_braid
+
 
 def w(text):
     return Word.parse(text)
@@ -131,6 +133,19 @@ class TestEndoOfBraid:
                     endo_of_braid(rep, b2)
                 )
 
+    def test_matches_prefix_oracle_on_random_braids(self):
+        # The concatenation tests above compare endo_of_braid only with
+        # itself; the oracle composes full local endomorphisms in word order.
+        rng = random.Random(29)
+        for text in ("abA,a", "Aba,a", "B,a", "aBa,a", "ABa,bba", "aabAA,a"):
+            core = AutF2.parse(text)
+            for n in range(2, 6):
+                rep = constant_rep(core, n)
+                choices = [i for i in range(1 - n, n) if i != 0]
+                for _ in range(8):
+                    b = BraidWord(n, tuple(rng.choice(choices) for _ in range(rng.randint(0, 14))))
+                    assert endo_of_braid(rep, b) == prefix_endo_of_braid(rep, b)
+
     def test_inverse_braid_gives_inverse_endo(self):
         rep = constant_rep(AutF2.parse("aBa,a"), 3)
         b = parse_braid("1 2 -1 2", 3)
@@ -146,6 +161,18 @@ class TestEndoOfBraid:
         for compute in (endo_of_braid, presentation, fingerprint):
             with pytest.raises(ValueError, match="8 letters after crossing 2"):
                 compute(rep, b)
+
+    def test_refusal_names_suffix_crossing(self, monkeypatch):
+        rep = constant_rep(ARTIN_CORE, 3)
+        b = parse_braid("1 1 1 2", 3)
+        # Applied last to first, the suffixes from crossing 4, 3, 2 and 1
+        # total 5, 7, 15 and 23 letters; in word order the prefixes would
+        # total 5, 9, 13 and 23, and a bound of 12 would name crossing 3.
+        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 23)
+        assert sum(len(img) for img in endo_of_braid(rep, b).images) == 23
+        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 12)
+        with pytest.raises(ValueError, match="15 letters after crossing 2, over 12"):
+            endo_of_braid(rep, b)
 
 
 class TestBraidRelations:

@@ -122,9 +122,9 @@ class TestCountHoms:
 
     def test_matches_brute_oracle_on_random_presentations(self):
         rng = random.Random(17)
-        z4 = builtin_group("Z4")
+        groups = [S3] + [builtin_group(name) for name in ("Z4", "Z5", "D4")]
         for _ in range(25):
-            ngens = rng.randint(1, 3)
+            ngens = rng.randint(1, 4)
             rels = []
             for _ in range(rng.randint(0, 3)):
                 rels.append(
@@ -134,8 +134,29 @@ class TestCountHoms:
                     )
                 )
             p = GroupPresentation(ngens, tuple(rels))
-            assert count_homs(p, S3) == brute_hom_count(p, S3)
-            assert count_homs(p, z4) == brute_hom_count(p, z4)
+            for group in groups:
+                assert count_homs(p, group) == brute_hom_count(p, group)
+
+    def test_matches_brute_oracle_on_braid_presentations(self):
+        rng = random.Random(23)
+        groups = [builtin_group(name) for name in ("Z2", "Z3", "S3")]
+        for text in ("aBa,a", "ABa,bba"):
+            rep = constant_rep(AutF2.parse(text), 4)
+            for _ in range(4):
+                letters = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(8, 12)))
+                p = presentation(rep, BraidWord(4, letters))
+                for group in groups:
+                    assert count_homs(p, group) == brute_hom_count(p, group)
+
+    def test_last_generator_only_inverted(self):
+        # x3 occurs only as X3, whose value sits at the last position.  Reading
+        # X3 one position too low or too high gives 24 homs into S3, and 48 or
+        # 64 into D4.
+        p = pres(3, "x1 x2 X3 x2", "x1 X3 X3 x2")
+        assert all(l != 3 for r in p.relators for l in r.letters)
+        assert count_homs(p, S3) == brute_hom_count(p, S3) == 6
+        d4 = builtin_group("D4")
+        assert count_homs(p, d4) == brute_hom_count(p, d4) == 8
 
 
 class TestTietze:

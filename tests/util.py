@@ -6,9 +6,18 @@ import functools
 import itertools
 
 from braidact.autf2 import AutF2, is_basis
+from braidact.braid import BraidWord, Endo, local_endo
 from braidact.groups import FiniteGroupTable
 from braidact.invariant import GroupPresentation
-from braidact.localrep import FAMILY_TAGS, FamilyId, Quad, canonicalize, catalog, check_quad
+from braidact.localrep import (
+    FAMILY_TAGS,
+    FamilyId,
+    LocalRep,
+    Quad,
+    canonicalize,
+    catalog,
+    check_quad,
+)
 from braidact.words import Word
 
 
@@ -56,6 +65,15 @@ def brute_hom_count(p: GroupPresentation, group: FiniteGroupTable) -> int:
         if ok:
             count += 1
     return count
+
+
+def prefix_endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
+    """Independent braid-action oracle: the identity composed with each
+    crossing's full local endomorphism, in word order."""
+    endo = Endo.identity(rep.n)
+    for l in b.letters:
+        endo = endo.compose(local_endo(rep, abs(l), 1 if l > 0 else -1))
+    return endo
 
 
 # -- linear-scan oracle for the catalog index ---------------------------------
