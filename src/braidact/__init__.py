@@ -35,9 +35,12 @@ from .invariant import (
     abelianization,
     check_S1,
     count_homs,
+    count_homs_by_action,
     fingerprint,
+    fingerprint_report,
     markov_conjugate,
     markov_stabilize,
+    pair_action,
     presentation,
     tietze_simplify,
 )

@@ -13,14 +13,8 @@ import sys
 
 from .autf2 import AutF2
 from .braid import endo_of_braid, parse_braid
-from .groups import builtin_group, load_group_table
-from .invariant import (
-    abelian_invariants,
-    check_S1,
-    count_homs,
-    presentation,
-    tietze_simplify,
-)
+from .groups import _NAME, builtin_group, load_group_table
+from .invariant import check_S1, fingerprint_report
 from .localrep import (
     ARTIN_CORE,
     COMPONENT_KINDS,
@@ -70,9 +64,11 @@ def _groups_from_arg(arg: str | None):
         name = name.strip()
         if not name:
             continue
-        try:
+        # A name of the built-in form never falls back to a file, so that
+        # builtin_group's reason for refusing it (Z1000, S7) is the one shown.
+        if _NAME.fullmatch(name):
             groups.append(builtin_group(name))
-        except ValueError:
+        else:
             groups.append(load_group_table(name))
     return groups
 
@@ -191,20 +187,18 @@ def _cmd_invariant(args) -> int:
     rep = _parse_rep(args.rep, args.n)
     braid = parse_braid(args.braid, rep.n)
     groups = _groups_from_arg(args.homs)
-    pres = presentation(rep, braid)
-    simplified = tietze_simplify(pres)
-    factors = abelian_invariants(simplified)
-    counts = {g.name: count_homs(simplified, g) for g in groups}
+    pres, simplified, fp = fingerprint_report(rep, braid, groups)
+    counts = dict(fp.hom_counts)
     payload = {
         "generators": pres.ngens,
         "relators": [r.text(pres.ngens) for r in pres.relators],
-        "abelianization": list(factors),
+        "abelianization": list(fp.abelianization),
         "hom_counts": counts,
     }
     lines = [
         f"presentation: {pres.text()}",
         f"simplified: {simplified.text()}",
-        f"abelianization (invariant factors, 0 = free): {list(factors)}",
+        f"abelianization (invariant factors, 0 = free): {list(fp.abelianization)}",
     ]
     for name in sorted(counts):
         lines.append(f"hom count into {name}: {counts[name]}")

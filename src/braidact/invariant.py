@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,12 +32,23 @@ __all__ = [
     "abelianization",
     "check_S1",
     "count_homs",
+    "count_homs_by_action",
     "fingerprint",
+    "fingerprint_report",
     "markov_conjugate",
     "markov_stabilize",
+    "pair_action",
     "presentation",
     "tietze_simplify",
 ]
+
+# count_homs_by_action refuses once H^n has more points than this: each
+# distinct letter of the braid keeps a list of them.
+MAX_ACTION_STATES = 1_000_000
+# fingerprint counts by the action only up to this many points of H^n.  The
+# lists then stay small, and the walk it replaces is far inside its budget,
+# so the choice never turns a count into a refusal or back.
+ACTION_STATES_CHOSEN = 4096
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,82 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable, budget: int = 10_0
         else:
             count += 1
     return count
+
+
+def pair_action(core: AutF2, group: FiniteGroupTable) -> tuple[int, ...]:
+    """The core's action on Hom(F_2, H) = H^2, as one |H|^2-entry table.
+
+    A hom is its pair of values (a, b) of the generators, stored as
+    a * |H| + b.  The entry there is the pair of values of the core's two
+    image words: the hom composed with the core.
+    """
+    q = group.order
+    table = group.table
+    e = group.identity
+    # A pair's values hold a at 0, b at 1, a^-1 at 2 and b^-1 at 3.
+    words = [
+        tuple(l - 1 if l > 0 else 1 - l for l in w.letters) for w in (core.image_a, core.image_b)
+    ]
+    out = []
+    for a, b in itertools.product(range(q), repeat=2):
+        values = (a, b, group.inverse[a], group.inverse[b])
+        image = []
+        for word in words:
+            cur = e
+            for k in word:
+                cur = table[cur][values[k]]
+            image.append(cur)
+        out.append(image[0] * q + image[1])
+    return tuple(out)
+
+
+def count_homs_by_action(rep: LocalRep, braid: BraidWord, group: FiniteGroupTable) -> int:
+    """Exact number of homomorphisms from G(beta) into the group, as the
+    points of H^n that the braid's action fixes.
+
+    A hom from F_n is its tuple of values of x_1..x_n, and it factors
+    through G(beta) exactly when composing it with the braid's endomorphism
+    gives it back.  Crossing i rewrites coordinates i and i+1 through the
+    pair_action table of its core, or of the inverse core for a negative
+    crossing.  The action is a right action, so the braid's map on H^n
+    applies the letters last to first.  No words are built: the cost is
+    |H|^n per crossing and per distinct letter.
+
+    Refuses (raises ValueError) when H^n has more than MAX_ACTION_STATES
+    points, since each distinct letter keeps a list of them.
+    """
+    if rep.n != braid.n:
+        raise ValueError(f"strand mismatch: rep has {rep.n}, braid has {braid.n}")
+    q, n = group.order, rep.n
+    states = q**n
+    if states > MAX_ACTION_STATES:
+        raise ValueError(
+            f"hom counting refused: {q}^{n} = {states} states exceeds the limit of "
+            f"{MAX_ACTION_STATES}"
+        )
+    qq = q * q
+    tables: dict[AutF2, tuple[int, ...]] = {}
+    moves = {}
+    for l in set(braid.letters):
+        i = abs(l)
+        # Each core used by a negative crossing is inverted once, not per crossing.
+        core = rep.cores[i - 1] if l > 0 else rep.cores[i - 1].inverse()
+        if core not in tables:
+            tables[core] = pair_action(core, group)
+        table = tables[core]
+        # State sum_j v_j |H|^(n - j): coordinates i and i+1 form one digit
+        # base |H|^2, with `low` states below it.
+        low = q ** (n - i - 1)
+        moves[l] = [
+            (high * qq + table[pair]) * low + rest
+            for high in range(q ** (i - 1))
+            for pair in range(qq)
+            for rest in range(low)
+        ]
+    points = range(states)
+    for l in reversed(braid.letters):
+        points = list(map(moves[l].__getitem__, points))
+    return sum(map(operator.eq, points, range(states)))
 
 
 def _renumber(w: Word, gone: int) -> Word:
@@ -273,16 +361,38 @@ class Fingerprint:
         return f"abelianization {ab}" + (f"; hom counts {homs}" if homs else "")
 
 
+def fingerprint_report(
+    rep: LocalRep, braid: BraidWord, groups: Iterable[FiniteGroupTable] = ()
+) -> tuple[GroupPresentation, GroupPresentation, Fingerprint]:
+    """The closed-braid presentation, its Tietze simplification, and the
+    Fingerprint: abelianization plus hom counts of the closed-braid group.
+
+    Both measurements are invariants of the group, so the simplification
+    only buys speed.  Each hom count comes from count_homs on the
+    simplified presentation or from count_homs_by_action, whichever should
+    cost less for that group; both are exact.
+    """
+    pres = presentation(rep, braid)
+    simplified = tietze_simplify(pres)
+    # In table lookups per point: the action makes one per crossing and about
+    # 12 per distinct letter to build that letter's list; the walk's tuples
+    # mostly fail within the first relator.
+    action_steps = len(braid.letters) + 12 * len(set(braid.letters))
+    walk_steps = len(simplified.relators[0]) if simplified.relators else 0
+    counts = []
+    for g in groups:
+        states = g.order**rep.n
+        walk = g.order**simplified.ngens * walk_steps
+        if states <= ACTION_STATES_CHOSEN and states * action_steps < walk:
+            counts.append((g.name, count_homs_by_action(rep, braid, g)))
+        else:
+            counts.append((g.name, count_homs(simplified, g)))
+    return pres, simplified, Fingerprint(abelian_invariants(simplified), tuple(sorted(counts)))
+
+
 def fingerprint(
     rep: LocalRep, braid: BraidWord, groups: Iterable[FiniteGroupTable] = ()
 ) -> Fingerprint:
-    """Abelianization plus hom counts of the closed-braid group.
-
-    The presentation is Tietze-simplified first; both measurements are
-    invariants of the group, so the simplification only buys speed.
-    """
-    simplified = tietze_simplify(presentation(rep, braid))
-    counts = tuple(
-        sorted((g.name, count_homs(simplified, g)) for g in groups)
-    )
-    return Fingerprint(abelian_invariants(simplified), counts)
+    """Abelianization plus hom counts of the closed-braid group; see
+    fingerprint_report."""
+    return fingerprint_report(rep, braid, groups)[2]

@@ -185,6 +185,21 @@ class TestInvariant:
         assert code == 0
         assert "hom count into Z3: 3" in out
 
+    def test_unsupported_builtin_group_reports_its_reason(self, capsys):
+        reasons = {
+            "Z1000": "cyclic group Z1000 is too large for table form",
+            "S7": "symmetric groups are supported for 1 <= n <= 6",
+        }
+        for name, reason in reasons.items():
+            code, out, err = run(
+                capsys,
+                "invariant", "--rep", "artin", "--n", "2", "--braid", "1",
+                "--homs", name,
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {reason}\n"
+
     def test_missing_group_table_exits_one(self, capsys):
         code, _, err = run(
             capsys,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braidact import invariant
 from braidact.autf2 import AutF2
 from braidact.braid import BraidWord, parse_braid
 from braidact.groups import builtin_group
@@ -11,20 +12,37 @@ from braidact.invariant import (
     abelianization,
     check_S1,
     count_homs,
+    count_homs_by_action,
     fingerprint,
     markov_conjugate,
     markov_stabilize,
+    pair_action,
     presentation,
     tietze_simplify,
 )
-from braidact.localrep import ARTIN_CORE, FamilyId, LocalRep, catalog, constant_rep
+from braidact.localrep import (
+    ARTIN_CORE,
+    FamilyId,
+    LocalRep,
+    catalog,
+    constant_rep,
+    outgoing_cores,
+)
 from braidact.words import Word
 
-from .util import brute_hom_count, scan_family_ids
+from .util import brute_hom_count, scan_family_ids, walk_fingerprint
 
 S3 = builtin_group("S3")
 S4 = builtin_group("S4")
 GROUPS = [builtin_group(n) for n in ("Z2", "Z3", "Z4", "Z5", "S3", "S4")]
+# The cores of the braid-action oracle tests: artin, A1 at r = 2, C, D and B.
+ACTION_CORES = [AutF2.parse(t) for t in ("abA,a", "aabAA,a", "aBa,a", "ABa,bba", "B,a")]
+ACTION_GROUPS = [builtin_group(n) for n in ("Z2", "Z3", "Z4", "Z5", "S3", "D4")]
+
+
+def random_braid(rng, n, crossings):
+    letters = [s * i for i in range(1, n) for s in (1, -1)]
+    return BraidWord(n, tuple(rng.choice(letters) for _ in range(crossings)))
 
 
 def w(text):
@@ -157,6 +175,144 @@ class TestCountHoms:
         assert count_homs(p, S3) == brute_hom_count(p, S3) == 6
         d4 = builtin_group("D4")
         assert count_homs(p, d4) == brute_hom_count(p, d4) == 8
+
+
+class TestCountHomsByAction:
+    def test_matches_walk_and_brute_oracles_on_random_braids(self):
+        rng = random.Random(88)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            rep = constant_rep(rng.choice(ACTION_CORES), n)
+            braid = random_braid(rng, n, rng.randint(1, 6))
+            p = presentation(rep, braid)
+            for group in ACTION_GROUPS:
+                if group.order**n > 4096:
+                    continue
+                count = count_homs_by_action(rep, braid, group)
+                assert count == count_homs(p, group) == brute_hom_count(p, group), (
+                    str(rep.cores[0]), str(braid), group.name,
+                )
+
+    def test_empty_braid_fixes_every_tuple(self):
+        for n in (2, 3, 4):
+            rep = constant_rep(AutF2.parse("aBa,a"), n)
+            for group in ACTION_GROUPS:
+                assert count_homs_by_action(rep, BraidWord(n, ()), group) == group.order**n
+
+    def test_one_negative_crossing(self):
+        for core in ACTION_CORES:
+            rep = constant_rep(core, 3)
+            braid = BraidWord(3, (-2,))
+            p = presentation(rep, braid)
+            for group in ACTION_GROUPS:
+                count = count_homs_by_action(rep, braid, group)
+                assert count == count_homs(p, group) == brute_hom_count(p, group)
+
+    def test_one_strand_counts_the_group(self):
+        for core in ACTION_CORES:
+            rep = constant_rep(core, 1)
+            for group in ACTION_GROUPS:
+                assert count_homs_by_action(rep, BraidWord(1, ()), group) == group.order
+
+    def test_inverse_core_acts_by_the_inverse_table(self):
+        for core in ACTION_CORES:
+            for group in ACTION_GROUPS:
+                forward = pair_action(core, group)
+                backward = pair_action(core.inverse(), group)
+                assert sorted(forward) == list(range(group.order**2))
+                assert all(backward[forward[x]] == x for x in range(group.order**2))
+
+    def test_letter_order_off_the_braid_relations(self):
+        # On the cores of local actions a word and its reverse gave equal
+        # counts in every case tried, so these cores, which satisfy no braid
+        # relation, pin the order in which the letters act.
+        rep = LocalRep(4, tuple(AutF2.parse(t) for t in ("ab,b", "b,ab", "ab,b")))
+        for letters, expected in (((1, 2, 2, 3, 2), 24), ((2, 3, 2, 2, 1), 36)):
+            braid = BraidWord(4, letters)
+            p = presentation(rep, braid)
+            assert count_homs_by_action(rep, braid, S3) == brute_hom_count(p, S3) == expected
+
+    def test_strand_mismatch(self):
+        with pytest.raises(ValueError, match="strand mismatch"):
+            count_homs_by_action(constant_rep(ARTIN_CORE, 3), BraidWord(2, (1,)), S3)
+
+    def test_refuses_past_the_state_limit(self):
+        # 24^5 = 7,962,624 points of S4^5; refused before any list is built.
+        with pytest.raises(ValueError, match="24\\^5 = 7962624 states exceeds the limit"):
+            count_homs_by_action(constant_rep(ARTIN_CORE, 5), BraidWord(5, (1,)), S4)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this backend must not run here")
+
+
+class TestFingerprintBackends:
+    def test_long_braid_into_Z3_counts_by_the_action(self, monkeypatch):
+        rep = constant_rep(AutF2.parse("aBa,a"), 4)
+        braid = random_braid(random.Random(43), 4, 40)
+        z3 = builtin_group("Z3")
+        reference = walk_fingerprint(rep, braid, [z3])
+        monkeypatch.setattr(invariant, "count_homs", _refuse)
+        assert fingerprint(rep, braid, [z3]) == reference
+
+    def test_3_strand_braids_into_S4_count_by_the_walk(self, monkeypatch):
+        rep = constant_rep(ARTIN_CORE, 3)
+        short = parse_braid("1 -2 1 -2", 3)
+        # Its first simplified relator (100 letters) is long enough for the
+        # cost rule to pick the action, but S4^3 has 13,824 points, past
+        # ACTION_STATES_CHOSEN.
+        long = random_braid(random.Random(2), 3, 20)
+        references = [walk_fingerprint(rep, b, [S4]) for b in (short, long)]
+        monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
+        assert [fingerprint(rep, b, [S4]) for b in (short, long)] == references
+
+    @staticmethod
+    def _count_backends(monkeypatch):
+        used = {"action": 0, "walk": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                used[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(invariant, "count_homs", counted("walk", count_homs))
+        monkeypatch.setattr(
+            invariant, "count_homs_by_action", counted("action", count_homs_by_action)
+        )
+        return used
+
+    def test_matches_walk_reference_on_markov_battery(self, monkeypatch):
+        # The knots of the acceptance battery under the cores of the Markov
+        # checks, as they are and after every stabilization of either sign.
+        battery = [("1", 2), ("1 1 1", 2), ("1 -2 1 -2", 3), ("1 1", 2)]
+        cases = []
+        for text in ("abA,a", "Aba,a", "B,a", "aBa,a", "ABa,bba"):
+            core = AutF2.parse(text)
+            for letters, n in battery:
+                rep, braid = constant_rep(core, n), parse_braid(letters, n)
+                cases.append((rep, braid))
+                for extension, _ in outgoing_cores(core):
+                    taller = LocalRep(n + 1, rep.cores + (extension,))
+                    cases += [(taller, markov_stabilize(braid, sign)) for sign in (1, -1)]
+        references = [walk_fingerprint(rep, braid, GROUPS) for rep, braid in cases]
+        used = self._count_backends(monkeypatch)
+        assert [fingerprint(rep, braid, GROUPS) for rep, braid in cases] == references
+        assert used["walk"] > 0
+
+    def test_matches_walk_reference_on_long_braids(self, monkeypatch):
+        rng = random.Random(44)
+        groups = [builtin_group(n) for n in ("Z2", "Z3", "S3")]
+        cases = [
+            (constant_rep(core, 4), random_braid(rng, 4, rng.randint(24, 32)))
+            for core in ACTION_CORES[:4]
+            for _ in range(3)
+        ]
+        references = [walk_fingerprint(rep, braid, groups) for rep, braid in cases]
+        used = self._count_backends(monkeypatch)
+        assert [fingerprint(rep, braid, groups) for rep, braid in cases] == references
+        assert used["action"] > 0 and used["walk"] > 0
 
 
 class TestTietze:

@@ -8,7 +8,14 @@ import itertools
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import BraidWord, Endo, local_endo
 from braidact.groups import FiniteGroupTable
-from braidact.invariant import GroupPresentation
+from braidact.invariant import (
+    Fingerprint,
+    GroupPresentation,
+    abelian_invariants,
+    count_homs,
+    presentation,
+    tietze_simplify,
+)
 from braidact.localrep import (
     FAMILY_TAGS,
     FamilyId,
@@ -65,6 +72,14 @@ def brute_hom_count(p: GroupPresentation, group: FiniteGroupTable) -> int:
         if ok:
             count += 1
     return count
+
+
+def walk_fingerprint(rep: LocalRep, braid: BraidWord, groups) -> Fingerprint:
+    """Reference fingerprint that counts every hom by walking the relators of
+    the Tietze-simplified presentation, never by the braid's action."""
+    simplified = tietze_simplify(presentation(rep, braid))
+    counts = tuple(sorted((g.name, count_homs(simplified, g)) for g in groups))
+    return Fingerprint(abelian_invariants(simplified), counts)
 
 
 def prefix_endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
