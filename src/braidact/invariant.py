@@ -184,10 +184,10 @@ def count_homs_by_action(rep: LocalRep, braid: BraidWord, group: FiniteGroupTabl
     A hom from F_n is its tuple of values of x_1..x_n, and it factors
     through G(beta) exactly when composing it with the braid's endomorphism
     gives it back.  Crossing i rewrites coordinates i and i+1 through the
-    pair_action table of its core, or of the inverse core for a negative
-    crossing.  The action is a right action, so the braid's map on H^n
-    applies the letters last to first.  No words are built: the cost is
-    |H|^n per crossing and per distinct letter.
+    pair_action table of its core, or through that table's inverse
+    permutation for a negative crossing.  The action is a right action, so
+    the braid's map on H^n applies the letters last to first.  No words are
+    built: the cost is |H|^n per crossing and per distinct letter.
 
     Refuses (raises ValueError) when H^n has more than MAX_ACTION_STATES
     points, since each distinct letter keeps a list of them.
@@ -206,11 +206,13 @@ def count_homs_by_action(rep: LocalRep, braid: BraidWord, group: FiniteGroupTabl
     moves = {}
     for l in set(braid.letters):
         i = abs(l)
-        # Each core used by a negative crossing is inverted once, not per crossing.
-        core = rep.cores[i - 1] if l > 0 else rep.cores[i - 1].inverse()
+        core = rep.cores[i - 1]
         if core not in tables:
             tables[core] = pair_action(core, group)
         table = tables[core]
+        if l < 0:
+            # The inverse core acts by the inverse permutation.
+            table = sorted(range(qq), key=table.__getitem__)
         # State sum_j v_j |H|^(n - j): coordinates i and i+1 form one digit
         # base |H|^2, with `low` states below it.
         low = q ** (n - i - 1)
@@ -245,11 +247,9 @@ def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> GroupPresent
         relators = [r for r in relators if r]
         choice = None
         for ri, r in enumerate(relators):
-            counts: dict[int, int] = {}
-            for l in r.letters:
-                counts[abs(l)] = counts.get(abs(l), 0) + 1
-            for g, c in counts.items():
-                if c == 1:
+            ls = r.letters
+            for g in range(1, ngens + 1):
+                if ls.count(g) + ls.count(-g) == 1:
                     key = (len(r), ri, g)
                     if choice is None or key < choice:
                         choice = key

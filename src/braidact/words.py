@@ -12,7 +12,9 @@ involving higher generators use whitespace-separated tokens such as
 
 from __future__ import annotations
 
+import operator
 import re
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Word", "word_sort_key"]
@@ -23,7 +25,8 @@ _CHARS_REV = {v: k for k, v in _CHARS.items()}
 
 
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
-    # Single left-to-right cancellation pass; linear in the input.
+    # Single left-to-right cancellation pass; linear in the input.  Only raw
+    # letters go through it: the group operations below build reduced words.
     stack: list[int] = []
     for letter in letters:
         if letter == 0:
@@ -33,6 +36,13 @@ def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             stack.append(letter)
     return tuple(stack)
+
+
+def _word(letters: tuple[int, ...]) -> Word:
+    # Trusted constructor: the letters are reduced by construction.
+    w = Word.__new__(Word)
+    w.letters = letters
+    return w
 
 
 class Word:
@@ -94,10 +104,20 @@ class Word:
     def __mul__(self, other: Word) -> Word:
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        # Reduced words cancel only where they meet, and only if the letters
+        # there are inverse.  Then scan in C for the first mismatch of a read
+        # backwards against b inverted; a full match raises ValueError.
+        a, b = self.letters, other.letters
+        if not (a and b and a[-1] == -b[0]):
+            return _word(a + b)
+        try:
+            k = operator.indexOf(map(operator.ne, reversed(a), map(operator.neg, b)), True)
+        except ValueError:
+            k = min(len(a), len(b))
+        return _word(a[: len(a) - k] + b[k:])
 
     def inverse(self) -> Word:
-        return Word(tuple(-l for l in reversed(self.letters)))
+        return _word(tuple(map(operator.neg, reversed(self.letters))))
 
     def __pow__(self, n: int) -> Word:
         if n < 0:
@@ -105,31 +125,47 @@ class Word:
         return Word(self.letters * n)
 
     def substitute(self, images: Sequence[Word]) -> Word:
-        """Replace x_i by images[i-1]; a homomorphism into the target group."""
+        """Replace x_i by images[i-1]; a homomorphism into the target group.
+
+        Each image is reduced, so letters can cancel only where an image
+        meets the output built so far.
+        """
         out: list[int] = []
         for letter in self.letters:
-            index = abs(letter) - 1
-            if index >= len(images):
-                raise ValueError(f"no image provided for generator x{abs(letter)}")
-            img = images[index].letters
+            try:
+                img = images[abs(letter) - 1].letters
+            except IndexError:
+                raise ValueError(f"no image provided for generator x{abs(letter)}") from None
+            if not img:
+                continue
             if letter > 0:
-                out.extend(img)
+                first, piece = img[0], img
             else:
-                out.extend(-l for l in reversed(img))
-        return Word(out)
+                first, piece = -img[-1], map(operator.neg, reversed(img))
+            if out and out[-1] == -first:
+                # The piece cancels against out as in __mul__; undo is -piece.
+                undo = map(operator.neg, img) if letter > 0 else reversed(img)
+                try:
+                    k = operator.indexOf(map(operator.ne, reversed(out), undo), True)
+                except ValueError:
+                    k = min(len(out), len(img))
+                del out[-k:]
+                piece = islice(piece, k, None)
+            out.extend(piece)
+        return _word(tuple(out))
 
     # -- letter-level transformations -------------------------------------
 
     def reverse(self) -> Word:
         """The word read backward (letter signs unchanged)."""
-        return Word(tuple(reversed(self.letters)))
+        return _word(self.letters[::-1])
 
     def swap_letters(self) -> Word:
         """Interchange the first two generators; defined for rank <= 2 only."""
         if self.max_generator() > 2:
             raise ValueError("letter swap is defined for words over a, b only")
         table = {1: 2, 2: 1, -1: -2, -2: -1}
-        return Word(tuple(table[l] for l in self.letters))
+        return _word(tuple(map(table.__getitem__, self.letters)))
 
     def cyclically_reduce(self) -> tuple[Word, Word]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
@@ -138,7 +174,7 @@ class Word:
         while j - i >= 2 and ls[i] == -ls[j - 1]:
             i += 1
             j -= 1
-        return Word(ls[i:j]), Word(ls[:i])
+        return _word(ls[i:j]), _word(ls[:i])
 
     def is_cyclically_reduced(self) -> bool:
         ls = self.letters
@@ -160,7 +196,8 @@ class Word:
         return self.letters.count(gen) - self.letters.count(-gen)
 
     def max_generator(self) -> int:
-        return max((abs(l) for l in self.letters), default=0)
+        ls = self.letters
+        return max(max(ls), -min(ls)) if ls else 0
 
     # -- value protocol ----------------------------------------------------
 

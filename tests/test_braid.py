@@ -17,7 +17,7 @@ from braidact.invariant import fingerprint, presentation
 from braidact.localrep import ARTIN_CORE, constant_rep, rep_from_cores
 from braidact.words import Word
 
-from .util import prefix_endo_of_braid
+from .util import concat_substitute, prefix_endo_of_braid
 
 
 def w(text):
@@ -145,6 +145,21 @@ class TestEndoOfBraid:
                 for _ in range(8):
                     b = BraidWord(n, tuple(rng.choice(choices) for _ in range(rng.randint(0, 14))))
                     assert endo_of_braid(rep, b) == prefix_endo_of_braid(rep, b)
+
+    def test_matches_concat_substitution_on_long_braids(self, monkeypatch):
+        # The four cores of the long-braid benchmark, on seeded 40-crossing
+        # braids; the oracle writes every image out and reduces it once.
+        rng = random.Random(41)
+        cases = []
+        for text in ("abA,a", "aabAA,a", "aBa,a", "ABa,bba"):
+            rep = constant_rep(AutF2.parse(text), 4)
+            for _ in range(5):
+                b = BraidWord(4, tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(40)))
+                cases.append((rep, b, endo_of_braid(rep, b)))
+        assert sum(len(img) for *_, endo in cases for img in endo.images) > 40_000
+        monkeypatch.setattr(Word, "substitute", concat_substitute)
+        for rep, b, endo in cases:
+            assert endo_of_braid(rep, b) == endo
 
     def test_inverse_braid_gives_inverse_endo(self):
         rep = constant_rep(AutF2.parse("aBa,a"), 3)

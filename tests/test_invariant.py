@@ -232,6 +232,14 @@ class TestCountHomsByAction:
             p = presentation(rep, braid)
             assert count_homs_by_action(rep, braid, S3) == brute_hom_count(p, S3) == expected
 
+    def test_negative_crossings_need_no_inverse_core(self, monkeypatch):
+        rep = constant_rep(AutF2.parse("ABa,bba"), 4)
+        braid = BraidWord(4, (1, -2, 3, -1, -3, -2, 2, 1, -3))
+        p = presentation(rep, braid)
+        expected = [brute_hom_count(p, group) for group in ACTION_GROUPS[:5]]
+        monkeypatch.setattr(AutF2, "inverse", _refuse)
+        assert [count_homs_by_action(rep, braid, g) for g in ACTION_GROUPS[:5]] == expected
+
     def test_strand_mismatch(self):
         with pytest.raises(ValueError, match="strand mismatch"):
             count_homs_by_action(constant_rep(ARTIN_CORE, 3), BraidWord(2, (1,)), S3)
@@ -324,6 +332,14 @@ class TestTietze:
         simplified = tietze_simplify(pres(2, "abAB"))
         assert simplified.ngens == 2
         assert simplified.relators == (w("abAB"),)
+
+    def test_tie_break_eliminates_the_lower_generator(self):
+        # x1 and x2 both occur once in the shortest relator; x1 goes, as
+        # x1 = X3 X3 X2, which renumbers to X2 X2 X1.  Eliminating x2
+        # instead would substitute X1 X2 X2 into the second relator.
+        p = pres(3, "x1 x2 x3 x3", "x1 x1 x2 x3 x2 x2 x3")
+        simplified = tietze_simplify(p, max_steps=1)
+        assert simplified == GroupPresentation(2, (w("X2 X2 X1 X2 x1 x1 x2"),))
 
     def test_stabilized_trefoil_same_fingerprints(self):
         flat = fingerprint(constant_rep(ARTIN_CORE, 2), parse_braid("1 1 1", 2), GROUPS)

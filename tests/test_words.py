@@ -4,10 +4,57 @@ from hypothesis import strategies as st
 
 from braidact.words import Word, word_sort_key
 
+from .util import concat_substitute
+
 letters = st.integers(-3, 3).filter(lambda x: x != 0)
 raw_words = st.lists(letters, max_size=24)
 words = raw_words.map(Word)
 rank2_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=16).map(Word)
+
+
+def flat(*parts):
+    """The concatenation of letter sequences, reduced once by the constructor."""
+    return Word(l for part in parts for l in part)
+
+
+def inverted(letters):
+    return [-l for l in reversed(letters)]
+
+
+@st.composite
+def image_tuples(draw):
+    """Three images that force long and total cancellation: free words, words
+    sharing one long tail, conjugates u v u^-1 (aBa-shaped) and empty ones."""
+    tail = draw(st.lists(letters, min_size=8, max_size=24))
+    images = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(("free", "tail", "conjugate", "empty")))
+        if kind == "free":
+            images.append(draw(words))
+        elif kind == "tail":
+            images.append(flat(draw(st.lists(letters, max_size=3)), tail))
+        elif kind == "conjugate":
+            u = draw(raw_words)
+            images.append(flat(u, draw(st.lists(letters, max_size=2)), inverted(u)))
+        else:
+            images.append(Word())
+    return tuple(images)
+
+
+# Words whose letters cancel in pairs under many substitutions: x y x^-1
+# shapes, and a word followed by a piece of its own inverse.
+conjugate_words = st.tuples(raw_words, st.lists(letters, max_size=3)).map(
+    lambda t: flat(t[0], t[1], inverted(t[0]))
+)
+cancelling_pairs = st.tuples(raw_words, st.integers(0, 24), raw_words).map(
+    lambda t: (Word(t[0]), flat(inverted(Word(t[0]).letters)[: t[1]], t[2]))
+)
+substituted_words = st.one_of(words, conjugate_words)
+
+
+def has_no_inverse_pair(u):
+    ls = u.letters
+    return all(ls[i] != -ls[i + 1] for i in range(len(ls) - 1))
 
 
 def w(text):
@@ -30,8 +77,7 @@ class TestReduce:
 
     @given(raw_words)
     def test_no_cancelling_adjacent_pair(self, raw):
-        ls = Word(raw).letters
-        assert all(ls[i] != -ls[i + 1] for i in range(len(ls) - 1))
+        assert has_no_inverse_pair(Word(raw))
 
     @given(raw_words)
     def test_idempotent(self, raw):
@@ -97,6 +143,22 @@ class TestGroupOps:
     def test_invert_antihomomorphism(self, u, v):
         assert (u * v).inverse() == v.inverse() * u.inverse()
 
+    @given(cancelling_pairs)
+    def test_product_matches_concatenation_oracle(self, pair):
+        u, v = pair
+        assert u * v == flat(u.letters, v.letters)
+        assert v * u == flat(v.letters, u.letters)
+
+    def test_product_total_cancellation(self):
+        u = w("x1 X2 x3 x3")
+        assert (u * u.inverse()).letters == ()
+        assert (u * u.inverse() * u) == u
+
+    @given(st.one_of(words, conjugate_words))
+    def test_inverse_matches_oracle(self, u):
+        assert u.inverse() == Word(inverted(u.letters))
+        assert u * u.inverse() == Word() == u.inverse() * u
+
 
 class TestSubstitute:
     def test_two_generator_example(self):
@@ -113,6 +175,30 @@ class TestSubstitute:
     def test_missing_image(self):
         with pytest.raises(ValueError, match="no image"):
             w("ab").substitute((w("a"),))
+
+    def test_missing_image_names_first_letter_in_word_order(self):
+        with pytest.raises(ValueError, match="^no image provided for generator x4$"):
+            w("x1 X4 x3").substitute((w("a"), w("b")))
+
+    def test_total_cancellation(self):
+        # a B a^-1 with a -> u and b -> u: u u^-1 u^-1 = u^-1, via a full cancel.
+        u = w("x1 x2 X3 x2")
+        assert w("aBA").substitute((u, u)) == u.inverse()
+        assert w("aB").substitute((u, u)) == Word()
+        assert w("aBa").substitute((u, Word())) == u * u
+
+    @given(substituted_words, image_tuples())
+    def test_matches_concatenation_oracle(self, u, images):
+        assert u.substitute(images) == concat_substitute(u, images)
+
+    @given(substituted_words, image_tuples(), image_tuples())
+    def test_composition_matches_oracle(self, u, first, second):
+        # Images that are themselves substitution outputs, so long reduced
+        # pieces meet other long pieces.
+        composed = tuple(img.substitute(second) for img in first)
+        oracle = tuple(concat_substitute(img, second) for img in first)
+        assert composed == oracle
+        assert u.substitute(composed) == concat_substitute(u, oracle)
 
     @given(rank2_words, rank2_words, rank2_words, rank2_words)
     def test_homomorphism(self, u, v, img_a, img_b):
@@ -149,6 +235,30 @@ class TestLetterTransforms:
     def test_exponent_sum_under_transforms(self, u):
         assert u.reverse().exponent_sum(1) == u.exponent_sum(1)
         assert u.swap_letters().exponent_sum(1) == u.exponent_sum(2)
+
+
+class TestTrustedOutputs:
+    """Operations that build their result as already reduced must never
+    leave an adjacent inverse pair."""
+
+    @given(substituted_words, image_tuples())
+    def test_substitute(self, u, images):
+        assert has_no_inverse_pair(u.substitute(images))
+
+    @given(cancelling_pairs)
+    def test_product(self, pair):
+        u, v = pair
+        assert has_no_inverse_pair(u * v)
+
+    @given(st.one_of(words, conjugate_words))
+    def test_inverse_reverse_and_cyclic_reduction(self, u):
+        core, conjugator = u.cyclically_reduce()
+        for out in (u.inverse(), u.reverse(), core, conjugator):
+            assert has_no_inverse_pair(out)
+
+    @given(rank2_words)
+    def test_swap(self, u):
+        assert has_no_inverse_pair(u.swap_letters())
 
 
 class TestCyclicReduction:

@@ -48,6 +48,16 @@ def reduced_words(max_len: int) -> list[Word]:
     return [Word(t) for t in reduced_letter_tuples(max_len)]
 
 
+def concat_substitute(word: Word, images) -> Word:
+    """Independent substitution oracle: every letter's image written out in
+    full, then the whole word reduced in one pass by the Word constructor."""
+    flat: list[int] = []
+    for letter in word.letters:
+        img = images[abs(letter) - 1].letters
+        flat.extend(img if letter > 0 else [-l for l in reversed(img)])
+    return Word(flat)
+
+
 def brute_hom_count(p: GroupPresentation, group: FiniteGroupTable) -> int:
     """Independent hom-count oracle: evaluate relators as explicit products.
 
