@@ -11,6 +11,7 @@ from .autf2 import AutF2, aut_sort_key, commutator, is_basis, nielsen_reduce
 from .braid import (
     BraidWord,
     Endo,
+    check_pair_via_braid,
     endo_of_braid,
     free_reduce_braid,
     local_endo,
@@ -61,7 +62,6 @@ from .localrep import (
     can_extend,
     canonicalize,
     catalog,
-    check_pair_via_braid,
     check_quad,
     classify_search,
     component_vertices,

@@ -1,10 +1,10 @@
 """Automorphisms of the rank-two free group as ordered image pairs.
 
 An endomorphism a |-> image_a, b |-> image_b of F_2 is an automorphism
-exactly when (image_a, image_b) is a basis.  The primary basis test is
-the classical commutator criterion; greedy Nielsen reduction provides
-an independent cross-check and the mechanism for constructive inverses,
-and its move table generates the basis pairs of the classification search.
+exactly when (image_a, image_b) is a basis.  The basis test is the
+classical commutator criterion; greedy Nielsen reduction decides the same
+question on its own while it builds a constructive inverse, and its move
+table generates the basis pairs of the classification search.
 """
 
 from __future__ import annotations
@@ -112,13 +112,12 @@ class AutF2:
         return AutF2(other.apply(self.image_a), other.apply(self.image_b))
 
     def inverse(self) -> AutF2:
-        """Invert by tracking preimages along a greedy Nielsen reduction."""
-        if not is_basis(self.image_a, self.image_b):
-            raise ValueError(f"({self}) is not a basis of F_2; cannot invert")
+        """Invert by tracking preimages along a greedy Nielsen reduction, which
+        ends at a and b (up to order and signs) exactly on a basis."""
         mirrors = [_A, _B]
         (u, v), _ = _greedy_reduce(self.image_a, self.image_b, mirrors)
-        if len(u) != 1 or len(v) != 1:
-            raise ValueError(f"({self}) did not reduce to a length-2 pair")
+        if len(u) != 1 or len(v) != 1 or {abs(u.letters[0]), abs(v.letters[0])} != {1, 2}:
+            raise ValueError(f"({self}) is not a basis of F_2; cannot invert")
         images: dict[int, Word] = {}
         for end, mirror in ((u, mirrors[0]), (v, mirrors[1])):
             letter = end.letters[0]

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .autf2 import AutF2, is_basis
 from .localrep import LocalRep
 from .words import Word
 
 __all__ = [
     "BraidWord",
     "Endo",
+    "check_pair_via_braid",
     "endo_of_braid",
     "free_reduce_braid",
     "local_endo",
@@ -64,8 +66,6 @@ def parse_braid(text: str, n: int) -> BraidWord:
             l = int(tok)
         except ValueError:
             raise ValueError(f"bad braid letter {tok!r}") from None
-        if l == 0 or abs(l) >= n:
-            raise ValueError(f"generator index {l} out of range for {n} strands")
         letters.append(l)
     return BraidWord(n, tuple(letters))
 
@@ -174,3 +174,12 @@ def verify_braid_relations(rep: LocalRep) -> bool:
             if gens[i].compose(gens[j]) != gens[j].compose(gens[i]):
                 return False
     return True
+
+
+def check_pair_via_braid(tau: AutF2, kappa: AutF2) -> bool:
+    """Whether two cores satisfy the braid relation on F_3: an independent
+    cross-check of :func:`braidact.localrep.check_quad` on pairs of bases."""
+    for phi in (tau, kappa):
+        if not is_basis(phi.image_a, phi.image_b):
+            raise ValueError(f"core ({phi}) is not a basis of F_2")
+    return verify_braid_relations(LocalRep(3, (tau, kappa)))

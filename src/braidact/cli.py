@@ -12,7 +12,7 @@ import json
 import sys
 
 from .autf2 import AutF2
-from .braid import endo_of_braid, parse_braid
+from .braid import check_pair_via_braid, endo_of_braid, parse_braid
 from .groups import _NAME, builtin_group, load_group_table
 from .invariant import check_S1, fingerprint_report
 from .localrep import (
@@ -23,9 +23,7 @@ from .localrep import (
     LocalRep,
     Quad,
     build_gamma,
-    can_extend,
     catalog,
-    check_pair_via_braid,
     check_quad,
     classify_search,
     component_vertices,
@@ -208,11 +206,13 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_check_stab(args) -> int:
     rep = _parse_rep(args.rep, args.n if args.n is not None else 3)
+    # The last core's successors decide S2; a rep without cores extends.
+    extensions = outgoing_cores(rep.cores[-1]) if rep.cores else ()
+    extendable = bool(extensions) or not rep.cores
     core_reports = []
     lines = []
     for i, core in enumerate(rep.cores, start=1):
         report = check_S1(core)
-        extensions = outgoing_cores(core) if i == len(rep.cores) else ()
         core_reports.append(
             {
                 "core": str(core),
@@ -228,7 +228,6 @@ def _cmd_check_stab(args) -> int:
                 lines.append(f"  S2 extensions: {exts}")
             else:
                 lines.append("  S2 extensions: none")
-    extendable = can_extend(rep)
     statuses = {r["s1"] for r in core_reports}
     if "fails" in statuses or not extendable:
         overall = "violated"

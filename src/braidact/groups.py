@@ -1,7 +1,7 @@
 """Finite groups as explicit multiplication tables.
 
-Tables are validated on construction (identity, inverses, associativity),
-so downstream counting loops can trust them blindly.
+Tables are validated on construction (identity, inverses, associativity
+by Light's test), so downstream counting loops can trust them blindly.
 """
 
 from __future__ import annotations
@@ -73,14 +73,28 @@ def group_from_table(name: str, rows: list[list[int]]) -> FiniteGroupTable:
         if y is None:
             raise ValueError(f"element {x} has no inverse")
         inverse.append(y)
-    for x in range(order):
-        for y in range(order):
-            for z in range(order):
-                if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
-                    raise ValueError(f"table is not associative at ({x}, {y}, {z})")
-    return FiniteGroupTable(
-        name, tuple(tuple(r) for r in rows), identity, tuple(inverse)
-    )
+    # Light's test: check (x y) z = x (y z) for every x and z but only for y
+    # in a generating set.  The y that pass are closed under the product, so
+    # then every y passes.  Each element not yet reached from the identity by
+    # right multiplication with the generators so far becomes a generator.
+    table = tuple(tuple(r) for r in rows)
+    gens: list[int] = []
+    reached = {identity}
+    for y in range(order):
+        if y in reached:
+            continue
+        for x, row in enumerate(table):
+            if table[row[y]] != tuple(map(row.__getitem__, table[y])):
+                z = next(z for z in range(order) if table[row[y]][z] != row[table[y][z]])
+                raise ValueError(f"table is not associative at ({x}, {y}, {z})")
+        gens.append(y)
+        reached = {identity}
+        frontier = [identity]
+        for x in frontier:  # breadth first: the loop also visits what it appends
+            new = {table[x][g] for g in gens} - reached
+            reached |= new
+            frontier += new
+    return FiniteGroupTable(name, table, identity, tuple(inverse))
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
@@ -96,7 +110,7 @@ def symmetric_group(n: int) -> FiniteGroupTable:
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # Product pq acts as "p then q".
-    rows = [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]
+    rows = [[index[tuple(map(q.__getitem__, p))] for q in perms] for p in perms]
     return group_from_table(f"S{n}", rows)
 
 

@@ -45,6 +45,8 @@ __all__ = [
 # count_homs_by_action refuses once H^n has more points than this: each
 # distinct letter of the braid keeps a list of them.
 MAX_ACTION_STATES = 1_000_000
+# count_homs refuses once the candidate tuples |H|^ngens outnumber this.
+MAX_HOM_TUPLES = 10_000_000
 # fingerprint counts by the action only up to this many points of H^n.  The
 # lists then stay small, and the walk it replaces is far inside its budget,
 # so the choice never turns a count into a refusal or back.
@@ -73,13 +75,13 @@ class GroupPresentation:
         return self.text()
 
 
-def presentation(rep: LocalRep, braid: BraidWord, keep_trivial: bool = False) -> GroupPresentation:
-    """Relators (x_i)beta * x_i^-1 for the closed-braid group."""
+def presentation(rep: LocalRep, braid: BraidWord) -> GroupPresentation:
+    """Nontrivial relators (x_i)beta * x_i^-1 for the closed-braid group."""
     endo = endo_of_braid(rep, braid)
     relators = []
     for i, image in enumerate(endo.images, start=1):
         r = image * Word.gen(i, -1)
-        if r or keep_trivial:
+        if r:
             relators.append(r)
     return GroupPresentation(rep.n, tuple(relators))
 
@@ -116,17 +118,17 @@ def abelian_invariants(p: GroupPresentation) -> tuple[int, ...]:
     return tuple(d for d in abelianization(p) if d != 1)
 
 
-def count_homs(p: GroupPresentation, group: FiniteGroupTable, budget: int = 10_000_000) -> int:
+def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms into the group, by exhaustive counting.
 
-    Refuses (raises ValueError) when the candidate tuple space exceeds the
-    budget; it never truncates silently.
+    Refuses (raises ValueError) when the candidate tuple space exceeds
+    MAX_HOM_TUPLES; it never truncates silently.
     """
     total = group.order**p.ngens
-    if total > budget:
+    if total > MAX_HOM_TUPLES:
         raise ValueError(
             f"hom counting refused: {group.order}^{p.ngens} = {total} tuples "
-            f"exceeds the budget of {budget}"
+            f"exceeds the budget of {MAX_HOM_TUPLES}"
         )
     n = p.ngens
     # A tuple's images hold x_j's value at j - 1 and x_j^-1's at n + j - 1.
@@ -232,17 +234,17 @@ def _renumber(w: Word, gone: int) -> Word:
     return Word(tuple(l - (1 if l > gone else 0) + (1 if l < -gone else 0) for l in w.letters))
 
 
-def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> GroupPresentation:
+def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     """Shrink a presentation without changing the group.
 
     Per round: cyclically reduce relators, drop empty ones, then eliminate a
     generator that occurs exactly once in some relator (shortest relator
     first).  Every step is an isomorphism-preserving move, so group-level
-    fingerprints are unchanged.
+    fingerprints are unchanged.  Every round but the last removes a generator.
     """
     ngens = p.ngens
     relators = list(p.relators)
-    for _ in range(max_steps):
+    while True:
         relators = [r.cyclically_reduce()[0] for r in relators]
         relators = [r for r in relators if r]
         choice = None

@@ -37,7 +37,6 @@ __all__ = [
     "can_extend",
     "canonicalize",
     "catalog",
-    "check_pair_via_braid",
     "check_quad",
     "classify_search",
     "component_vertices",
@@ -153,25 +152,6 @@ def check_quad(a: Word, b: Word, c: Word, d: Word) -> QuadReport:
         if w.max_generator() > 2:
             raise ValueError("quad words must be over a, b")
     return QuadReport(Quad(a, b, c, d), is_basis(a, b), is_basis(c, d), *_equations(a, b, c, d))
-
-
-def check_pair_via_braid(tau: AutF2, kappa: AutF2) -> bool:
-    """Cross-check: compare the two triple compositions of the local maps.
-
-    Builds the 1-local and 2-local endomorphisms of F_3 induced by the two
-    cores and tests g1 g2 g1 = g2 g1 g2 generator by generator (right
-    action).  Agrees with :func:`check_quad` on every pair of bases.
-    """
-    for phi in (tau, kappa):
-        if not is_basis(phi.image_a, phi.image_b):
-            raise ValueError(f"core ({phi}) is not a basis of F_2")
-    g1 = (tau.image_a, tau.image_b, _Z)
-    g2 = (_X, kappa.image_a.substitute((_Y, _Z)), kappa.image_b.substitute((_Y, _Z)))
-
-    def comp(e1, e2):
-        return tuple(w.substitute(e2) for w in e1)
-
-    return comp(comp(g1, g2), g1) == comp(comp(g2, g1), g2)
 
 
 # -- the three commuting symmetries -------------------------------------
@@ -465,9 +445,9 @@ def classify_search(max_len: int) -> set[Quad]:
     2. Matrices.  Each pair of matrices is tested once against the
        abelianized braid relation E1 E2 E1 = E2 E1 E2 in closed form.
        This is sound: a quad is valid exactly when its two cores satisfy
-       the braid relation on F_3 (:func:`check_pair_via_braid`), and
-       abelianizing is multiplicative.  The relation word is a palindrome,
-       so the row or column convention does not matter.
+       the braid relation on F_3 (:func:`braidact.braid.check_pair_via_braid`),
+       and abelianizing is multiplicative.  The relation word is a
+       palindrome, so the row or column convention does not matter.
     3. Words again.  Only the quads of surviving matrix pairs meet the
        three word equations; their basis tests are already known.
     4. Orbits.  A valid quad's 8 symmetry images come from the quad and
@@ -546,12 +526,6 @@ class GammaGraph:
 
     def has_edge(self, src: AutF2, dst: AutF2) -> bool:
         return any(e.src == src and e.dst == dst for e in self.edges)
-
-    def successors(self, v: AutF2) -> tuple[AutF2, ...]:
-        return tuple(e.dst for e in self.edges if e.src == v)
-
-    def edge_pairs(self) -> set[tuple[AutF2, AutF2]]:
-        return {(e.src, e.dst) for e in self.edges}
 
     def to_dot(self, name: str = "gamma") -> str:
         lines = [f"digraph {name} {{"]

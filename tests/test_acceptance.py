@@ -13,7 +13,13 @@ import time
 import pytest
 
 from braidact.autf2 import AutF2, is_basis, nielsen_reduce
-from braidact.braid import BraidWord, endo_of_braid, parse_braid, verify_braid_relations
+from braidact.braid import (
+    BraidWord,
+    check_pair_via_braid,
+    endo_of_braid,
+    parse_braid,
+    verify_braid_relations,
+)
 from braidact.groups import builtin_group
 from braidact.invariant import (
     GroupPresentation,
@@ -36,7 +42,6 @@ from braidact.localrep import (
     build_gamma,
     canonicalize,
     catalog,
-    check_pair_via_braid,
     check_quad,
     classify_search,
     component_vertices,

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidact import autf2
 from braidact.autf2 import _MOVES, AutF2, commutator, is_basis, nielsen_reduce
+from braidact.localrep import catalog
 from braidact.words import Word
 
-from .util import reduced_words
+from .util import reduced_words, scan_family_ids
 
 rank2_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(Word)
 
@@ -145,6 +147,25 @@ class TestInverse:
 
     def test_non_basis_rejected(self):
         with pytest.raises(ValueError):
+            AutF2(w("aa"), w("b")).inverse()
+
+    def test_letters_beyond_b_rejected(self):
+        for text in ("x3,a", "a,x3", "x3,x4"):
+            with pytest.raises(ValueError, match="not a basis of F_2"):
+                AutF2.parse(text).inverse()
+
+    def test_reduction_alone_decides_the_basis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_basis called")
+
+        monkeypatch.setattr(autf2, "is_basis", refuse)
+        quads = [catalog(fid) for fid in scan_family_ids(5)]
+        cores = {core for q in quads for core in (q.tau, q.kappa)}
+        assert len(cores) == 35
+        for phi in cores:
+            inv = phi.inverse()
+            assert phi.compose(inv) == inv.compose(phi) == AutF2.identity()
+        with pytest.raises(ValueError, match="not a basis"):
             AutF2(w("aa"), w("b")).inverse()
 
     def test_random_bases_round_trip(self):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from braidact import braid
+from braidact import braid, cli
 from braidact.cli import main
+from braidact.localrep import outgoing_cores
 
 
 def run(capsys, *argv):
@@ -229,3 +230,16 @@ class TestCheckStab:
         data = json.loads(out)
         assert data["extendable"] is True
         assert data["stabilization_properties"] == "satisfied"
+
+    def test_last_core_extensions_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(core):
+            calls.append(core)
+            return outgoing_cores(core)
+
+        monkeypatch.setattr(cli, "outgoing_cores", counted)
+        code, out, _ = run(capsys, "check-stab", "--rep", "wada:C1")
+        assert code == 0
+        assert "S2 extensions: (aBa,a) via C1, (aba,A) via C2" in out
+        assert len(calls) == 1

@@ -42,7 +42,10 @@ class TestBuilders:
 class TestBuiltinNames:
     @pytest.mark.parametrize(
         "name,order",
-        [("Z2", 2), ("Z6", 6), ("S3", 6), ("S4", 24), ("D4", 8), ("D5", 10)],
+        [
+            ("Z2", 2), ("Z6", 6), ("S3", 6), ("S4", 24), ("D4", 8), ("D5", 10),
+            ("S6", 720), ("Z512", 512),
+        ],
     )
     def test_shipped_groups(self, name, order):
         g = builtin_group(name)
@@ -58,6 +61,23 @@ class TestValidation:
         rows = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
         with pytest.raises(ValueError, match="associative|inverse|identity"):
             group_from_table("bad", rows)
+
+    def test_non_associative_loop_rejected(self):
+        # Identity 0 and every element its own inverse, so only the
+        # associativity test can refuse it: (1 1) 2 = 2 but 1 (1 2) = 4.
+        rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(ValueError, match="associative"):
+            group_from_table("loop", rows)
+        # Z2 x loop, element (z, l) at 2 l + z.  The first element tested,
+        # 1 = (1, 0), associates with everything, so the failure has to be
+        # found at a later generator.
+        product = [
+            [2 * rows[l][m] + (z ^ y) for m in range(5) for y in range(2)]
+            for l in range(5)
+            for z in range(2)
+        ]
+        with pytest.raises(ValueError, match=r"associative at \(\d+, [2-9]"):
+            group_from_table("Z2 x loop", product)
 
     def test_relabelled_identity_found(self):
         z2 = group_from_table("flipped", [[1, 0], [0, 1]])

@@ -67,10 +67,6 @@ class TestPresentation:
         p = presentation(constant_rep(ARTIN_CORE, 2), BraidWord(2, ()))
         assert p.ngens == 2 and p.relators == ()
 
-    def test_keep_trivial_flag(self):
-        p = presentation(constant_rep(ARTIN_CORE, 2), BraidWord(2, ()), keep_trivial=True)
-        assert p.relators == (Word(), Word())
-
     def test_relator_bounds_checked(self):
         with pytest.raises(ValueError):
             GroupPresentation(1, (w("ab"),))
@@ -131,9 +127,11 @@ class TestCountHoms:
         assert n > 6
         assert brute_hom_count(p, S3) == 12
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(invariant, "MAX_HOM_TUPLES", 24**2)
+        assert count_homs(pres(2), S4) == 24**2
         with pytest.raises(ValueError, match="budget"):
-            count_homs(pres(4), S4, budget=1000)
+            count_homs(pres(3), S4)
 
     def test_zero_generators(self):
         assert count_homs(pres(0), S3) == 1
@@ -335,11 +333,12 @@ class TestTietze:
 
     def test_tie_break_eliminates_the_lower_generator(self):
         # x1 and x2 both occur once in the shortest relator; x1 goes, as
-        # x1 = X3 X3 X2, which renumbers to X2 X2 X1.  Eliminating x2
-        # instead would substitute X1 X2 X2 into the second relator.
+        # x1 = X3 X3 X2, which renumbers to X2 X2 X1.  The second relator
+        # becomes X2 X2 X1 X2 x1 x1 x2, cyclically X2 X1 X2 x1 x1, where no
+        # generator occurs once.  Eliminating x2 instead would substitute
+        # X1 X3 X3 into the second relator and end elsewhere.
         p = pres(3, "x1 x2 x3 x3", "x1 x1 x2 x3 x2 x2 x3")
-        simplified = tietze_simplify(p, max_steps=1)
-        assert simplified == GroupPresentation(2, (w("X2 X2 X1 X2 x1 x1 x2"),))
+        assert tietze_simplify(p) == GroupPresentation(2, (w("X2 X1 X2 x1 x1"),))
 
     def test_stabilized_trefoil_same_fingerprints(self):
         flat = fingerprint(constant_rep(ARTIN_CORE, 2), parse_braid("1 1 1", 2), GROUPS)

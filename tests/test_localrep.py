@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from braidact.autf2 import AutF2
+from braidact.braid import check_pair_via_braid
 from braidact.localrep import (
     ARTIN_CORE,
     FAMILY_TAGS,
@@ -19,7 +20,6 @@ from braidact.localrep import (
     can_extend,
     canonicalize,
     catalog,
-    check_pair_via_braid,
     check_quad,
     classify_search,
     component_vertices,
