@@ -2,6 +2,7 @@
 
 Tables are validated on construction (identity, inverses, associativity
 by Light's test), so downstream counting loops can trust them blindly.
+Construction also splits the group into its conjugacy classes.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ class FiniteGroupTable:
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
+    # (representative, class size) per conjugacy class; the representative is
+    # the class's lowest element, and the classes come in that order.
+    classes: tuple[tuple[int, int], ...]
 
     @property
     def order(self) -> int:
@@ -94,7 +98,14 @@ def group_from_table(name: str, rows: list[list[int]]) -> FiniteGroupTable:
             new = {table[x][g] for g in gens} - reached
             reached |= new
             frontier += new
-    return FiniteGroupTable(name, table, identity, tuple(inverse))
+    classes = []
+    seen: set[int] = set()
+    for x in range(order):
+        if x not in seen:
+            cls = {table[table[inverse[h]][x]][h] for h in range(order)}
+            seen |= cls
+            classes.append((x, len(cls)))
+    return FiniteGroupTable(name, table, identity, tuple(inverse), tuple(classes))
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -108,7 +109,10 @@ def abelianization(p: GroupPresentation) -> tuple[int, ...]:
     """
     if not p.relators:
         return (0,) * p.ngens
-    rows = [[r.exponent_sum(j) for j in range(1, p.ngens + 1)] for r in p.relators]
+    rows = []
+    for r in p.relators:
+        counts = Counter(r.letters)
+        rows.append([counts[j] - counts[-j] for j in range(1, p.ngens + 1)])
     diag = smith_normal_form(rows)
     return tuple(diag) + (0,) * (p.ngens - len(diag))
 
@@ -119,9 +123,17 @@ def abelian_invariants(p: GroupPresentation) -> tuple[int, ...]:
 
 
 def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
-    """Exact number of homomorphisms into the group, by exhaustive counting.
+    """Exact number of homomorphisms into the group, by exhaustive counting
+    up to conjugation.
 
-    Refuses (raises ValueError) when the candidate tuple space exceeds
+    Conjugating by h maps the homs that send x_1 to g bijectively onto those
+    that send x_1 to h g h^-1, so the count is the sum over the group's
+    conjugacy classes of the class size times the homs that send x_1 to the
+    class representative.  The walk tries every value of x_2..x_k for each
+    representative: k(H) |H|^(k-1) tuples, k(H) the number of classes, each
+    one evaluating the relators by table lookups until one fails.
+
+    Refuses (raises ValueError) when the candidate tuple space |H|^k exceeds
     MAX_HOM_TUPLES; it never truncates silently.
     """
     total = group.order**p.ngens
@@ -131,24 +143,30 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
             f"exceeds the budget of {MAX_HOM_TUPLES}"
         )
     n = p.ngens
+    if n == 0:
+        return 1
     # A tuple's images hold x_j's value at j - 1 and x_j^-1's at n + j - 1.
     relators = [tuple(l - 1 if l > 0 else n - l - 1 for l in r.letters) for r in p.relators]
     table = group.table
     e = group.identity
+    values = (range(group.order),) * (n - 1)
+    inverted = (group.inverse,) * (n - 1)
     count = 0
-    for values, inverted in zip(
-        itertools.product(range(group.order), repeat=n),
-        itertools.product(group.inverse, repeat=n),
-    ):
-        image = values + inverted
-        for rel in relators:
-            cur = e
-            for k in rel:
-                cur = table[cur][image[k]]
-            if cur != e:
-                break
-        else:
-            count += 1
+    for g, size in group.classes:
+        homs = 0
+        for head, tail in zip(
+            itertools.product((g,), *values), itertools.product((group.inverse[g],), *inverted)
+        ):
+            image = head + tail
+            for rel in relators:
+                cur = e
+                for k in rel:
+                    cur = table[cur][image[k]]
+                if cur != e:
+                    break
+            else:
+                homs += 1
+        count += size * homs
     return count
 
 
@@ -377,14 +395,14 @@ def fingerprint_report(
     pres = presentation(rep, braid)
     simplified = tietze_simplify(pres)
     # In table lookups per point: the action makes one per crossing and about
-    # 12 per distinct letter to build that letter's list; the walk's tuples
-    # mostly fail within the first relator.
+    # 12 per distinct letter to build that letter's list; the walk visits
+    # k(H) |H|^(k-1) tuples, which mostly fail within the first relator.
     action_steps = len(braid.letters) + 12 * len(set(braid.letters))
     walk_steps = len(simplified.relators[0]) if simplified.relators else 0
     counts = []
     for g in groups:
         states = g.order**rep.n
-        walk = g.order**simplified.ngens * walk_steps
+        walk = len(g.classes) * g.order**simplified.ngens // g.order * walk_steps
         if states <= ACTION_STATES_CHOSEN and states * action_steps < walk:
             counts.append((g.name, count_homs_by_action(rep, braid, g)))
         else:

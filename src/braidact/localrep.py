@@ -488,14 +488,23 @@ class LocalRep:
             raise ValueError(f"{self.n} strands need {self.n - 1} cores, got {len(self.cores)}")
 
     def validate(self) -> None:
-        """Check every adjacent pair; raises PathError on the first bad one."""
-        for i in range(len(self.cores) - 1):
-            q = Quad.from_cores(self.cores[i], self.cores[i + 1])
-            if not check_quad(*q.words).valid:
+        """Check that every core is a basis of F_2, each by one basis test, and
+        every adjacent pair by the three word equations; raises PathError on
+        the first bad pair, in strand order, or on a lone bad core."""
+        bases = []
+        for i, core in enumerate(self.cores):
+            bases.append(is_basis(core.image_a, core.image_b))
+            if i == 0:
+                continue
+            prev = self.cores[i - 1]
+            q = Quad.from_cores(prev, core)
+            if not (bases[i - 1] and bases[i] and all(_equations(*q.words))):
                 raise PathError(
-                    f"cores {i + 1} and {i + 2} (({self.cores[i]}); ({self.cores[i + 1]})) "
-                    "do not define a local action"
+                    f"cores {i} and {i + 1} (({prev}); ({core})) do not define a local action"
                 )
+        for i, (core, basis) in enumerate(zip(self.cores, bases), start=1):
+            if not basis:
+                raise PathError(f"core {i} ({core}) is not a basis of F_2")
 
 
 def rep_from_cores(cores: Sequence[AutF2]) -> LocalRep:

@@ -133,6 +133,16 @@ class TestAct:
         assert code == 1
         assert "do not define" in err
 
+    def test_two_strand_non_basis_core_exits_one(self, capsys):
+        for argv in (
+            ("act", "--rep", "cores:aa,b", "--braid", "1 1"),
+            ("invariant", "--rep", "cores:aa,b", "--braid", "1", "--homs", "Z3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err == "error: core 1 (aa,b) is not a basis of F_2\n"
+
     def test_bad_braid_exits_one(self, capsys):
         code, _, err = run(capsys, "act", "--rep", "artin", "--n", "2", "--braid", "7")
         assert code == 1
@@ -167,6 +177,31 @@ class TestInvariant:
         assert set(data) == {"generators", "relators", "abelianization", "hom_counts"}
         assert data["generators"] == 2
         assert set(data["hom_counts"]) == {"S3", "Z5"}
+
+    def test_golden_output_into_nonabelian_groups(self, capsys):
+        argv = (
+            "invariant", "--rep", "artin", "--n", "3", "--braid", "1 -2 1 -2",
+            "--homs", "S3,S4,D4",
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (
+            "presentation: gens: 3; relators: x1 x3 X1 X3 x2 x3 x1 X3 X1 X1, x1 x3 X1 X2, "
+            "X3 X2 x3 x1 X3 x2\n"
+            "simplified: gens: 2; relators: bABabAbaBA, BaBAbaBabA\n"
+            "abelianization (invariant factors, 0 = free): [0]\n"
+            "hom count into D4: 8\n"
+            "hom count into S3: 6\n"
+            "hom count into S4: 48\n"
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == (
+            '{\n  "abelianization": [\n    0\n  ],\n  "generators": 3,\n'
+            '  "hom_counts": {\n    "D4": 8,\n    "S3": 6,\n    "S4": 48\n  },\n'
+            '  "relators": [\n    "x1 x3 X1 X3 x2 x3 x1 X3 X1 X1",\n    "x1 x3 X1 X2",\n'
+            '    "X3 X2 x3 x1 X3 x2"\n  ]\n}\n'
+        )
 
     def test_wada_alias_with_r(self, capsys):
         code, out, _ = run(

@@ -9,6 +9,8 @@ from braidact.groups import (
     symmetric_group,
 )
 
+from .util import quaternion_group
+
 
 class TestBuilders:
     def test_cyclic(self):
@@ -114,3 +116,44 @@ class TestFileFormat:
         path.write_text("")
         with pytest.raises(ValueError):
             load_group_table(path)
+
+
+def _class_of(group, x):
+    return {group.mul(group.mul(group.inv(h), x), h) for h in range(group.order)}
+
+
+class TestClasses:
+    @pytest.mark.parametrize(
+        "name,count",
+        [("Z6", 6), ("S3", 3), ("S4", 5), ("S5", 7), ("S6", 11), ("D4", 5), ("D5", 4)],
+    )
+    def test_class_count(self, name, count):
+        assert len(builtin_group(name).classes) == count
+
+    @pytest.mark.parametrize("name", ["Z6", "S3", "S4", "S5", "D4", "D5", "Q8"])
+    def test_classes_partition_the_group(self, name):
+        group = quaternion_group() if name == "Q8" else builtin_group(name)
+        assert sum(size for _, size in group.classes) == group.order
+        assert (group.identity, 1) in group.classes
+        covered = set()
+        for rep, size in group.classes:
+            cls = _class_of(group, rep)
+            # Closed under conjugation, of the stated size, its lowest element
+            # the representative, and disjoint from the classes before it.
+            assert len(cls) == size and min(cls) == rep
+            assert all(_class_of(group, x) == cls for x in cls)
+            assert not cls & covered
+            covered |= cls
+        assert covered == set(range(group.order))
+
+    def test_relabelled_identity_has_its_own_class(self):
+        z2 = group_from_table("flipped", [[1, 0], [0, 1]])
+        assert z2.classes == ((0, 1), (1, 1))
+
+    def test_loaded_table_gets_the_builtin_classes(self, tmp_path):
+        for name in ("S4", "D4"):
+            group = builtin_group(name)
+            path = tmp_path / f"{name}.table"
+            rows = "\n".join(" ".join(str(x) for x in row) for row in group.table)
+            path.write_text(f"{group.order}\n{rows}\n")
+            assert load_group_table(path).classes == group.classes

@@ -30,7 +30,13 @@ from braidact.localrep import (
 )
 from braidact.words import Word
 
-from .util import brute_hom_count, scan_family_ids, walk_fingerprint
+from .util import (
+    brute_hom_count,
+    plain_count_homs,
+    quaternion_group,
+    scan_family_ids,
+    walk_fingerprint,
+)
 
 S3 = builtin_group("S3")
 S4 = builtin_group("S4")
@@ -153,6 +159,28 @@ class TestCountHoms:
             for group in groups:
                 assert count_homs(p, group) == brute_hom_count(p, group)
 
+    def test_matches_both_oracles_by_generator_count(self):
+        # D4 and Q8 have a centre of order 2, Z4 and Z5 one class per element.
+        groups = [S3, S4, quaternion_group()] + [builtin_group(n) for n in ("D4", "Z4", "Z5")]
+        rng = random.Random(31)
+        for ngens in (0, 1, 2, 3):
+            letters = [s * g for g in range(1, ngens + 1) for s in (1, -1)]
+            for _ in range(5):
+                rels = [
+                    Word(rng.choice(letters) for _ in range(rng.randint(0, 7) if letters else 0))
+                    for _ in range(rng.randint(0, 3))
+                ]
+                # A commutator relator keeps many homs, so the classes of x_1
+                # contribute unequally.
+                if ngens >= 2 and rng.random() < 0.5:
+                    rels.append(w("x1 x2 X1 X2"))
+                p = GroupPresentation(ngens, tuple(rels))
+                for group in groups:
+                    count = count_homs(p, group)
+                    assert count == plain_count_homs(p, group) == brute_hom_count(p, group), (
+                        str(p), group.name,
+                    )
+
     def test_matches_brute_oracle_on_braid_presentations(self):
         rng = random.Random(23)
         groups = [builtin_group(name) for name in ("Z2", "Z3", "S3")]
@@ -271,6 +299,19 @@ class TestFingerprintBackends:
         references = [walk_fingerprint(rep, b, [S4]) for b in (short, long)]
         monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
         assert [fingerprint(rep, b, [S4]) for b in (short, long)] == references
+
+    def test_class_walk_cost_takes_the_walk_into_S3(self, monkeypatch):
+        # Three simplified generators and a 72-letter first relator: the walk
+        # visits 3 * 6^2 S3 tuples, 7,776 lookups, against 9,936 for the
+        # action (216 points, 10 crossings, 3 distinct letters); counted over
+        # all 6^3 tuples, the walk would cost 15,552 and lose.
+        rep = constant_rep(ARTIN_CORE, 3)
+        braid = parse_braid("-1 2 2 -2 2 2 -1 2 -1 2", 3)
+        simplified = tietze_simplify(presentation(rep, braid))
+        assert simplified.ngens == 3 and len(simplified.relators[0]) == 72
+        reference = walk_fingerprint(rep, braid, [S3])
+        monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
+        assert fingerprint(rep, braid, [S3]) == reference
 
     @staticmethod
     def _count_backends(monkeypatch):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from braidact.autf2 import AutF2
+from braidact import localrep
+from braidact.autf2 import AutF2, is_basis
 from braidact.braid import check_pair_via_braid
 from braidact.localrep import (
     ARTIN_CORE,
@@ -427,6 +428,28 @@ class TestReps:
     def test_rep_from_cores_validates(self):
         with pytest.raises(PathError):
             rep_from_cores((AutF2.identity(), AutF2.parse("b,a")))
+
+    def test_two_strand_rep_checks_its_core(self):
+        with pytest.raises(PathError, match=r"^core 1 \(aa,b\) is not a basis of F_2$"):
+            rep_from_cores((AutF2.parse("aa,b"),))
+        with pytest.raises(PathError, match="core 1"):
+            constant_rep(AutF2.parse("ab,ab"), 2)
+        assert rep_from_cores((AutF2.parse("aBa,a"),)).n == 2
+
+    def test_non_basis_core_reported_with_its_first_pair(self):
+        with pytest.raises(PathError, match=r"^cores 2 and 3 \(\(abA,a\); \(aa,b\)\) do not"):
+            rep_from_cores((ARTIN_CORE, ARTIN_CORE, AutF2.parse("aa,b"), ARTIN_CORE))
+
+    def test_each_core_tested_once(self, monkeypatch):
+        calls = []
+
+        def counted(u, v):
+            calls.append((u, v))
+            return is_basis(u, v)
+
+        monkeypatch.setattr(localrep, "is_basis", counted)
+        rep_from_cores((ARTIN_CORE,) * 4)
+        assert calls == [(ARTIN_CORE.image_a, ARTIN_CORE.image_b)] * 4
 
     def test_local_rep_shape_checked(self):
         with pytest.raises(ValueError):

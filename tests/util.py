@@ -7,12 +7,11 @@ import itertools
 
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import BraidWord, Endo, local_endo
-from braidact.groups import FiniteGroupTable
+from braidact.groups import FiniteGroupTable, group_from_table
 from braidact.invariant import (
     Fingerprint,
     GroupPresentation,
     abelian_invariants,
-    count_homs,
     presentation,
     tietze_simplify,
 )
@@ -84,11 +83,56 @@ def brute_hom_count(p: GroupPresentation, group: FiniteGroupTable) -> int:
     return count
 
 
+def plain_count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
+    """Hom-count oracle without conjugacy classes: walks all |H|^k tuples,
+    evaluating each relator by table lookups until one fails."""
+    n = p.ngens
+    # A tuple's images hold x_j's value at j - 1 and x_j^-1's at n + j - 1.
+    relators = [tuple(l - 1 if l > 0 else n - l - 1 for l in r.letters) for r in p.relators]
+    table = group.table
+    e = group.identity
+    count = 0
+    for values, inverted in zip(
+        itertools.product(range(group.order), repeat=n),
+        itertools.product(group.inverse, repeat=n),
+    ):
+        image = values + inverted
+        for rel in relators:
+            cur = e
+            for k in rel:
+                cur = table[cur][image[k]]
+            if cur != e:
+                break
+        else:
+            count += 1
+    return count
+
+
+def quaternion_group() -> FiniteGroupTable:
+    """Q8 from its raw table: element 4 s + u is (-1)^s q_u, q = (1, i, j, k).
+
+    Its centre {1, -1} is nontrivial, and it has 5 conjugacy classes."""
+    # Sign and unit of q_u q_v: i j = k, j i = -k, i i = -1, and so on.
+    units = [
+        [(0, 0), (0, 1), (0, 2), (0, 3)],
+        [(0, 1), (1, 0), (0, 3), (1, 2)],
+        [(0, 2), (1, 3), (1, 0), (0, 1)],
+        [(0, 3), (0, 2), (1, 1), (1, 0)],
+    ]
+    rows = [
+        [4 * ((s + t + units[u][v][0]) % 2) + units[u][v][1] for t in (0, 1) for v in range(4)]
+        for s in (0, 1)
+        for u in range(4)
+    ]
+    return group_from_table("Q8", rows)
+
+
 def walk_fingerprint(rep: LocalRep, braid: BraidWord, groups) -> Fingerprint:
-    """Reference fingerprint that counts every hom by walking the relators of
-    the Tietze-simplified presentation, never by the braid's action."""
+    """Reference fingerprint that counts every hom by walking all tuples of
+    the Tietze-simplified presentation (plain_count_homs), never by the
+    braid's action or by conjugacy classes."""
     simplified = tietze_simplify(presentation(rep, braid))
-    counts = tuple(sorted((g.name, count_homs(simplified, g)) for g in groups))
+    counts = tuple(sorted((g.name, plain_count_homs(simplified, g)) for g in groups))
     return Fingerprint(abelian_invariants(simplified), counts)
 
 
