@@ -13,7 +13,6 @@ from .braid import (
     Endo,
     check_pair_via_braid,
     endo_of_braid,
-    free_reduce_braid,
     local_endo,
     parse_braid,
     verify_braid_relations,

@@ -13,7 +13,6 @@ __all__ = [
     "Endo",
     "check_pair_via_braid",
     "endo_of_braid",
-    "free_reduce_braid",
     "local_endo",
     "parse_braid",
     "verify_braid_relations",
@@ -70,17 +69,6 @@ def parse_braid(text: str, n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def free_reduce_braid(b: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs only; no braid relations are applied."""
-    stack: list[int] = []
-    for l in b.letters:
-        if stack and stack[-1] == -l:
-            stack.pop()
-        else:
-            stack.append(l)
-    return BraidWord(b.n, tuple(stack))
-
-
 @dataclass(frozen=True)
 class Endo:
     """An endomorphism of F_n, stored by its generator images."""
@@ -114,20 +102,11 @@ class Endo:
 
 
 def local_endo(rep: LocalRep, i: int, sign: int = 1) -> Endo:
-    """The endomorphism of F_n induced by the i-th generator (or its inverse).
-
-    The core acts on x_i, x_{i+1}; every other generator is fixed.
-    """
-    if not 1 <= i <= rep.n - 1:
+    """The endomorphism of F_n induced by the i-th generator (or its inverse):
+    the image of the one-letter braid."""
+    if i < 1:
         raise ValueError(f"generator index {i} out of range for {rep.n} strands")
-    core = rep.cores[i - 1]
-    if sign < 0:
-        core = core.inverse()
-    xi, xi1 = Word.gen(i), Word.gen(i + 1)
-    images = [Word.gen(j) for j in range(1, rep.n + 1)]
-    images[i - 1] = core.image_a.substitute((xi, xi1))
-    images[i] = core.image_b.substitute((xi, xi1))
-    return Endo(tuple(images))
+    return endo_of_braid(rep, BraidWord(rep.n, (-i if sign < 0 else i,)))
 
 
 def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
@@ -163,17 +142,16 @@ def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
 
 
 def verify_braid_relations(rep: LocalRep) -> bool:
-    """Check the two defining braid relations on the induced endomorphisms."""
-    gens = [local_endo(rep, i) for i in range(1, rep.n)]
-    for i in range(len(gens) - 1):
-        g, h = gens[i], gens[i + 1]
-        if g.compose(h).compose(g) != h.compose(g).compose(h):
-            return False
-    for i in range(len(gens)):
-        for j in range(i + 2, len(gens)):
-            if gens[i].compose(gens[j]) != gens[j].compose(gens[i]):
-                return False
-    return True
+    """Check the defining relations of B_n on the braid action: i, i+1, i
+    against i+1, i, i+1, and i, j against j, i for j >= i + 2."""
+
+    def same(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+        return endo_of_braid(rep, BraidWord(rep.n, u)) == endo_of_braid(rep, BraidWord(rep.n, v))
+
+    m = rep.n - 1
+    return all(same((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, m)) and all(
+        same((i, j), (j, i)) for i in range(1, m + 1) for j in range(i + 2, m + 1)
+    )
 
 
 def check_pair_via_braid(tau: AutF2, kappa: AutF2) -> bool:

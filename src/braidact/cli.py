@@ -205,7 +205,9 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_check_stab(args) -> int:
-    rep = _parse_rep(args.rep, args.n if args.n is not None else 3)
+    # Three strands by default; a cores: spec takes its strand count from its cores.
+    n = 3 if args.n is None and not args.rep.startswith("cores:") else args.n
+    rep = _parse_rep(args.rep, n)
     # The last core's successors decide S2; a rep without cores extends.
     extensions = outgoing_cores(rep.cores[-1]) if rep.cores else ()
     extendable = bool(extensions) or not rep.cores

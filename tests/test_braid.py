@@ -3,21 +3,36 @@ import random
 import pytest
 
 from braidact import braid
-from braidact.autf2 import AutF2
+from braidact.autf2 import AutF2, is_basis
 from braidact.braid import (
     BraidWord,
     Endo,
     endo_of_braid,
-    free_reduce_braid,
     local_endo,
     parse_braid,
     verify_braid_relations,
 )
 from braidact.invariant import fingerprint, presentation
-from braidact.localrep import ARTIN_CORE, constant_rep, rep_from_cores
+from braidact.localrep import (
+    ARTIN_CORE,
+    LocalRep,
+    catalog,
+    constant_rep,
+    outgoing_cores,
+    rep_from_cores,
+)
 from braidact.words import Word
 
-from .util import concat_substitute, prefix_endo_of_braid
+from .util import (
+    compose_braid_relations,
+    concat_substitute,
+    crossing_endo,
+    prefix_endo_of_braid,
+    reduced_words,
+    scan_family_ids,
+)
+
+MIXED_REP = rep_from_cores((AutF2.parse("B,a"), AutF2.parse("b,A"), AutF2.parse("B,a")))
 
 
 def w(text):
@@ -51,17 +66,6 @@ class TestParseBraid:
             parse_braid("", 1)
 
 
-class TestFreeReduceBraid:
-    def test_inverse_pair(self):
-        assert free_reduce_braid(parse_braid("1 -1", 2)).letters == ()
-
-    def test_inner_pair(self):
-        assert free_reduce_braid(parse_braid("1 2 -2 1", 3)).letters == (1, 1)
-
-    def test_no_braid_relations_applied(self):
-        assert free_reduce_braid(parse_braid("1 2 1", 3)).letters == (1, 2, 1)
-
-
 class TestLocalEndo:
     def test_artin_positive(self):
         rep = constant_rep(ARTIN_CORE, 3)
@@ -81,8 +85,14 @@ class TestLocalEndo:
 
     def test_index_range(self):
         rep = constant_rep(ARTIN_CORE, 3)
-        with pytest.raises(ValueError):
-            local_endo(rep, 3, 1)
+        for i in (0, -1, 3):
+            with pytest.raises(ValueError, match=f"generator index {i} out of range"):
+                local_endo(rep, i, 1)
+
+    def test_matches_crossing_oracle(self):
+        for i in range(1, MIXED_REP.n):
+            for sign in (1, -1):
+                assert local_endo(MIXED_REP, i, sign) == crossing_endo(MIXED_REP, i, sign)
 
     def test_locality(self):
         rep = constant_rep(AutF2.parse("aBa,a"), 5)
@@ -195,14 +205,43 @@ class TestBraidRelations:
         assert verify_braid_relations(constant_rep(ARTIN_CORE, 4))
 
     def test_identity_with_swap_fails(self):
-        from braidact.localrep import LocalRep
-
         rep = LocalRep(3, (AutF2.identity(), AutF2.parse("b,a")))
         assert not verify_braid_relations(rep)
+        assert not compose_braid_relations(rep)
 
     def test_mixed_component_path(self):
-        rep = rep_from_cores((AutF2.parse("B,a"), AutF2.parse("b,A"), AutF2.parse("B,a")))
-        assert verify_braid_relations(rep)
+        assert verify_braid_relations(MIXED_REP)
+
+    def test_matches_compose_oracle_on_catalog(self):
+        # Every decorated catalog quad up to r = 2 on 3 strands, and on 4
+        # strands with each successor of its second core appended.
+        reps = []
+        for fid in scan_family_ids(5):
+            quad = catalog(fid)
+            reps.append(LocalRep(3, (quad.tau, quad.kappa)))
+            reps += [LocalRep(4, (quad.tau, quad.kappa, c)) for c, _ in outgoing_cores(quad.kappa)]
+        assert len(reps) == 456
+        for rep in reps:
+            assert verify_braid_relations(rep) and compose_braid_relations(rep), rep
+
+    def test_matches_compose_oracle_on_unvalidated_reps(self):
+        # Constant reps and seeded random paths over the basis pairs of
+        # length <= 2; most of them are no local action.
+        bases = [AutF2(u, v) for u in reduced_words(2) for v in reduced_words(2) if is_basis(u, v)]
+        rng = random.Random(17)
+        reps = [LocalRep(n, (c,) * (n - 1)) for c in bases for n in (3, 4)]
+        reps += [LocalRep(n, tuple(rng.choices(bases, k=n - 1))) for n in (3, 4) for _ in range(200)]
+        results = [verify_braid_relations(rep) for rep in reps]
+        assert results == [compose_braid_relations(rep) for rep in reps]
+        assert 0 < results.count(True) < results.count(False)
+
+    def test_no_relations_below_three_strands(self):
+        for rep in (
+            LocalRep(1, ()),
+            LocalRep(2, (AutF2.parse("b,a"),)),
+            LocalRep(2, (AutF2.parse("aa,b"),)),
+        ):
+            assert verify_braid_relations(rep) and compose_braid_relations(rep)
 
 
 def test_braid_word_validation():

@@ -259,6 +259,18 @@ class TestCheckStab:
             assert code == 0
             assert "stabilization properties: violated" in out
 
+    def test_cores_spec_takes_strands_from_cores(self, capsys):
+        for spec, cores in (("cores:abA,a", 1), ("cores:abA,a;abA,a;abA,a", 3)):
+            code, out, err = run(capsys, "check-stab", "--rep", spec)
+            assert code == 0, err
+            assert out.count("S1 holds") == cores
+            assert "stabilization properties: satisfied" in out
+
+    def test_cores_spec_with_mismatched_n_exits_one(self, capsys):
+        code, _, err = run(capsys, "check-stab", "--rep", "cores:abA,a", "--n", "3")
+        assert code == 1
+        assert "--n 3 does not match 1 cores" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "check-stab", "--rep", "wada:C1", "--json")
         assert code == 0

@@ -6,7 +6,7 @@ import functools
 import itertools
 
 from braidact.autf2 import AutF2, is_basis
-from braidact.braid import BraidWord, Endo, local_endo
+from braidact.braid import BraidWord, Endo
 from braidact.groups import FiniteGroupTable, group_from_table
 from braidact.invariant import (
     Fingerprint,
@@ -136,13 +136,41 @@ def walk_fingerprint(rep: LocalRep, braid: BraidWord, groups) -> Fingerprint:
     return Fingerprint(abelian_invariants(simplified), counts)
 
 
+def crossing_endo(rep: LocalRep, i: int, sign: int) -> Endo:
+    """Full endomorphism of crossing i (its inverse for sign < 0): the core's
+    words in x_i, x_{i+1} at positions i and i+1, every other x_j fixed."""
+    core = rep.cores[i - 1]
+    if sign < 0:
+        core = core.inverse()
+    xi, xi1 = Word.gen(i), Word.gen(i + 1)
+    images = [Word.gen(j) for j in range(1, rep.n + 1)]
+    images[i - 1] = core.image_a.substitute((xi, xi1))
+    images[i] = core.image_b.substitute((xi, xi1))
+    return Endo(tuple(images))
+
+
 def prefix_endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
     """Independent braid-action oracle: the identity composed with each
-    crossing's full local endomorphism, in word order."""
+    crossing's full endomorphism, in word order."""
     endo = Endo.identity(rep.n)
     for l in b.letters:
-        endo = endo.compose(local_endo(rep, abs(l), 1 if l > 0 else -1))
+        endo = endo.compose(crossing_endo(rep, abs(l), l))
     return endo
+
+
+def compose_braid_relations(rep: LocalRep) -> bool:
+    """Independent braid-relation oracle: the relations of B_n multiplied out
+    from the crossings' full endomorphisms with Endo.compose."""
+    gens = [crossing_endo(rep, i, 1) for i in range(1, rep.n)]
+    for i in range(len(gens) - 1):
+        g, h = gens[i], gens[i + 1]
+        if g.compose(h).compose(g) != h.compose(g).compose(h):
+            return False
+    for i in range(len(gens)):
+        for j in range(i + 2, len(gens)):
+            if gens[i].compose(gens[j]) != gens[j].compose(gens[i]):
+                return False
+    return True
 
 
 # -- linear-scan oracle for the catalog index ---------------------------------
