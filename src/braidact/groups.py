@@ -2,7 +2,8 @@
 
 Tables are validated on construction (identity, inverses, associativity
 by Light's test), so downstream counting loops can trust them blindly.
-Construction also splits the group into its conjugacy classes.
+Construction also splits the group into its conjugacy classes, and the
+pairs of elements into their orbits under simultaneous conjugation.
 """
 
 from __future__ import annotations
@@ -38,10 +39,21 @@ class FiniteGroupTable:
     # (representative, class size) per conjugacy class; the representative is
     # the class's lowest element, and the classes come in that order.
     classes: tuple[tuple[int, int], ...]
+    # The orbits of the group on pairs (g, h) under simultaneous conjugation,
+    # as (orbit size, representatives) blocks in increasing size.  Each
+    # representative is stored as (g, h, g^-1, h^-1), g a class representative
+    # and h the lowest element of its orbit under the centralizer of g.  The
+    # pairs of two central elements, each an orbit of size 1, are left out:
+    # they are the centre squared, so an abelian group stores no block.
+    pair_orbits: tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]
 
     @property
     def order(self) -> int:
         return len(self.table)
+
+    @property
+    def centre(self) -> tuple[int, ...]:
+        return tuple(g for g, size in self.classes if size == 1)
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -105,7 +117,36 @@ def group_from_table(name: str, rows: list[list[int]]) -> FiniteGroupTable:
             cls = {table[table[inverse[h]][x]][h] for h in range(order)}
             seen |= cls
             classes.append((x, len(cls)))
-    return FiniteGroupTable(name, table, identity, tuple(inverse), tuple(classes))
+    return FiniteGroupTable(
+        name, table, identity, tuple(inverse), tuple(classes), _pair_orbits(table, inverse, classes)
+    )
+
+
+def _pair_orbits(
+    table: tuple[tuple[int, ...], ...], inverse: list[int], classes: list[tuple[int, int]]
+) -> tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]:
+    # Each orbit on pairs meets {g} x H, g a class representative, in one
+    # orbit of the centralizer C(g) on H, so its size is |class of g| times
+    # that orbit's size.  For central g the centralizer is the group and its
+    # orbits on H are the classes.
+    elements = range(len(table))
+    noncentral = [(h, size) for h, size in classes if size > 1]
+    blocks: dict[int, list[tuple[int, int, int, int]]] = {}
+    for g, size in classes:
+        if size == 1:
+            orbits = noncentral
+        else:
+            centralizer = [c for c in elements if table[c][g] == table[g][c]]
+            orbits = []
+            seen: set[int] = set()
+            for h in elements:
+                if h not in seen:
+                    orbit = {table[table[inverse[c]][h]][c] for c in centralizer}
+                    seen |= orbit
+                    orbits.append((h, len(orbit)))
+        for h, count in orbits:
+            blocks.setdefault(size * count, []).append((g, h, inverse[g], inverse[h]))
+    return tuple((weight, tuple(reps)) for weight, reps in sorted(blocks.items()))
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:

@@ -124,14 +124,18 @@ def abelian_invariants(p: GroupPresentation) -> tuple[int, ...]:
 
 def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms into the group, by exhaustive counting
-    up to conjugation.
+    up to simultaneous conjugation.
 
-    Conjugating by h maps the homs that send x_1 to g bijectively onto those
-    that send x_1 to h g h^-1, so the count is the sum over the group's
-    conjugacy classes of the class size times the homs that send x_1 to the
-    class representative.  The walk tries every value of x_2..x_k for each
-    representative: k(H) |H|^(k-1) tuples, k(H) the number of classes, each
-    one evaluating the relators by table lookups until one fails.
+    Conjugating by h maps the homs with values (x_1, .., x_k) bijectively
+    onto those with values (h^-1 x_1 h, .., h^-1 x_k h).  So with k >= 2
+    generators the count is the sum, over the orbits of H on pairs
+    (x_1, x_2), of the orbit size times the homs that send (x_1, x_2) to
+    the orbit's representative; the group stores the orbits as pair_orbits,
+    and the pairs of two central elements, each its own orbit, come from its
+    centre.  The walk tries every value of x_3..x_k for each representative:
+    (1/|H|) sum_h |C_H(h)|^2 pairs times |H|^(k-2) tuples.  With one
+    generator it walks the k(H) conjugacy class representatives.  Each tuple
+    evaluates the relators by table lookups until one fails.
 
     Refuses (raises ValueError) when the candidate tuple space |H|^k exceeds
     MAX_HOM_TUPLES; it never truncates silently.
@@ -145,29 +149,58 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     n = p.ngens
     if n == 0:
         return 1
-    # A tuple's images hold x_j's value at j - 1 and x_j^-1's at n + j - 1.
-    relators = [tuple(l - 1 if l > 0 else n - l - 1 for l in r.letters) for r in p.relators]
+    inverse = group.inverse
+    # A tuple's images hold the values of x_1..x_m, m = min(k, 2), then their
+    # inverses, then the values of x_{m+1}..x_k, then their inverses.
+    m = min(n, 2)
+    relators = [
+        tuple(
+            (l - 1 if l <= m else l + m - 1) if l > 0 else (m - l - 1 if l >= -m else n - l - 1)
+            for l in r.letters
+        )
+        for r in p.relators
+    ]
+    add = operator.add
+    product = itertools.product
+    if n == 1:
+        blocks = [(size, ((g, inverse[g]),)) for g, size in group.classes]
+        centre = centre_inv = ()
+        tails = ((),)
+    else:
+        blocks = group.pair_orbits
+        centre = group.centre
+        centre_inv = [inverse[z] for z in centre]
+        tails = map(add, product(range(group.order), repeat=n - 2), product(inverse, repeat=n - 2))
     table = group.table
     e = group.identity
-    values = (range(group.order),) * (n - 1)
-    inverted = (group.inverse,) * (n - 1)
     count = 0
-    for g, size in group.classes:
-        homs = 0
-        for head, tail in zip(
-            itertools.product((g,), *values), itertools.product((group.inverse[g],), *inverted)
-        ):
-            image = head + tail
-            for rel in relators:
-                cur = e
-                for k in rel:
-                    cur = table[cur][image[k]]
-                if cur != e:
-                    break
-            else:
-                homs += 1
-        count += size * homs
+    for tail in tails:
+        # The pairs of two central elements, each its own orbit, made afresh
+        # for each tail rather than kept as a list of |Z(H)|^2 pairs.  With
+        # one generator centre is left empty, and there are none.
+        central = centre and map(add, product(centre, repeat=2), product(centre_inv, repeat=2))
+        for weight, reps in itertools.chain(blocks, ((1, central),)):
+            homs = 0
+            for rep in reps:
+                image = rep + tail
+                for rel in relators:
+                    cur = e
+                    for k in rel:
+                        cur = table[cur][image[k]]
+                    if cur != e:
+                        break
+                else:
+                    homs += 1
+            count += weight * homs
     return count
+
+
+def _walk_tuples(group: FiniteGroupTable, ngens: int) -> int:
+    """The tuples count_homs visits for a presentation with ngens generators."""
+    if ngens < 2:
+        return len(group.classes)
+    pairs = sum(len(reps) for _, reps in group.pair_orbits) + len(group.centre) ** 2
+    return pairs * group.order ** (ngens - 2)
 
 
 def pair_action(core: AutF2, group: FiniteGroupTable) -> tuple[int, ...]:
@@ -396,14 +429,16 @@ def fingerprint_report(
     simplified = tietze_simplify(pres)
     # In table lookups per point: the action makes one per crossing and about
     # 12 per distinct letter to build that letter's list; the walk visits
-    # k(H) |H|^(k-1) tuples, which mostly fail within the first relator.
+    # _walk_tuples tuples, which mostly fail within the first relator.
     action_steps = len(braid.letters) + 12 * len(set(braid.letters))
     walk_steps = len(simplified.relators[0]) if simplified.relators else 0
     counts = []
     for g in groups:
         states = g.order**rep.n
-        walk = len(g.classes) * g.order**simplified.ngens // g.order * walk_steps
-        if states <= ACTION_STATES_CHOSEN and states * action_steps < walk:
+        if (
+            states <= ACTION_STATES_CHOSEN
+            and states * action_steps < _walk_tuples(g, simplified.ngens) * walk_steps
+        ):
             counts.append((g.name, count_homs_by_action(rep, braid, g)))
         else:
             counts.append((g.name, count_homs(simplified, g)))

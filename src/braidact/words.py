@@ -69,7 +69,7 @@ class Word:
         if index < 1:
             raise ValueError("generator index must be >= 1")
         letter = index if power >= 0 else -index
-        return cls((letter,) * abs(power))
+        return _word((letter,) * abs(power))
 
     @classmethod
     def parse(cls, text: str) -> Word:

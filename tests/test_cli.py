@@ -236,6 +236,28 @@ class TestInvariant:
             assert out == ""
             assert err == f"error: {reason}\n"
 
+    def test_hom_budget_refusals_count_every_tuple(self, capsys):
+        # The walk visits far fewer tuples than |H|^k, but the budget is
+        # still tested on |H|^k: Z512 on three simplified generators, and S5
+        # on five generators without relators.
+        cases = (
+            (3, "-1 2 2 -2 2 2 -1 2 -1 2", "Z512", "512^3 = 134217728"),
+            (5, "1 -1", "S5", "120^5 = 24883200000"),
+        )
+        for n, letters, name, tuples in cases:
+            for json_flag in ((), ("--json",)):
+                code, out, err = run(
+                    capsys,
+                    "invariant", "--rep", "artin", "--n", str(n), "--braid", letters,
+                    "--homs", name, *json_flag,
+                )
+                assert code == 1
+                assert out == ""
+                assert err == (
+                    f"error: hom counting refused: {tuples} tuples exceeds the budget "
+                    "of 10000000\n"
+                )
+
     def test_missing_group_table_exits_one(self, capsys):
         code, _, err = run(
             capsys,

@@ -9,7 +9,7 @@ from braidact.groups import (
     symmetric_group,
 )
 
-from .util import quaternion_group
+from .util import burnside_pair_orbit_count, quaternion_group
 
 
 class TestBuilders:
@@ -157,3 +157,44 @@ class TestClasses:
             rows = "\n".join(" ".join(str(x) for x in row) for row in group.table)
             path.write_text(f"{group.order}\n{rows}\n")
             assert load_group_table(path).classes == group.classes
+
+
+def _group(name):
+    return quaternion_group() if name == "Q8" else builtin_group(name)
+
+
+def _pairs(group):
+    """(weight, g, h) per stored pair orbit, the central pairs included."""
+    out = [(weight, g, h) for weight, reps in group.pair_orbits for g, h, _, _ in reps]
+    return out + [(1, a, b) for a in group.centre for b in group.centre]
+
+
+class TestPairOrbits:
+    @pytest.mark.parametrize("name", ["Z6", "S3", "S4", "D4", "D5", "D6", "Q8", "S5"])
+    def test_weights_cover_the_pairs(self, name):
+        group = _group(name)
+        assert sum(weight for weight, _, _ in _pairs(group)) == group.order**2
+
+    @pytest.mark.parametrize("name", ["Z6", "S3", "S4", "D4", "D5", "D6", "Q8", "S5"])
+    def test_orbit_count_is_burnsides(self, name):
+        group = _group(name)
+        assert len(_pairs(group)) == burnside_pair_orbit_count(group)
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8"])
+    def test_representatives_are_not_simultaneously_conjugate(self, name):
+        group = _group(name)
+        covered = set()
+        for weight, g, h in _pairs(group):
+            orbit = {
+                (group.mul(group.mul(group.inv(x), g), x), group.mul(group.mul(group.inv(x), h), x))
+                for x in range(group.order)
+            }
+            assert len(orbit) == weight
+            assert not orbit & covered, (g, h)
+            covered |= orbit
+        assert len(covered) == group.order**2
+
+    def test_abelian_group_stores_no_pair_orbits(self):
+        z512 = builtin_group("Z512")
+        assert z512.pair_orbits == ()
+        assert len(z512.centre) == 512

@@ -32,6 +32,7 @@ from braidact.words import Word
 
 from .util import (
     brute_hom_count,
+    burnside_pair_orbit_count,
     plain_count_homs,
     quaternion_group,
     scan_family_ids,
@@ -158,22 +159,28 @@ class TestCountHoms:
                 assert count_homs(p, group) == brute_hom_count(p, group)
 
     def test_matches_both_oracles_by_generator_count(self):
-        # D4 and Q8 have a centre of order 2, Z4 and Z5 one class per element.
-        groups = [S3, S4, quaternion_group()] + [builtin_group(n) for n in ("D4", "Z4", "Z5")]
+        # D4, D6 and Q8 have a centre of order 2, S3, S4 and D5 a trivial one,
+        # and Z4 and Z5 one class per element.  With four generators x_3 and
+        # x_4 are both walked in full for each pair orbit.
+        groups = [S3, S4, quaternion_group()] + [
+            builtin_group(n) for n in ("D4", "D5", "D6", "Z4", "Z5")
+        ]
         rng = random.Random(31)
-        for ngens in (0, 1, 2, 3):
+        for ngens in (0, 1, 2, 3, 4):
             letters = [s * g for g in range(1, ngens + 1) for s in (1, -1)]
             for _ in range(5):
                 rels = [
                     Word(rng.choice(letters) for _ in range(rng.randint(0, 7) if letters else 0))
                     for _ in range(rng.randint(0, 3))
                 ]
-                # A commutator relator keeps many homs, so the classes of x_1
+                # A commutator relator keeps many homs, so the pair orbits
                 # contribute unequally.
                 if ngens >= 2 and rng.random() < 0.5:
                     rels.append(w("x1 x2 X1 X2"))
                 p = GroupPresentation(ngens, tuple(rels))
                 for group in groups:
+                    if ngens == 4 and group.name not in ("S3", "D4", "Q8", "Z4"):
+                        continue
                     count = count_homs(p, group)
                     assert count == plain_count_homs(p, group) == brute_hom_count(p, group), (
                         str(p), group.name,
@@ -300,9 +307,10 @@ class TestFingerprintBackends:
 
     def test_class_walk_cost_takes_the_walk_into_S3(self, monkeypatch):
         # Three simplified generators and a 72-letter first relator: the walk
-        # visits 3 * 6^2 S3 tuples, 7,776 lookups, against 9,936 for the
-        # action (216 points, 10 crossings, 3 distinct letters); counted over
-        # all 6^3 tuples, the walk would cost 15,552 and lose.
+        # visits 11 pair orbits times 6 values of x_3, 66 S3 tuples and 4,752
+        # lookups, against 9,936 for the action (216 points, 10 crossings, 3
+        # distinct letters); counted over all 6^3 tuples, the walk would cost
+        # 15,552 and lose.
         rep = constant_rep(ARTIN_CORE, 3)
         braid = parse_braid("-1 2 2 -2 2 2 -1 2 -1 2", 3)
         simplified = tietze_simplify(presentation(rep, braid))
@@ -310,6 +318,15 @@ class TestFingerprintBackends:
         reference = walk_fingerprint(rep, braid, [S3])
         monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
         assert fingerprint(rep, braid, [S3]) == reference
+
+    def test_walk_estimate_counts_the_pair_orbits(self):
+        # An abelian group's walk visits every tuple.
+        for name, pairs in (("S3", 11), ("S4", 43), ("D4", 28), ("Z5", 25)):
+            group = builtin_group(name)
+            assert burnside_pair_orbit_count(group) == pairs
+            assert invariant._walk_tuples(group, 1) == len(group.classes)
+            assert invariant._walk_tuples(group, 2) == pairs
+            assert invariant._walk_tuples(group, 3) == pairs * group.order
 
     @staticmethod
     def _count_backends(monkeypatch):

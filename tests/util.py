@@ -127,6 +127,18 @@ def quaternion_group() -> FiniteGroupTable:
     return group_from_table("Q8", rows)
 
 
+def burnside_pair_orbit_count(group: FiniteGroupTable) -> int:
+    """Orbits of the group on pairs under simultaneous conjugation, by
+    Burnside's lemma: conjugation by h fixes the pairs of elements of the
+    centralizer C_H(h), so the count is (1/|H|) sum_h |C_H(h)|^2."""
+    total = 0
+    for h in range(group.order):
+        centralizer = sum(group.mul(h, x) == group.mul(x, h) for x in range(group.order))
+        total += centralizer**2
+    assert total % group.order == 0
+    return total // group.order
+
+
 def walk_fingerprint(rep: LocalRep, braid: BraidWord, groups) -> Fingerprint:
     """Reference fingerprint that counts every hom by walking all tuples of
     the Tietze-simplified presentation (plain_count_homs), never by the
