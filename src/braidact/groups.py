@@ -2,8 +2,8 @@
 
 Tables are validated on construction (identity, inverses, associativity
 by Light's test), so downstream counting loops can trust them blindly.
-Construction also splits the group into its conjugacy classes, and the
-pairs of elements into their orbits under simultaneous conjugation.
+Construction also splits the group into its conjugacy classes, and unless
+it is abelian its pairs of elements into orbits under simultaneous conjugation.
 """
 
 from __future__ import annotations
@@ -42,18 +42,13 @@ class FiniteGroupTable:
     # The orbits of the group on pairs (g, h) under simultaneous conjugation,
     # as (orbit size, representatives) blocks in increasing size.  Each
     # representative is stored as (g, h, g^-1, h^-1), g a class representative
-    # and h the lowest element of its orbit under the centralizer of g.  The
-    # pairs of two central elements, each an orbit of size 1, are left out:
-    # they are the centre squared, so an abelian group stores no block.
+    # and h the lowest element of its orbit under the centralizer of g.  An
+    # abelian group stores no block: hom counts into it read the abelianization.
     pair_orbits: tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]
 
     @property
     def order(self) -> int:
         return len(self.table)
-
-    @property
-    def centre(self) -> tuple[int, ...]:
-        return tuple(g for g, size in self.classes if size == 1)
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -128,13 +123,14 @@ def _pair_orbits(
     # Each orbit on pairs meets {g} x H, g a class representative, in one
     # orbit of the centralizer C(g) on H, so its size is |class of g| times
     # that orbit's size.  For central g the centralizer is the group and its
-    # orbits on H are the classes.
+    # orbits on H are the classes.  An abelian group has one class per element.
+    if len(classes) == len(table):
+        return ()
     elements = range(len(table))
-    noncentral = [(h, size) for h, size in classes if size > 1]
     blocks: dict[int, list[tuple[int, int, int, int]]] = {}
     for g, size in classes:
         if size == 1:
-            orbits = noncentral
+            orbits = classes
         else:
             centralizer = [c for c in elements if table[c][g] == table[g][c]]
             orbits = []

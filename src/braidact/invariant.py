@@ -107,8 +107,6 @@ def abelianization(p: GroupPresentation) -> tuple[int, ...]:
     Smith normal form diagonal of the relator exponent matrix, padded with
     zeros (free factors); entries form a divisibility chain.
     """
-    if not p.relators:
-        return (0,) * p.ngens
     rows = []
     for r in p.relators:
         counts = Counter(r.letters)
@@ -123,63 +121,40 @@ def abelian_invariants(p: GroupPresentation) -> tuple[int, ...]:
 
 
 def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
-    """Exact number of homomorphisms into the group, by exhaustive counting
-    up to simultaneous conjugation.
+    """Exact number of homomorphisms into the group.
 
-    Conjugating by h maps the homs with values (x_1, .., x_k) bijectively
-    onto those with values (h^-1 x_1 h, .., h^-1 x_k h).  So with k >= 2
-    generators the count is the sum, over the orbits of H on pairs
-    (x_1, x_2), of the orbit size times the homs that send (x_1, x_2) to
-    the orbit's representative; the group stores the orbits as pair_orbits,
-    and the pairs of two central elements, each its own orbit, come from its
-    centre.  The walk tries every value of x_3..x_k for each representative:
-    (1/|H|) sum_h |C_H(h)|^2 pairs times |H|^(k-2) tuples.  With one
-    generator it walks the k(H) conjugacy class representatives.  Each tuple
-    evaluates the relators by table lookups until one fails.
+    Into an abelian group, or from at most one generator, every hom factors
+    through the abelianization, and the count is read from its invariant
+    factors.  Otherwise conjugation by h permutes the homs, so each orbit of
+    H on pairs (x_1, x_2) under simultaneous conjugation (pair_orbits) adds
+    its size times the homs that send (x_1, x_2) to its representative.
+    That walks (1/|H|) sum_h |C_H(h)|^2 pairs times |H|^(k-2) values of
+    x_3..x_k; each tuple evaluates the relators by table lookups until one
+    fails.
 
     Refuses (raises ValueError) when the candidate tuple space |H|^k exceeds
-    MAX_HOM_TUPLES; it never truncates silently.
+    MAX_HOM_TUPLES, whichever rule counts; it never truncates silently.
     """
-    total = group.order**p.ngens
-    if total > MAX_HOM_TUPLES:
-        raise ValueError(
-            f"hom counting refused: {group.order}^{p.ngens} = {total} tuples "
-            f"exceeds the budget of {MAX_HOM_TUPLES}"
-        )
     n = p.ngens
-    if n == 0:
-        return 1
-    inverse = group.inverse
-    # A tuple's images hold the values of x_1..x_m, m = min(k, 2), then their
-    # inverses, then the values of x_{m+1}..x_k, then their inverses.
-    m = min(n, 2)
+    _check_hom_budget(group, n)
+    if n < 2 or not group.pair_orbits:  # only an abelian group stores no pair orbits
+        return _homs_from_abelianization(abelian_invariants(p), group)
+    # A tuple's images hold the values of x_1, x_2, then their inverses, then
+    # the values of x_3..x_k, then their inverses.
     relators = [
         tuple(
-            (l - 1 if l <= m else l + m - 1) if l > 0 else (m - l - 1 if l >= -m else n - l - 1)
+            (l - 1 if l <= 2 else l + 1) if l > 0 else (1 - l if l >= -2 else n - l - 1)
             for l in r.letters
         )
         for r in p.relators
     ]
-    add = operator.add
     product = itertools.product
-    if n == 1:
-        blocks = [(size, ((g, inverse[g]),)) for g, size in group.classes]
-        centre = centre_inv = ()
-        tails = ((),)
-    else:
-        blocks = group.pair_orbits
-        centre = group.centre
-        centre_inv = [inverse[z] for z in centre]
-        tails = map(add, product(range(group.order), repeat=n - 2), product(inverse, repeat=n - 2))
+    tails = product(range(group.order), repeat=n - 2), product(group.inverse, repeat=n - 2)
     table = group.table
     e = group.identity
     count = 0
-    for tail in tails:
-        # The pairs of two central elements, each its own orbit, made afresh
-        # for each tail rather than kept as a list of |Z(H)|^2 pairs.  With
-        # one generator centre is left empty, and there are none.
-        central = centre and map(add, product(centre, repeat=2), product(centre_inv, repeat=2))
-        for weight, reps in itertools.chain(blocks, ((1, central),)):
+    for tail in map(operator.add, *tails):
+        for weight, reps in group.pair_orbits:
             homs = 0
             for rep in reps:
                 image = rep + tail
@@ -195,12 +170,33 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     return count
 
 
+def _check_hom_budget(group: FiniteGroupTable, ngens: int) -> None:
+    total = group.order**ngens
+    if total > MAX_HOM_TUPLES:
+        raise ValueError(
+            f"hom counting refused: {group.order}^{ngens} = {total} tuples "
+            f"exceeds the budget of {MAX_HOM_TUPLES}"
+        )
+
+
+def _homs_from_abelianization(factors: tuple[int, ...], group: FiniteGroupTable) -> int:
+    """|Hom(G, H)| for H abelian or G cyclic: the product over G's invariant
+    factors d (0 for Z) of #{h : h^d = e}, the h whose order divides d."""
+    orders = []
+    for h in range(group.order):
+        cur, order = h, 1
+        while cur != group.identity:
+            cur, order = group.table[cur][h], order + 1
+        orders.append(order)
+    return math.prod(sum(d % order == 0 for order in orders) for d in factors)
+
+
 def _walk_tuples(group: FiniteGroupTable, ngens: int) -> int:
-    """The tuples count_homs visits for a presentation with ngens generators."""
+    """The tuples count_homs walks for ngens generators, or 0 when it reads
+    the abelianization instead."""
     if ngens < 2:
-        return len(group.classes)
-    pairs = sum(len(reps) for _, reps in group.pair_orbits) + len(group.centre) ** 2
-    return pairs * group.order ** (ngens - 2)
+        return 0
+    return sum(len(reps) for _, reps in group.pair_orbits) * group.order ** (ngens - 2)
 
 
 def pair_action(core: AutF2, group: FiniteGroupTable) -> tuple[int, ...]:
@@ -421,12 +417,15 @@ def fingerprint_report(
     Fingerprint: abelianization plus hom counts of the closed-braid group.
 
     Both measurements are invariants of the group, so the simplification
-    only buys speed.  Each hom count comes from count_homs on the
-    simplified presentation or from count_homs_by_action, whichever should
-    cost less for that group; both are exact.
+    only buys speed.  The abelianization, computed once, gives each hom
+    count into an abelian group or from at most one simplified generator.
+    Every other count comes from count_homs on the simplified presentation
+    or from count_homs_by_action, whichever should cost less for that group;
+    all three rules are exact.
     """
     pres = presentation(rep, braid)
     simplified = tietze_simplify(pres)
+    factors = abelian_invariants(simplified)
     # In table lookups per point: the action makes one per crossing and about
     # 12 per distinct letter to build that letter's list; the walk visits
     # _walk_tuples tuples, which mostly fail within the first relator.
@@ -435,14 +434,15 @@ def fingerprint_report(
     counts = []
     for g in groups:
         states = g.order**rep.n
-        if (
-            states <= ACTION_STATES_CHOSEN
-            and states * action_steps < _walk_tuples(g, simplified.ngens) * walk_steps
-        ):
+        walked = _walk_tuples(g, simplified.ngens)
+        if not walked:
+            _check_hom_budget(g, simplified.ngens)
+            counts.append((g.name, _homs_from_abelianization(factors, g)))
+        elif states <= ACTION_STATES_CHOSEN and states * action_steps < walked * walk_steps:
             counts.append((g.name, count_homs_by_action(rep, braid, g)))
         else:
             counts.append((g.name, count_homs(simplified, g)))
-    return pres, simplified, Fingerprint(abelian_invariants(simplified), tuple(sorted(counts)))
+    return pres, simplified, Fingerprint(factors, tuple(sorted(counts)))
 
 
 def fingerprint(

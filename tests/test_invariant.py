@@ -33,6 +33,7 @@ from braidact.words import Word
 from .util import (
     brute_hom_count,
     burnside_pair_orbit_count,
+    klein_four_group,
     plain_count_homs,
     quaternion_group,
     scan_family_ids,
@@ -159,11 +160,12 @@ class TestCountHoms:
                 assert count_homs(p, group) == brute_hom_count(p, group)
 
     def test_matches_both_oracles_by_generator_count(self):
-        # D4, D6 and Q8 have a centre of order 2, S3, S4 and D5 a trivial one,
-        # and Z4 and Z5 one class per element.  With four generators x_3 and
-        # x_4 are both walked in full for each pair orbit.
-        groups = [S3, S4, quaternion_group()] + [
-            builtin_group(n) for n in ("D4", "D5", "D6", "Z4", "Z5")
+        # D4, D6 and Q8 have a centre of order 2, S3, S4 and D5 a trivial one;
+        # with four generators x_3 and x_4 are both walked in full for each
+        # pair orbit.  Z1, Z4, Z5, Z6 and the non-cyclic V4 are abelian, and
+        # every group is counted from the abelianization at 0 and 1 generators.
+        groups = [S3, S4, quaternion_group(), klein_four_group()] + [
+            builtin_group(n) for n in ("D4", "D5", "D6", "Z1", "Z4", "Z5", "Z6")
         ]
         rng = random.Random(31)
         for ngens in (0, 1, 2, 3, 4):
@@ -179,7 +181,7 @@ class TestCountHoms:
                     rels.append(w("x1 x2 X1 X2"))
                 p = GroupPresentation(ngens, tuple(rels))
                 for group in groups:
-                    if ngens == 4 and group.name not in ("S3", "D4", "Q8", "Z4"):
+                    if ngens == 4 and group.name not in ("S3", "D4", "Q8", "V4", "Z1", "Z4", "Z6"):
                         continue
                     count = count_homs(p, group)
                     assert count == plain_count_homs(p, group) == brute_hom_count(p, group), (
@@ -286,13 +288,28 @@ def _refuse(*args, **kwargs):
 
 
 class TestFingerprintBackends:
-    def test_long_braid_into_Z3_counts_by_the_action(self, monkeypatch):
+    def test_long_braid_into_S3_counts_by_the_action(self, monkeypatch):
         rep = constant_rep(AutF2.parse("aBa,a"), 4)
         braid = random_braid(random.Random(43), 4, 40)
-        z3 = builtin_group("Z3")
-        reference = walk_fingerprint(rep, braid, [z3])
+        reference = walk_fingerprint(rep, braid, [S3])
         monkeypatch.setattr(invariant, "count_homs", _refuse)
-        assert fingerprint(rep, braid, [z3]) == reference
+        assert fingerprint(rep, braid, [S3]) == reference
+
+    def test_abelian_targets_and_cyclic_groups_read_the_abelianization(self, monkeypatch):
+        # Neither the walk nor the action may run: into Z2..Z5, and from a
+        # closed-braid group whose simplified presentation has one generator
+        # (s1 in B_2 gives Z, s1^3 and s1^5 under the type-B core give Z/2),
+        # the counts come from the abelianization alone.
+        long = (constant_rep(AutF2.parse("aBa,a"), 4), random_braid(random.Random(43), 4, 40))
+        cyclic = [(constant_rep(ARTIN_CORE, 2), parse_braid("1", 2))] + [
+            (constant_rep(AutF2.parse("B,a"), 2), BraidWord(2, (1,) * k)) for k in (3, 5)
+        ]
+        assert all(tietze_simplify(presentation(*case)).ngens == 1 for case in cyclic)
+        cases = [(long, GROUPS[:4])] + [(case, [S3, S4]) for case in cyclic]
+        references = [walk_fingerprint(*case, groups) for case, groups in cases]
+        monkeypatch.setattr(invariant, "count_homs", _refuse)
+        monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
+        assert [fingerprint(*case, groups) for case, groups in cases] == references
 
     def test_3_strand_braids_into_S4_count_by_the_walk(self, monkeypatch):
         rep = constant_rep(ARTIN_CORE, 3)
@@ -320,13 +337,16 @@ class TestFingerprintBackends:
         assert fingerprint(rep, braid, [S3]) == reference
 
     def test_walk_estimate_counts_the_pair_orbits(self):
-        # An abelian group's walk visits every tuple.
-        for name, pairs in (("S3", 11), ("S4", 43), ("D4", 28), ("Z5", 25)):
+        # Counts into an abelian group, or from at most one generator, read
+        # the abelianization and walk no tuple.
+        for name, pairs in (("S3", 11), ("S4", 43), ("D4", 28)):
             group = builtin_group(name)
             assert burnside_pair_orbit_count(group) == pairs
-            assert invariant._walk_tuples(group, 1) == len(group.classes)
+            assert invariant._walk_tuples(group, 0) == invariant._walk_tuples(group, 1) == 0
             assert invariant._walk_tuples(group, 2) == pairs
             assert invariant._walk_tuples(group, 3) == pairs * group.order
+        z5 = builtin_group("Z5")
+        assert [invariant._walk_tuples(z5, k) for k in range(4)] == [0, 0, 0, 0]
 
     @staticmethod
     def _count_backends(monkeypatch):

@@ -127,6 +127,13 @@ def quaternion_group() -> FiniteGroupTable:
     return group_from_table("Q8", rows)
 
 
+def klein_four_group() -> FiniteGroupTable:
+    """V4 = Z2 x Z2 from its raw table: the product of a and b is a XOR b.
+
+    It is abelian but not cyclic: every element but the identity has order 2."""
+    return group_from_table("V4", [[a ^ b for b in range(4)] for a in range(4)])
+
+
 def burnside_pair_orbit_count(group: FiniteGroupTable) -> int:
     """Orbits of the group on pairs under simultaneous conjugation, by
     Burnside's lemma: conjugation by h fixes the pairs of elements of the
