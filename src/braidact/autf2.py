@@ -9,6 +9,7 @@ table generates the basis pairs of the classification search.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .words import Word, word_sort_key
@@ -113,7 +114,12 @@ class AutF2:
 
     def inverse(self) -> AutF2:
         """Invert by tracking preimages along a greedy Nielsen reduction, which
-        ends at a and b (up to order and signs) exactly on a basis."""
+        ends at a and b (up to order and signs) exactly on a basis.  The
+        result is kept on the instance, so each core is reduced once."""
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> AutF2:
         mirrors = [_A, _B]
         (u, v), _ = _greedy_reduce(self.image_a, self.image_b, mirrors)
         if len(u) != 1 or len(v) != 1 or {abs(u.letters[0]), abs(v.letters[0])} != {1, 2}:

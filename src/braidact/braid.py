@@ -122,14 +122,12 @@ def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
     """
     if rep.n != b.n:
         raise ValueError(f"strand mismatch: rep has {rep.n}, braid has {b.n}")
-    # Each core used by a negative crossing is inverted once, not per crossing.
-    inverse = {i: rep.cores[i - 1].inverse() for i in {-l for l in b.letters if l < 0}}
     images = list(Endo.identity(rep.n).images)
     size = rep.n
     for k in range(len(b.letters), 0, -1):
         l = b.letters[k - 1]
         i = abs(l)
-        core = rep.cores[i - 1] if l > 0 else inverse[i]
+        core = rep.cores[i - 1] if l > 0 else rep.cores[i - 1].inverse()
         pair = (images[i - 1], images[i])
         images[i - 1] = core.image_a.substitute(pair)
         images[i] = core.image_b.substitute(pair)

@@ -150,11 +150,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    kind = args.family
-    if kind not in COMPONENT_KINDS:
-        raise ValueError(f"unknown component {kind!r} (one of {', '.join(COMPONENT_KINDS)})")
-    vertices = component_vertices(kind, args.r if kind == "A" else None)
-    graph = build_gamma(vertices)
+    graph = build_gamma(component_vertices(args.family, args.r))
     dot = graph.to_dot(name="gamma")
     if args.dot == "-":
         print(dot, end="")
@@ -162,7 +158,7 @@ def _cmd_gamma(args) -> int:
         with open(args.dot, "w") as fh:
             fh.write(dot)
         print(
-            f"component {kind}: {len(graph.vertices)} vertices, "
+            f"component {args.family}: {len(graph.vertices)} vertices, "
             f"{len(graph.edges)} edges -> {args.dot}"
         )
     return 0

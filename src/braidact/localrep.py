@@ -349,24 +349,24 @@ def catalog(fid: FamilyId) -> Quad:
 
 
 @functools.cache
-def _catalog_level(r: int | None):
-    """Read-only index of the fixed families (r None) or the A families at r.
+def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
+    """The one read-only index of the fixed families (r None) or the A
+    families at r: each first core maps to its second cores, each with its
+    first identifier in catalog order.
 
-    Maps each quad to its first identifier in catalog order, and each first
-    core to its (target, first identifier) pairs in order of first sight.
-    Every decorated A quad at r has max word length 2r+1, in its first core
-    too, so a query of length L meets only level None and level (L-1)/2.
+    It answers :func:`identify_quad` and :func:`outgoing_cores`, and through
+    them the successor graph and its components.  Every decorated A quad at
+    r has max word length 2r+1, in its first core too, so a query of length
+    L meets only level None and level (L-1)/2.
     """
-    by_quad: dict[Quad, FamilyId] = {}
-    by_core: dict[AutF2, dict[AutF2, FamilyId]] = {}
+    level: dict[AutF2, dict[AutF2, FamilyId]] = {}
     families = _A_FAMILIES if r is not None else [f for f in FAMILY_TAGS if f not in _A_FAMILIES]
     for family in families:
         for inv, swap, backward in _DECORATIONS:
             fid = FamilyId(family, r, inv, swap, backward)
             q = catalog(fid)
-            by_quad.setdefault(q, fid)
-            by_core.setdefault(q.tau, {}).setdefault(q.kappa, fid)
-    return by_quad, {core: tuple(targets.items()) for core, targets in by_core.items()}
+            level.setdefault(q.tau, {}).setdefault(q.kappa, fid)
+    return level
 
 
 def _levels(word_len: int):
@@ -381,7 +381,8 @@ def _catalog_rank(fid: FamilyId) -> int:
 
 def identify_quad(q: Quad) -> FamilyId | None:
     """First decorated family identifier whose quad equals q, if any."""
-    hits = [fid for by_quad, _ in _levels(q.max_word_length()) if (fid := by_quad.get(q))]
+    tau, kappa = q.tau, q.kappa
+    hits = [fid for level in _levels(q.max_word_length()) if (fid := level.get(tau, {}).get(kappa))]
     return min(hits, key=_catalog_rank, default=None)
 
 
@@ -547,18 +548,16 @@ class GammaGraph:
 
 
 def build_gamma(vertices: Iterable[AutF2]) -> GammaGraph:
-    """Complete directed adjacency (self-loops included) over the vertex set."""
+    """Every edge of the successor graph between the given vertices, self-loops
+    included, labelled as :func:`outgoing_cores` labels it."""
     verts = tuple(sorted(set(vertices), key=aut_sort_key))
     for v in verts:
         if not is_basis(v.image_a, v.image_b):
             raise ValueError(f"vertex ({v}) is not a basis of F_2")
     edges = []
     for v in verts:
-        for w in verts:
-            q = Quad.from_cores(v, w)
-            if check_quad(*q.words).valid:
-                fid = identify_quad(q)
-                edges.append(GammaEdge(v, w, str(fid) if fid is not None else "?"))
+        targets = dict(outgoing_cores(v))
+        edges += [GammaEdge(v, w, str(targets[w])) for w in verts if w in targets]
     return GammaGraph(verts, tuple(edges))
 
 
@@ -566,42 +565,22 @@ COMPONENT_KINDS = ("T", "T'", "A", "B", "C", "D")
 
 
 def component_vertices(kind: str, r: int | None = None) -> tuple[AutF2, ...]:
-    """Vertex set of one connected component of the classification graph."""
-    a_inv = _A.inverse()
-    b_inv = _B.inverse()
+    """Vertex set of one connected component of the classification graph: the
+    cores reachable by :func:`outgoing_cores` from the first core of the
+    kind's first family (T, T', A1 at r, B1, C1 or D1), in breadth-first order.
+    """
+    if kind not in COMPONENT_KINDS:
+        raise ValueError(f"unknown component {kind!r} (one of {', '.join(COMPONENT_KINDS)})")
     if kind == "A":
         if r is None or r < 0:
             raise ValueError("component A needs a parameter r >= 0")
-        raw = [
-            AutF2(_conj_power(r, 2), _A),
-            AutF2(_conj_power(r, -2), a_inv),
-            AutF2(_conj_power(-r, -2), a_inv),
-            AutF2(_conj_power(-r, 2), _A),
-        ]
-    else:
-        if r is not None:
-            raise ValueError(f"component {kind} takes no parameter r")
-        if kind == "T":
-            raw = [AutF2(_A, _B)]
-        elif kind == "T'":
-            raw = [AutF2(_A, b_inv), AutF2(a_inv, _B)]
-        elif kind == "B":
-            raw = [AutF2(b_inv, _A), AutF2(_B, a_inv)]
-        elif kind == "C":
-            raw = [AutF2(Word.parse("aBa"), _A), AutF2(Word.parse("aba"), a_inv)]
-        elif kind == "D":
-            raw = [
-                AutF2(Word.parse("ABa"), Word.parse("bba")),
-                AutF2(Word.parse("abA"), Word.parse("bbA")),
-                AutF2(Word.parse("Aba"), Word.parse("Abb")),
-                AutF2(Word.parse("aBA"), Word.parse("abb")),
-            ]
-        else:
-            raise ValueError(f"unknown component kind {kind!r}")
-    out: list[AutF2] = []
-    for v in raw:
-        if v not in out:
-            out.append(v)
+    elif r is not None:
+        raise ValueError(f"component {kind} takes no parameter r")
+    out = [base_quad(kind if kind in FAMILY_TAGS else kind + "1", r).tau]
+    for v in out:  # breadth first: the loop also visits the vertices it appends
+        for w, _ in outgoing_cores(v):
+            if w not in out:
+                out.append(w)
     return tuple(out)
 
 
@@ -621,7 +600,7 @@ def outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:
     edge set, self-loop included; each target keeps its first identifier.
     """
     word_len = max(len(core.image_a), len(core.image_b))
-    found = [e for _, by_core in _levels(word_len) for e in by_core.get(core, ())]
+    found = [e for level in _levels(word_len) for e in level.get(core, {}).items()]
     out: dict[AutF2, FamilyId] = {}
     for target, fid in sorted(found, key=lambda e: _catalog_rank(e[1])):
         out.setdefault(target, fid)

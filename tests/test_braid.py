@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidact import braid
+from braidact import autf2, braid
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import (
     BraidWord,
@@ -175,6 +175,23 @@ class TestEndoOfBraid:
         rep = constant_rep(AutF2.parse("aBa,a"), 3)
         b = parse_braid("1 2 -1 2", 3)
         assert endo_of_braid(rep, b).compose(endo_of_braid(rep, b.inverse())).is_identity()
+
+    def test_each_core_is_inverted_once(self, monkeypatch):
+        # Two distinct cores, each crossed negatively in both calls: the
+        # Nielsen reduction behind AutF2.inverse runs once per core.
+        rep = rep_from_cores((AutF2.parse("B,a"), AutF2.parse("b,A")))
+        reductions = []
+
+        def counting(*args):
+            reductions.append(args[:2])
+            return greedy(*args)
+
+        greedy = autf2._greedy_reduce
+        monkeypatch.setattr(autf2, "_greedy_reduce", counting)
+        b = parse_braid("-1 -2 -1", 3)
+        first = endo_of_braid(rep, b)
+        assert endo_of_braid(rep, b) == first
+        assert len(reductions) == 2
 
     def test_refuses_oversized_images(self, monkeypatch):
         rep = constant_rep(ARTIN_CORE, 2)

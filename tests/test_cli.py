@@ -113,6 +113,13 @@ class TestGamma:
     def test_unknown_component(self, capsys):
         code, _, err = run(capsys, "gamma", "--family", "X", "--dot", "-")
         assert code == 1
+        assert err == "error: unknown component 'X' (one of T, T', A, B, C, D)\n"
+
+    def test_r_on_fixed_component_exits_one(self, capsys):
+        code, out, err = run(capsys, "gamma", "--family", "B", "--r", "3", "--dot", "-")
+        assert code == 1
+        assert out == ""
+        assert err == "error: component B takes no parameter r\n"
 
 
 class TestAct:

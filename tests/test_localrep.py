@@ -391,6 +391,23 @@ class TestGamma:
                 fid = FamilyId.parse(e.label)
                 assert catalog(fid) == Quad.from_cores(e.src, e.dst)
 
+    def test_edges_and_labels_match_the_definition(self):
+        # The graph comes from the catalog index; the oracle is the
+        # definition: an edge for each vertex pair that passes check_quad,
+        # labelled by a linear scan of the catalog.
+        components = [(kind, None) for kind in ("T", "T'", "B", "C", "D")]
+        components += [("A", r) for r in range(6)]
+        for kind, r in components:
+            vertices = component_vertices(kind, r)
+            g = build_gamma(vertices)
+            expected = {
+                (v, w_) for v in vertices for w_ in vertices
+                if check_quad(*Quad.from_cores(v, w_).words).valid
+            }
+            assert {(e.src, e.dst) for e in g.edges} == expected, (kind, r)
+            for e in g.edges:
+                assert e.label == str(scan_identify_quad(Quad.from_cores(e.src, e.dst)))
+
     def test_non_basis_vertex_rejected(self):
         with pytest.raises(ValueError):
             build_gamma([AutF2(Word.parse("aa"), Word.parse("b"))])
