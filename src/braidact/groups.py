@@ -2,8 +2,9 @@
 
 Tables are validated on construction (identity, inverses, associativity
 by Light's test), so downstream counting loops can trust them blindly.
-Construction also splits the group into its conjugacy classes, and unless
-it is abelian its pairs of elements into orbits under simultaneous conjugation.
+Construction also records each element's order and splits the group into
+its conjugacy classes, and unless it is abelian its pairs of elements into
+orbits under simultaneous conjugation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class FiniteGroupTable:
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
+    # The order of each element: the least m >= 1 with x^m the identity.
+    orders: tuple[int, ...]
     # (representative, class size) per conjugacy class; the representative is
     # the class's lowest element, and the classes come in that order.
     classes: tuple[tuple[int, int], ...]
@@ -105,6 +108,12 @@ def group_from_table(name: str, rows: list[list[int]]) -> FiniteGroupTable:
             new = {table[x][g] for g in gens} - reached
             reached |= new
             frontier += new
+    orders = []
+    for x in range(order):
+        cur, m = x, 1
+        while cur != identity:
+            cur, m = table[cur][x], m + 1
+        orders.append(m)
     classes = []
     seen: set[int] = set()
     for x in range(order):
@@ -112,8 +121,9 @@ def group_from_table(name: str, rows: list[list[int]]) -> FiniteGroupTable:
             cls = {table[table[inverse[h]][x]][h] for h in range(order)}
             seen |= cls
             classes.append((x, len(cls)))
+    orbits = _pair_orbits(table, inverse, classes)
     return FiniteGroupTable(
-        name, table, identity, tuple(inverse), tuple(classes), _pair_orbits(table, inverse, classes)
+        name, table, identity, tuple(inverse), tuple(orders), tuple(classes), orbits
     )
 
 

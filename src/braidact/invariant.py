@@ -123,22 +123,75 @@ def abelian_invariants(p: GroupPresentation) -> tuple[int, ...]:
 def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms into the group.
 
-    Into an abelian group, or from at most one generator, every hom factors
-    through the abelianization, and the count is read from its invariant
-    factors.  Otherwise conjugation by h permutes the homs, so each orbit of
-    H on pairs (x_1, x_2) under simultaneous conjugation (pair_orbits) adds
-    its size times the homs that send (x_1, x_2) to its representative.
-    That walks (1/|H|) sum_h |C_H(h)|^2 pairs times |H|^(k-2) values of
-    x_3..x_k; each tuple evaluates the relators by table lookups until one
-    fails.
+    Into an abelian group every hom factors through the abelianization, and
+    the count is read from its invariant factors.  Otherwise the
+    presentation is split into its free factors (_free_factors), and since
+    Hom(A * B, H) = Hom(A, H) x Hom(B, H) the count is the product of the
+    factors' counts.  A factor on one generator is cyclic, and its count is
+    read from its invariant factor.  On a factor with k >= 2 generators,
+    conjugation by h permutes the homs, so each orbit of H on pairs
+    (x_1, x_2) under simultaneous conjugation (pair_orbits) adds its size
+    times the homs that send (x_1, x_2) to its representative.  That walks
+    (1/|H|) sum_h |C_H(h)|^2 pairs times |H|^(k-2) values of x_3..x_k; each
+    tuple evaluates the relators by table lookups until one fails.
 
-    Refuses (raises ValueError) when the candidate tuple space |H|^k exceeds
-    MAX_HOM_TUPLES, whichever rule counts; it never truncates silently.
+    Refuses (raises ValueError) when the candidate tuple space |H|^n of the
+    whole presentation exceeds MAX_HOM_TUPLES, whichever rule counts; it
+    never truncates silently.
     """
-    n = p.ngens
-    _check_hom_budget(group, n)
-    if n < 2 or not group.pair_orbits:  # only an abelian group stores no pair orbits
+    _check_hom_budget(group, p.ngens)
+    if not group.pair_orbits:  # only an abelian group stores no pair orbits
         return _homs_from_abelianization(abelian_invariants(p), group)
+    cyclic, walked = _free_factors(p)
+    count = _homs_from_abelianization(cyclic, group)
+    for f in walked:
+        count *= _walk_homs(f, group)
+    return count
+
+
+def _free_factors(p: GroupPresentation) -> tuple[tuple[int, ...], list[GroupPresentation]]:
+    """p as a free product: the generators linked by sharing a nonempty
+    relator form one factor, and a generator in no relator is a factor
+    < x | > of its own.
+
+    Returns the invariant factors of the factors on one generator, which are
+    cyclic (0 for Z, none for the trivial group), and the factors on two or
+    more generators, renumbered from x_1 in order and keeping the order of
+    their nonempty relators.  A presentation on two or more generators that
+    does not split comes back as it is.
+    """
+    # block[g] is the lowest generator of g's class so far.
+    block = list(range(p.ngens + 1))
+    for r in p.relators:
+        gens = set(map(abs, r.letters))
+        if len(gens) == p.ngens >= 2:
+            return (), [p]
+        linked = set(map(block.__getitem__, gens))
+        if len(linked) > 1:
+            lowest = min(linked)
+            block = [lowest if b in linked else b for b in block]
+    if p.ngens >= 2 and block.count(1) == p.ngens:
+        return (), [p]
+    cyclic = []
+    walked = []
+    for head in sorted(set(block[1:])):
+        gens = [g for g in range(1, p.ngens + 1) if block[g] == head]
+        relators = [r for r in p.relators if r and block[abs(r.letters[0])] == head]
+        if len(gens) == 1:
+            d = math.gcd(*(r.exponent_sum(head) for r in relators))
+            if d != 1:
+                cyclic.append(d)
+            continue
+        new = {s * g: s * i for i, g in enumerate(gens, start=1) for s in (1, -1)}
+        relators = [Word(tuple(map(new.__getitem__, r.letters))) for r in relators]
+        walked.append(GroupPresentation(len(gens), tuple(relators)))
+    return tuple(cyclic), walked
+
+
+def _walk_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
+    """The homs into a non-abelian group from p on at least two generators,
+    one pair orbit of (x_1, x_2) at a time."""
+    n = p.ngens
     # A tuple's images hold the values of x_1, x_2, then their inverses, then
     # the values of x_3..x_k, then their inverses.
     relators = [
@@ -180,23 +233,19 @@ def _check_hom_budget(group: FiniteGroupTable, ngens: int) -> None:
 
 
 def _homs_from_abelianization(factors: tuple[int, ...], group: FiniteGroupTable) -> int:
-    """|Hom(G, H)| for H abelian or G cyclic: the product over G's invariant
-    factors d (0 for Z) of #{h : h^d = e}, the h whose order divides d."""
-    orders = []
-    for h in range(group.order):
-        cur, order = h, 1
-        while cur != group.identity:
-            cur, order = group.table[cur][h], order + 1
-        orders.append(order)
-    return math.prod(sum(d % order == 0 for order in orders) for d in factors)
+    """The product over the factors d (0 for Z) of |Hom(Z/d, H)|, the number
+    of h whose order divides d.  That is |Hom(G, H)| when G is the free
+    product of these cyclic groups, or when H is abelian and they are G's
+    invariant factors."""
+    return math.prod(sum(d % order == 0 for order in group.orders) for d in factors)
 
 
-def _walk_tuples(group: FiniteGroupTable, ngens: int) -> int:
-    """The tuples count_homs walks for ngens generators, or 0 when it reads
-    the abelianization instead."""
-    if ngens < 2:
-        return 0
-    return sum(len(reps) for _, reps in group.pair_orbits) * group.order ** (ngens - 2)
+def _walk_tuples(group: FiniteGroupTable, walked: list[GroupPresentation]) -> int:
+    """The tuples count_homs walks over these free factors, each on k >= 2
+    generators: P(H) |H|^(k-2) per factor, and none into an abelian group."""
+    return sum(
+        len(reps) * group.order ** (f.ngens - 2) for f in walked for _, reps in group.pair_orbits
+    )
 
 
 def pair_action(core: AutF2, group: FiniteGroupTable) -> tuple[int, ...]:
@@ -418,14 +467,23 @@ def fingerprint_report(
 
     Both measurements are invariants of the group, so the simplification
     only buys speed.  The abelianization, computed once, gives each hom
-    count into an abelian group or from at most one simplified generator.
-    Every other count comes from count_homs on the simplified presentation
-    or from count_homs_by_action, whichever should cost less for that group;
-    all three rules are exact.
+    count into an abelian group.  When some group is non-abelian, the
+    simplified presentation is also split once into its free factors, and
+    a count into a non-abelian group is the product over the factors: each
+    cyclic factor's count is read from its invariant factor, and each
+    factor on two or more generators is walked by count_homs.  Where some
+    factor would be walked, the count may come from count_homs_by_action
+    instead, whichever should cost less for that group; all three rules
+    are exact.
     """
+    groups = tuple(groups)
     pres = presentation(rep, braid)
     simplified = tietze_simplify(pres)
     factors = abelian_invariants(simplified)
+    if simplified.ngens >= 2 and any(g.pair_orbits for g in groups):
+        cyclic, walkable = _free_factors(simplified)
+    else:  # a cyclic group is its own one free factor; abelian groups need no split
+        cyclic, walkable = factors, []
     # In table lookups per point: the action makes one per crossing and about
     # 12 per distinct letter to build that letter's list; the walk visits
     # _walk_tuples tuples, which mostly fail within the first relator.
@@ -434,14 +492,18 @@ def fingerprint_report(
     counts = []
     for g in groups:
         states = g.order**rep.n
-        walked = _walk_tuples(g, simplified.ngens)
-        if not walked:
-            _check_hom_budget(g, simplified.ngens)
-            counts.append((g.name, _homs_from_abelianization(factors, g)))
-        elif states <= ACTION_STATES_CHOSEN and states * action_steps < walked * walk_steps:
+        walked = _walk_tuples(g, walkable)
+        if walked and states <= ACTION_STATES_CHOSEN and states * action_steps < walked * walk_steps:
             counts.append((g.name, count_homs_by_action(rep, braid, g)))
+            continue
+        _check_hom_budget(g, simplified.ngens)
+        if g.pair_orbits:
+            count = _homs_from_abelianization(cyclic, g)
+            for f in walkable:
+                count *= count_homs(f, g)
         else:
-            counts.append((g.name, count_homs(simplified, g)))
+            count = _homs_from_abelianization(factors, g)
+        counts.append((g.name, count))
     return pres, simplified, Fingerprint(factors, tuple(sorted(counts)))
 
 

@@ -210,6 +210,30 @@ class TestInvariant:
             '    "X3 X2 x3 x1 X3 x2"\n  ]\n}\n'
         )
 
+    def test_golden_output_of_a_split_link(self, capsys):
+        # The Hopf link plus a split unknot: x3 is a free factor of its own.
+        argv = (
+            "invariant", "--rep", "artin", "--n", "3", "--braid", "1 1",
+            "--homs", "S3,S4,Z2",
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (
+            "presentation: gens: 3; relators: x1 x2 x1 X2 X1 X1, x1 x2 X1 X2\n"
+            "simplified: gens: 3; relators: x2 x1 X2 X1, x1 x2 X1 X2\n"
+            "abelianization (invariant factors, 0 = free): [0, 0, 0]\n"
+            "hom count into S3: 108\n"
+            "hom count into S4: 2880\n"
+            "hom count into Z2: 8\n"
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == (
+            '{\n  "abelianization": [\n    0,\n    0,\n    0\n  ],\n  "generators": 3,\n'
+            '  "hom_counts": {\n    "S3": 108,\n    "S4": 2880,\n    "Z2": 8\n  },\n'
+            '  "relators": [\n    "x1 x2 x1 X2 X1 X1",\n    "x1 x2 X1 X2"\n  ]\n}\n'
+        )
+
     def test_wada_alias_with_r(self, capsys):
         code, out, _ = run(
             capsys, "invariant", "--rep", "wada:A1:r=1", "--n", "2", "--braid", "1 1 1"

@@ -9,7 +9,7 @@ from braidact.groups import (
     symmetric_group,
 )
 
-from .util import burnside_pair_orbit_count, quaternion_group
+from .util import burnside_pair_orbit_count, klein_four_group, quaternion_group
 
 
 class TestBuilders:
@@ -160,7 +160,28 @@ class TestClasses:
 
 
 def _group(name):
+    if name == "V4":
+        return klein_four_group()
     return quaternion_group() if name == "Q8" else builtin_group(name)
+
+
+def _power_order(group, x):
+    """The size of the cyclic subgroup of x, from its powers x^1..x^|H|."""
+    powers, cur = set(), group.identity
+    for _ in range(group.order):
+        cur = group.mul(x, cur)
+        powers.add(cur)
+    return len(powers)
+
+
+class TestOrders:
+    @pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8", "V4", "Z6"])
+    def test_orders_match_the_powers(self, name):
+        group = _group(name)
+        assert group.orders == tuple(_power_order(group, x) for x in range(group.order))
+
+    def test_relabelled_identity_has_order_one(self):
+        assert group_from_table("flipped", [[1, 0], [0, 1]]).orders == (2, 1)
 
 
 def _pairs(group):

@@ -33,6 +33,7 @@ from braidact.words import Word
 from .util import (
     brute_hom_count,
     burnside_pair_orbit_count,
+    disjoint_union,
     klein_four_group,
     plain_count_homs,
     quaternion_group,
@@ -209,6 +210,57 @@ class TestCountHoms:
         d4 = builtin_group("D4")
         assert count_homs(p, d4) == brute_hom_count(p, d4) == 8
 
+    def test_free_product_of_cyclic_groups_reads_each_factor(self):
+        # Z/2 * Z/3 into S4: 10 elements of order dividing 2 times 9 of order
+        # dividing 3.  Its abelianization Z/6 would allow only 18 homs.
+        p = pres(2, "x1 x1", "x2 x2 x2")
+        assert abelian_invariants(p) == (6,)
+        assert invariant._homs_from_abelianization((6,), S4) == 18
+        assert count_homs(p, S4) == brute_hom_count(p, S4) == 90
+
+    def test_free_factors_renumber_interleaved_generators(self):
+        # The commutator lives on x1 and x3, the square on x2 and x4 is free;
+        # the empty relator belongs to no factor.
+        u = disjoint_union(pres(2, "x1 x2 X1 X2", ""), pres(2, "x1 x1"))
+        assert str(u) == "gens: 4; relators: x1 x3 X1 X3, 1, x2 x2"
+        assert invariant._free_factors(u) == ((2, 0), [pres(2, "x1 x2 X1 X2")])
+        # A generator whose relators have coprime exponent sums is trivial.
+        assert invariant._free_factors(pres(3, "x2 x2", "x2 x2 x2")) == ((0, 0), [])
+        connected = pres(3, "x1 x3", "x3 x2 x2")
+        assert invariant._free_factors(connected) == ((), [connected])
+
+    def test_free_products_match_both_oracles(self):
+        # A factor may leave one generator out of its relators, and may
+        # carry an empty relator; the union interleaves the factors'
+        # generators, so the split has to renumber them.
+        groups = [S3, S4, builtin_group("D4"), quaternion_group(), klein_four_group()]
+        groups.append(builtin_group("Z6"))
+        rng = random.Random(61)
+
+        def factor(ngens):
+            used = rng.sample(range(1, ngens + 1), rng.randint(max(ngens - 1, 0), ngens))
+            letters = [s * g for g in used for s in (1, -1)]
+            rels = [Word(rng.choice(letters) for _ in range(rng.randint(2, 6))) for _ in used[:2]]
+            if len(used) >= 2 and rng.random() < 0.5:
+                rels.append(Word((used[0], used[1], -used[0], -used[1])))
+            if rng.random() < 0.3:
+                rels.insert(rng.randint(0, len(rels)), Word(()))
+            return GroupPresentation(ngens, tuple(rels))
+
+        # At four generators S4 takes 331,776 tuples per oracle, so only the
+        # splits 1 + 3 and 2 + 2 run there.
+        splits = [(left, total - left) for total in range(4) for left in range(total + 1)]
+        for left, right in splits + [(1, 3), (2, 2)]:
+            for _ in range(2 if left + right < 4 else 1):
+                p, q = factor(left), factor(right)
+                u = disjoint_union(p, q)
+                for group in groups:
+                    count = count_homs(u, group)
+                    assert count == count_homs(p, group) * count_homs(q, group)
+                    assert count == plain_count_homs(u, group) == brute_hom_count(u, group), (
+                        str(u), group.name,
+                    )
+
 
 class TestCountHomsByAction:
     def test_matches_walk_and_brute_oracles_on_random_braids(self):
@@ -337,16 +389,47 @@ class TestFingerprintBackends:
         assert fingerprint(rep, braid, [S3]) == reference
 
     def test_walk_estimate_counts_the_pair_orbits(self):
-        # Counts into an abelian group, or from at most one generator, read
-        # the abelianization and walk no tuple.
+        # Counts into an abelian group, or from a factor on at most one
+        # generator, read the abelianization and walk no tuple.
+        def connected(k):
+            return invariant._free_factors(GroupPresentation(k, (Word(range(1, k + 1)),)))[1]
+
         for name, pairs in (("S3", 11), ("S4", 43), ("D4", 28)):
             group = builtin_group(name)
             assert burnside_pair_orbit_count(group) == pairs
-            assert invariant._walk_tuples(group, 0) == invariant._walk_tuples(group, 1) == 0
-            assert invariant._walk_tuples(group, 2) == pairs
-            assert invariant._walk_tuples(group, 3) == pairs * group.order
+            walk = invariant._walk_tuples
+            assert walk(group, connected(0)) == walk(group, connected(1)) == 0
+            assert walk(group, connected(2)) == pairs
+            assert walk(group, connected(3)) == pairs * group.order
         z5 = builtin_group("Z5")
-        assert [invariant._walk_tuples(z5, k) for k in range(4)] == [0, 0, 0, 0]
+        assert [invariant._walk_tuples(z5, connected(k)) for k in range(4)] == [0, 0, 0, 0]
+
+    def test_split_hopf_link_walks_only_its_linked_pair(self, monkeypatch):
+        # s1^2 on 3 strands closes to the Hopf link plus a split unknot,
+        # < x1, x2 | [x1, x2] > * < x3 >: the walk visits S4's 43 pair
+        # orbits instead of 43 * 24 = 1,032 tuples.
+        rep, braid = constant_rep(ARTIN_CORE, 3), parse_braid("1 1", 3)
+        simplified = tietze_simplify(presentation(rep, braid))
+        cyclic, walked = invariant._free_factors(simplified)
+        assert simplified.ngens == 3 and cyclic == (0,) and [f.ngens for f in walked] == [2]
+        assert invariant._walk_tuples(S4, [simplified]) == 1032
+        assert invariant._walk_tuples(S4, walked) == 43
+        reference = walk_fingerprint(rep, braid, [S4])
+        monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
+        fp = fingerprint(rep, braid, [S4])
+        assert fp == reference and fp.hom_count("S4") == 2880
+
+    def test_free_product_of_cyclic_groups_walks_nothing(self, monkeypatch):
+        # Under the type-B core, s1^2 s3 on 4 strands closes to
+        # Z/2 * Z/2 * Z/2: ten elements of S4 square to the identity.
+        rep, braid = constant_rep(AutF2.parse("B,a"), 4), BraidWord(4, (1, 1, 3))
+        simplified = tietze_simplify(presentation(rep, braid))
+        assert invariant._free_factors(simplified) == ((2, 2, 2), [])
+        reference = walk_fingerprint(rep, braid, [S3, S4])
+        monkeypatch.setattr(invariant, "count_homs", _refuse)
+        monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
+        fp = fingerprint(rep, braid, [S3, S4])
+        assert fp == reference and fp.hom_count("S4") == 1000
 
     @staticmethod
     def _count_backends(monkeypatch):

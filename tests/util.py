@@ -108,6 +108,24 @@ def plain_count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     return count
 
 
+def disjoint_union(p: GroupPresentation, q: GroupPresentation) -> GroupPresentation:
+    """The free product p * q as one presentation, its generators interleaved:
+    p's x_i and q's x_i take x_{2i-1} and x_{2i} while both have one, then
+    the rest follow in order.  p's relators come first, each kept as given
+    (empty ones too)."""
+    places: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for pair in itertools.zip_longest(range(1, p.ngens + 1), range(1, q.ngens + 1)):
+        for side, g in zip(places, pair):
+            if g is not None:
+                side[g] = len(places[0]) + len(places[1]) + 1
+    relators = tuple(
+        Word(tuple(place[l] if l > 0 else -place[-l] for l in r.letters))
+        for place, factor in zip(places, (p, q))
+        for r in factor.relators
+    )
+    return GroupPresentation(p.ngens + q.ngens, relators)
+
+
 def quaternion_group() -> FiniteGroupTable:
     """Q8 from its raw table: element 4 s + u is (-1)^s q_u, q = (1, i, j, k).
 
