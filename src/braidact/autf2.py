@@ -24,7 +24,10 @@ __all__ = [
 
 _A = Word((1,))
 _B = Word((2,))
-_ABAB = Word((1, 2, -1, -2))
+# The cyclic words conjugate to [a, b] = abAB or to its inverse baBA.
+_BASIS_COMMUTATORS = frozenset(
+    w[k:] + w[:k] for w in ((1, 2, -1, -2), (2, 1, -2, -1)) for k in range(4)
+)
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -35,13 +38,14 @@ def is_basis(image_a: Word, image_b: Word) -> bool:
     """Whether a |-> image_a, b |-> image_b extends to an automorphism of F_2.
 
     The pair is a basis exactly when the commutator of the images is
-    conjugate to the commutator of the generators or to its inverse.
+    conjugate to the commutator of the generators or to its inverse, that
+    is, when its cyclic core is a rotation of abAB or of baBA.
     """
     for w in (image_a, image_b):
         if w.max_generator() > 2:
             raise ValueError("basis test is defined for words over a, b only")
-    c = commutator(image_a, image_b)
-    return c.is_conjugate(_ABAB) or c.is_conjugate(_ABAB.inverse())
+    core, _ = commutator(image_a, image_b).cyclically_reduce()
+    return len(core) == 4 and core.letters in _BASIS_COMMUTATORS
 
 
 # The elementary multiplications, in a fixed tie-break order: either entry

@@ -28,7 +28,7 @@ __all__ = [
 # Battery used by the invariant fingerprints unless the caller says otherwise.
 DEFAULT_FINGERPRINT_GROUPS = ("Z2", "Z3", "Z4", "Z5", "S3", "S4")
 
-_NAME = re.compile(r"([ZSD])([1-9][0-9]*)")
+_NAME = re.compile(r"([ZSD])([0-9]+)")
 
 
 @dataclass(frozen=True)

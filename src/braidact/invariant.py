@@ -326,8 +326,13 @@ def count_homs_by_action(rep: LocalRep, braid: BraidWord, group: FiniteGroupTabl
     return sum(map(operator.eq, points, range(states)))
 
 
-def _renumber(w: Word, gone: int) -> Word:
-    return Word(tuple(l - (1 if l > gone else 0) + (1 if l < -gone else 0) for l in w.letters))
+def _solve(relator: Word, g: int) -> Word:
+    """The word x_g equals where the cyclic relator holds, when x_g occurs in
+    it exactly once: rotated to x_g^e u = 1, x_g is u^-1 (e = 1) or u."""
+    ls = relator.letters
+    pos = next(k for k, l in enumerate(ls) if abs(l) == g)
+    u = Word(ls[pos + 1 :] + ls[:pos])
+    return u.inverse() if ls[pos] > 0 else u
 
 
 def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
@@ -354,18 +359,11 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
         if choice is None:
             break
         _, ri, gone = choice
-        r = relators.pop(ri)
-        pos = next(k for k, l in enumerate(r.letters) if abs(l) == gone)
-        rotated = r.letters[pos:] + r.letters[:pos]
-        u = Word(rotated[1:])
-        replacement = u.inverse() if rotated[0] > 0 else u
-        replacement = _renumber(replacement, gone)
-        images = []
-        for m in range(1, ngens + 1):
-            if m == gone:
-                images.append(replacement)
-            else:
-                images.append(Word.gen(m - (1 if m > gone else 0)))
+        # One substitution renumbers x_m to x_{m-1} above the eliminated
+        # generator and replaces it by its renumbered solution.  The solution
+        # has no x_gone, so it is renumbered before its own image is set.
+        images = [Word.gen(m - (m > gone)) for m in range(1, ngens + 1)]
+        images[gone - 1] = _solve(relators.pop(ri), gone).substitute(images)
         relators = [rel.substitute(images) for rel in relators]
         ngens -= 1
     return GroupPresentation(ngens, tuple(relators))
@@ -389,17 +387,10 @@ def _s1_side(core: AutF2) -> tuple[str, str]:
     relator = (core.image_b * Word.gen(2, -1)).cyclically_reduce()[0]
     if not relator:
         return "fails", "relator is trivial, quotient is free of rank 2"
-    counts = {1: 0, 2: 0}
-    for l in relator.letters:
-        counts[abs(l)] += 1
     for single, other in ((1, 2), (2, 1)):
-        if counts[single] == 1:
-            pos = next(k for k, l in enumerate(relator.letters) if abs(l) == single)
-            rotated = relator.letters[pos:] + relator.letters[:pos]
-            m = sum(1 if l == other else -1 for l in rotated[1:])
-            k = -m if rotated[0] > 0 else m
-            names = {1: "a", 2: "b"}
-            s, o = names[single], names[other]
+        if relator.letters.count(single) + relator.letters.count(-single) == 1:
+            k = _solve(relator, single).exponent_sum(other)
+            s, o = "ab"[single - 1], "ab"[other - 1]
             if k == 1:
                 return "holds", f"relator {relator.text(2)} forces {s} = {o}"
             if k == -1:

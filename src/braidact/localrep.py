@@ -312,6 +312,10 @@ class FamilyId:
         inv = swap = backward = False
         for part in parts[1:]:
             if part.startswith("r="):
+                if not part[2:].removeprefix("-").isdecimal():
+                    raise ValueError(f"bad parameter {part!r} in {text!r}")
+                if r is not None:
+                    raise ValueError(f"repeated parameter {part!r} in {text!r}")
                 r = int(part[2:])
             else:
                 rest = part

@@ -1,12 +1,17 @@
 """Smith normal form over the integers, with exact arithmetic.
 
-Python integers are unbounded, so no overflow handling is needed; the
-pivot is always a smallest-magnitude nonzero entry, which keeps the
-intermediate coefficients tame in practice.
+Two phases.  First diagonalize: pivot on a smallest-magnitude nonzero
+entry, reduce its row and its column modulo the pivot, and delete both
+once they are clear; a nonzero remainder becomes a smaller pivot.  Then
+put the diagonal in divisibility order by replacing each pair
+(d_i, d_j), i < j, with (gcd, lcm), since diag(d_i, d_j) and
+diag(gcd, lcm) are equivalent over Z.  Python integers are unbounded, so
+no overflow handling is needed.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 __all__ = ["smith_normal_form"]
@@ -25,62 +30,33 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     if any(len(row) != n for row in a):
         raise ValueError("matrix rows must have equal length")
 
-    t = 0
-    while t < m and t < n:
-        # Smallest-magnitude nonzero entry of the trailing block as pivot.
-        pivot = None
-        best = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (pivot is None or abs(v) < best):
-                    pivot = (i, j)
-                    best = abs(v)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-
-        while True:
-            # Clear column t below the pivot with row operations.
-            dirty = False
-            for i in range(t + 1, m):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            # Clear row t to the right with column operations.
-            for j in range(t + 1, n):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            # Make the pivot divide the rest of the block.
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        t += 1
-
     size = min(m, n)
-    return [abs(a[i][i]) for i in range(size)]
+    diag = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        pivot_row, p = a[i], a[i][j]
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                q = row[j] // p
+                a[k] = [x - q * y for x, y in zip(row, pivot_row)]
+        for col, v in enumerate(pivot_row):
+            if col != j and v:
+                q = v // p
+                for row in a:
+                    row[col] -= q * row[j]
+        # Alone in its row and column, the pivot is a diagonal entry.
+        if sum(map(bool, pivot_row)) == 1 and sum(bool(row[j]) for row in a) == 1:
+            diag.append(abs(p))
+            del a[i]
+            for row in a:
+                del row[j]
+    diag += [0] * (size - len(diag))
+
+    # diag(d_i, d_j) ~ diag(gcd, lcm); zeros end last since lcm(0, d) = 0.
+    for i in range(size):
+        for j in range(i + 1, size):
+            diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
+    return diag

@@ -52,6 +52,15 @@ class TestIsBasis:
                         (p, q), _ = nielsen_reduce(u, v)
                         assert is_basis(u, v) == (len(p) == 1 and len(q) == 1)
 
+    def test_agreement_with_nielsen_on_all_pairs_up_to_3_letters(self):
+        # A basis reduces to two one-letter words on distinct generators.
+        words = reduced_words(3)
+        for u in words:
+            for v in words:
+                (p, q), _ = nielsen_reduce(u, v)
+                ends_at_basis = len(p) == len(q) == 1 and abs(p.letters[0]) != abs(q.letters[0])
+                assert is_basis(u, v) == ends_at_basis
+
     def test_agreement_with_nielsen_random_long(self):
         rng = random.Random(20240811)
         for _ in range(300):

@@ -94,6 +94,22 @@ class TestCatalog:
         assert code == 1
         assert "needs a parameter" in err
 
+    def test_bad_or_repeated_r_exits_one(self, capsys):
+        reasons = {
+            "A1:r=x": "bad parameter 'r=x' in 'A1:r=x'",
+            "A1:r=1.5": "bad parameter 'r=1.5' in 'A1:r=1.5'",
+            "A1:r=1:r=2": "repeated parameter 'r=2' in 'A1:r=1:r=2'",
+        }
+        for family, reason in reasons.items():
+            code, out, err = run(capsys, "catalog", "--family", family)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {reason}\n"
+        code, out, err = run(
+            capsys, "invariant", "--rep", "wada:A1:r=", "--n", "2", "--braid", "1"
+        )
+        assert (code, out, err) == (1, "", "error: bad parameter 'r=' in 'A1:r='\n")
+
 
 class TestGamma:
     def test_dot_file(self, capsys, tmp_path):
@@ -256,6 +272,22 @@ class TestInvariant:
         reasons = {
             "Z1000": "cyclic group Z1000 is too large for table form",
             "S7": "symmetric groups are supported for 1 <= n <= 6",
+        }
+        for name, reason in reasons.items():
+            code, out, err = run(
+                capsys,
+                "invariant", "--rep", "artin", "--n", "2", "--braid", "1",
+                "--homs", name,
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {reason}\n"
+
+    def test_zero_order_builtin_group_reports_its_reason(self, capsys):
+        reasons = {
+            "Z0": "cyclic group order must be >= 1",
+            "S0": "symmetric groups are supported for 1 <= n <= 6",
+            "D0": "dihedral groups are supported for n >= 2",
         }
         for name, reason in reasons.items():
             code, out, err = run(

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidact import invariant
-from braidact.autf2 import AutF2
+from braidact.autf2 import AutF2, is_basis
 from braidact.braid import BraidWord, parse_braid
 from braidact.groups import builtin_group
 from braidact.invariant import (
@@ -35,8 +35,11 @@ from .util import (
     burnside_pair_orbit_count,
     disjoint_union,
     klein_four_group,
+    one_relator_side,
     plain_count_homs,
     quaternion_group,
+    reduced_words,
+    renumbering_tietze,
     scan_family_ids,
     walk_fingerprint,
 )
@@ -521,6 +524,34 @@ class TestTietze:
             assert abelian_invariants(simplified) == abelian_invariants(p)
             assert count_homs(simplified, S3) == count_homs(p, S3)
 
+    def test_matches_renumbering_oracle_on_braid_presentations(self):
+        rng = random.Random(29)
+        cores = ACTION_CORES + [AutF2.parse("Aba,a")]
+        seen = 0
+        for core in cores:
+            for n in range(2, 6):
+                rep = constant_rep(core, n)
+                for _ in range(22):
+                    p = presentation(rep, random_braid(rng, n, rng.randint(0, 9)))
+                    assert tietze_simplify(p).text() == renumbering_tietze(p).text()
+                    seen += 1
+        assert seen >= 500
+
+    def test_matches_renumbering_oracle_on_random_presentations(self):
+        # Relators over a random subset of the generators, so some generators
+        # occur in no relator, and some relators empty or reducing to empty.
+        rng = random.Random(31)
+        for _ in range(1000):
+            ngens = rng.randint(0, 5)
+            used = rng.sample(range(1, ngens + 1), rng.randint(0, ngens))
+            letters = [s * g for g in used for s in (1, -1)]
+            rels = []
+            for _ in range(rng.randint(0, 4)):
+                length = rng.randint(0, 8) if letters else 0
+                rels.append(Word(rng.choice(letters) for _ in range(length)))
+            p = GroupPresentation(ngens, tuple(rels))
+            assert tietze_simplify(p).text() == renumbering_tietze(p).text()
+
 
 class TestCheckS1:
     def test_artin_core_holds(self):
@@ -550,6 +581,17 @@ class TestCheckS1:
             assert report.status == "fails"
             assert report.witness.count("forces a = b") == 2
             assert report.witness.count("forces a = b^-1") == 1
+
+    def test_matches_one_relator_oracle(self, monkeypatch):
+        words = reduced_words(3)
+        cores = [AutF2(u, v) for u in words for v in words if is_basis(u, v)]
+        assert len(cores) == 456
+        for fid in scan_family_ids(11):
+            quad = catalog(fid)
+            cores += [quad.tau, quad.kappa]
+        reports = [check_S1(core) for core in cores]
+        monkeypatch.setattr(invariant, "_s1_side", one_relator_side)
+        assert [check_S1(core) for core in cores] == reports
 
     def test_only_type_b_mixes_in_catalog(self):
         cores = set()

@@ -223,6 +223,19 @@ class TestCatalog:
         for text in ("T", "T'", "A1:r=2", "D2:-s", "C1:bw", "A3:r=0:-sbw"):
             assert str(FamilyId.parse(text)) == text
 
+    def test_bad_or_repeated_parameter_names_the_part(self):
+        reasons = {
+            "A1:r=x": "bad parameter 'r=x' in 'A1:r=x'",
+            "A1:r=": "bad parameter 'r=' in 'A1:r='",
+            "A1:r=1.5": "bad parameter 'r=1.5' in 'A1:r=1.5'",
+            "A1:r=1:r=2": "repeated parameter 'r=2' in 'A1:r=1:r=2'",
+        }
+        for text, reason in reasons.items():
+            with pytest.raises(ValueError) as exc:
+                FamilyId.parse(text)
+            assert str(exc.value) == reason
+        assert FamilyId.parse("A1:r=-1") == FamilyId("A1", -1)
+
     def test_identify_quad(self):
         assert identify_quad(q("a,b,a,b")) == FamilyId("T")
         assert identify_quad(catalog(FamilyId("A2", 1))) == FamilyId("A2", 1)

@@ -31,6 +31,10 @@ class TestKnownForms:
         assert smith_normal_form([[2, 0], [0, 3], [0, 0]]) == [1, 6]
         assert smith_normal_form([[4, 6], [6, 4]]) == [2, 10]
 
+    def test_gcd_lcm_pass_orders_the_diagonal(self):
+        assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
+        assert smith_normal_form([[0, 0], [0, 3]]) == [3, 0]
+
     def test_empty(self):
         assert smith_normal_form([]) == []
 
@@ -53,6 +57,19 @@ class TestAgainstSympy:
             diag = [abs(int(expected[i, i])) for i in range(min(m, n))]
             # sympy gives the chain too; compare entry lists directly
             assert smith_normal_form(mat) == diag
+
+    def test_random_matrices_with_empty_sides_up_to_6x6(self):
+        rng = random.Random(654)
+        shapes = set()
+        for _ in range(300):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            shapes.add((m, n))
+            mat = _random_matrix(rng, m, n, bound=50)
+            flat = [x for row in mat for x in row]
+            expected = sympy_snf(sympy.Matrix(m, n, flat), domain=sympy.ZZ)
+            diag = [abs(int(expected[i, i])) for i in range(min(m, n))]
+            assert smith_normal_form(mat) == diag
+        assert {(0, 3), (4, 0), (6, 6)} <= shapes
 
 
 class TestInvariance:

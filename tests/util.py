@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import BraidWord, Endo
@@ -298,3 +299,78 @@ def abelian_braid_by_product(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
     e1 = (m[0], m[1], 0, m[2], m[3], 0, 0, 0, 1)
     e2 = (1, 0, 0, 0, n[0], n[1], 0, n[2], n[3])
     return mul3(mul3(e1, e2), e1) == mul3(mul3(e2, e1), e2)
+
+
+# -- per-round renumbering oracles for Tietze elimination and the S1 test ------
+
+
+def _renumber(w: Word, gone: int) -> Word:
+    return Word(tuple(l - (1 if l > gone else 0) + (1 if l < -gone else 0) for l in w.letters))
+
+
+def renumbering_tietze(p: GroupPresentation) -> GroupPresentation:
+    """Tietze simplification that solves each relator by its own rotation and
+    renumbers the solution, then builds one image per generator."""
+    ngens = p.ngens
+    relators = list(p.relators)
+    while True:
+        relators = [r.cyclically_reduce()[0] for r in relators]
+        relators = [r for r in relators if r]
+        choice = None
+        for ri, r in enumerate(relators):
+            ls = r.letters
+            for g in range(1, ngens + 1):
+                if ls.count(g) + ls.count(-g) == 1:
+                    key = (len(r), ri, g)
+                    if choice is None or key < choice:
+                        choice = key
+        if choice is None:
+            break
+        _, ri, gone = choice
+        r = relators.pop(ri)
+        pos = next(k for k, l in enumerate(r.letters) if abs(l) == gone)
+        rotated = r.letters[pos:] + r.letters[:pos]
+        u = Word(rotated[1:])
+        replacement = u.inverse() if rotated[0] > 0 else u
+        replacement = _renumber(replacement, gone)
+        images = []
+        for m in range(1, ngens + 1):
+            if m == gone:
+                images.append(replacement)
+            else:
+                images.append(Word.gen(m - (1 if m > gone else 0)))
+        relators = [rel.substitute(images) for rel in relators]
+        ngens -= 1
+    return GroupPresentation(ngens, tuple(relators))
+
+
+def one_relator_side(core: AutF2) -> tuple[str, str]:
+    """One side of the S1 test, reading the forced exponent off its own
+    rotation of the relator with a letter-by-letter +-1 sum."""
+    relator = (core.image_b * Word.gen(2, -1)).cyclically_reduce()[0]
+    if not relator:
+        return "fails", "relator is trivial, quotient is free of rank 2"
+    counts = {1: 0, 2: 0}
+    for l in relator.letters:
+        counts[abs(l)] += 1
+    for single, other in ((1, 2), (2, 1)):
+        if counts[single] == 1:
+            pos = next(k for k, l in enumerate(relator.letters) if abs(l) == single)
+            rotated = relator.letters[pos:] + relator.letters[:pos]
+            m = sum(1 if l == other else -1 for l in rotated[1:])
+            k = -m if rotated[0] > 0 else m
+            names = {1: "a", 2: "b"}
+            s, o = names[single], names[other]
+            if k == 1:
+                return "holds", f"relator {relator.text(2)} forces {s} = {o}"
+            if k == -1:
+                return (
+                    "holds-up-to-inversion",
+                    f"relator {relator.text(2)} forces {s} = {o}^-1",
+                )
+            return "fails", f"relator {relator.text(2)} forces {s} = {o}^{k}"
+    g = math.gcd(relator.exponent_sum(1), relator.exponent_sum(2))
+    if g != 1:
+        shape = "Z x Z" if g == 0 else f"Z x Z/{g}"
+        return "fails", f"abelianized quotient is {shape}"
+    return "unknown", f"relator {relator.text(2)} was not resolved"
