@@ -23,6 +23,7 @@ from .localrep import (
     LocalRep,
     Quad,
     build_gamma,
+    can_extend,
     catalog,
     check_quad,
     classify_search,
@@ -134,6 +135,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_catalog(args) -> int:
     base = FamilyId.parse(args.family)
+    if args.r is not None and base.r is not None:
+        raise ValueError(f"--family {args.family} and --r {args.r} both give the parameter r")
     r = args.r if args.r is not None else base.r
     flags = _DECORATIONS if args.all_decorations else [(base.inv, base.swap, base.backward)]
     ids = [FamilyId(base.family, r, *f) for f in flags]
@@ -204,9 +207,8 @@ def _cmd_check_stab(args) -> int:
     # Three strands by default; a cores: spec takes its strand count from its cores.
     n = 3 if args.n is None and not args.rep.startswith("cores:") else args.n
     rep = _parse_rep(args.rep, n)
-    # The last core's successors decide S2; a rep without cores extends.
     extensions = outgoing_cores(rep.cores[-1]) if rep.cores else ()
-    extendable = bool(extensions) or not rep.cores
+    extendable = can_extend(rep)
     core_reports = []
     lines = []
     for i, core in enumerate(rep.cores, start=1):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -235,61 +236,47 @@ def canonicalize(q: Quad) -> Quad:
 
 # -- the fourteen classified families ------------------------------------
 
-FAMILY_TAGS = (
-    "T",
-    "T'",
-    "A1",
-    "A2",
-    "A3",
-    "B1",
-    "B2",
-    "C1",
-    "C2",
-    "C3",
-    "D1",
-    "D2",
-    "D3",
-    "D4",
-)
+
+def _family_texts(r: int) -> dict[str, tuple[str, str, str, str]]:
+    """Each family's quad as four words of text, in catalog order, with the
+    A families written at r: a^r b a^-r is ``p + "b" + m``."""
+    p, m = "a" * r, "A" * r
+    return {
+        "T": ("a", "b", "a", "b"),
+        "T'": ("a", "B", "A", "b"),
+        "A1": (p + "b" + m, "a", p + "b" + m, "a"),
+        "A2": (p + "b" + m, "a", p + "B" + m, "A"),
+        "A3": (p + "B" + m, "A", m + "B" + p, "A"),
+        "B1": ("B", "a", "B", "a"),
+        "B2": ("B", "a", "b", "A"),
+        "C1": ("aBa", "a", "aBa", "a"),
+        "C2": ("aBa", "a", "aba", "A"),
+        "C3": ("aba", "A", "aba", "A"),
+        "D1": ("ABa", "bba", "ABa", "bba"),
+        "D2": ("abA", "bbA", "ABa", "bba"),
+        "D3": ("ABa", "bba", "Aba", "Abb"),
+        "D4": ("abA", "bbA", "Aba", "Abb"),
+    }
+
+
+FAMILY_TAGS = tuple(_family_texts(0))
 
 _A_FAMILIES = ("A1", "A2", "A3")
 
-_FIXED_QUADS = {
-    "T": ("a", "b", "a", "b"),
-    "T'": ("a", "B", "A", "b"),
-    "B1": ("B", "a", "B", "a"),
-    "B2": ("B", "a", "b", "A"),
-    "C1": ("aBa", "a", "aBa", "a"),
-    "C2": ("aBa", "a", "aba", "A"),
-    "C3": ("aba", "A", "aba", "A"),
-    "D1": ("ABa", "bba", "ABa", "bba"),
-    "D2": ("abA", "bbA", "ABa", "bba"),
-    "D3": ("ABa", "bba", "Aba", "Abb"),
-    "D4": ("abA", "bbA", "Aba", "Abb"),
-}
-
-
-def _conj_power(r: int, mid: int) -> Word:
-    """a^r mid a^-r (r may be negative)."""
-    outer = 1 if r >= 0 else -1
-    return Word((outer,) * abs(r) + (mid,) + (-outer,) * abs(r))
-
 
 def base_quad(family: str, r: int | None = None) -> Quad:
-    if family in _FIXED_QUADS:
-        if r is not None:
-            raise ValueError(f"family {family} takes no parameter r")
-        return Quad(*(Word.parse(t) for t in _FIXED_QUADS[family]))
-    if family in _A_FAMILIES:
-        if r is None or r < 0:
-            raise ValueError(f"family {family} needs a parameter r >= 0")
-        a_inv = _A.inverse()
-        if family == "A1":
-            return Quad(_conj_power(r, 2), _A, _conj_power(r, 2), _A)
-        if family == "A2":
-            return Quad(_conj_power(r, 2), _A, _conj_power(r, -2), a_inv)
-        return Quad(_conj_power(r, -2), a_inv, _conj_power(-r, -2), a_inv)
-    raise ValueError(f"unknown family tag {family!r}")
+    if family not in FAMILY_TAGS:
+        raise ValueError(f"unknown family tag {family!r}")
+    if family in _A_FAMILIES and (r is None or r < 0):
+        raise ValueError(f"family {family} needs a parameter r >= 0")
+    if family not in _A_FAMILIES and r is not None:
+        raise ValueError(f"family {family} takes no parameter r")
+    return Quad(*(Word.parse(t) for t in _family_texts(r or 0)[family]))
+
+
+# The two kinds of part after a family tag, each given at most once.  A
+# decoration names inverse, swap and backward, each at most once, in that order.
+_PART_GRAMMAR = {"parameter": re.compile(r"r=-?\d+"), "decoration": re.compile(r"-?s?(bw)?")}
 
 
 @dataclass(frozen=True)
@@ -308,43 +295,25 @@ class FamilyId:
         family = parts[0]
         if family not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {family!r}")
-        r: int | None = None
-        inv = swap = backward = False
-        for part in parts[1:]:
-            if part.startswith("r="):
-                if not part[2:].removeprefix("-").isdecimal():
-                    raise ValueError(f"bad parameter {part!r} in {text!r}")
-                if r is not None:
-                    raise ValueError(f"repeated parameter {part!r} in {text!r}")
-                r = int(part[2:])
-            else:
-                rest = part
-                if rest.startswith("-"):
-                    inv = True
-                    rest = rest[1:]
-                if rest.startswith("s"):
-                    swap = True
-                    rest = rest[1:]
-                if rest.startswith("bw"):
-                    backward = True
-                    rest = rest[2:]
-                if rest:
-                    raise ValueError(f"bad decoration {part!r} in {text!r}")
-        return cls(family, r, inv, swap, backward)
+        given: dict[str, str] = {}
+        for part in filter(None, parts[1:]):
+            kind = "parameter" if part.startswith("r=") else "decoration"
+            if not _PART_GRAMMAR[kind].fullmatch(part):
+                raise ValueError(f"bad {kind} {part!r} in {text!r}")
+            if kind in given:
+                raise ValueError(f"repeated {kind} {part!r} in {text!r}")
+            given[kind] = part
+        r = int(given["parameter"][2:]) if "parameter" in given else None
+        decoration = given.get("decoration", "")
+        return cls(family, r, "-" in decoration, "s" in decoration, "bw" in decoration)
 
     @property
     def decoration(self) -> str:
-        return ("-" if self.inv else "") + ("s" if self.swap else "") + (
-            "bw" if self.backward else ""
-        )
+        return "-" * self.inv + "s" * self.swap + "bw" * self.backward
 
     def __str__(self) -> str:
-        out = self.family
-        if self.r is not None:
-            out += f":r={self.r}"
-        if self.decoration:
-            out += f":{self.decoration}"
-        return out
+        r = "" if self.r is None else f"r={self.r}"
+        return ":".join(part for part in (self.family, r, self.decoration) if part)
 
 
 def catalog(fid: FamilyId) -> Quad:
@@ -354,17 +323,25 @@ def catalog(fid: FamilyId) -> Quad:
 
 @functools.cache
 def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
-    """The one read-only index of the fixed families (r None) or the A
-    families at r: each first core maps to its second cores, each with its
-    first identifier in catalog order.
+    """The one read-only index for queries whose longest word has L letters:
+    level None (L even) holds the fixed families, and level r (L = 2r+1) a
+    copy of it plus the A families at r.  Each first core maps to its second
+    cores, each with its first identifier in catalog order.
 
     It answers :func:`identify_quad` and :func:`outgoing_cores`, and through
-    them the successor graph and its components.  Every decorated A quad at
-    r has max word length 2r+1, in its first core too, so a query of length
-    L meets only level None and level (L-1)/2.
+    them the successor graph and its components, with one lookup.  Every
+    decorated A quad at r has max word length 2r+1, in its first core too,
+    so no other level can hold a query's family.  No first core of an A
+    family at r is a first core of a fixed family (the tests check r <= 3;
+    for r >= 2 an A first core has a word of 2r+1 >= 5 letters, the fixed
+    families none longer than 3), so the copied and the added entries never
+    share an inner dict, and each inner dict is in catalog order as built.
     """
-    level: dict[AutF2, dict[AutF2, FamilyId]] = {}
-    families = _A_FAMILIES if r is not None else [f for f in FAMILY_TAGS if f not in _A_FAMILIES]
+    if r is None:
+        level, families = {}, [f for f in FAMILY_TAGS if f not in _A_FAMILIES]
+    else:
+        level = {core: dict(targets) for core, targets in _catalog_level(None).items()}
+        families = _A_FAMILIES
     for family in families:
         for inv, swap, backward in _DECORATIONS:
             fid = FamilyId(family, r, inv, swap, backward)
@@ -373,21 +350,13 @@ def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
     return level
 
 
-def _levels(word_len: int):
-    yield _catalog_level(None)
-    if word_len % 2:
-        yield _catalog_level((word_len - 1) // 2)
-
-
-def _catalog_rank(fid: FamilyId) -> int:
-    return FAMILY_TAGS.index(fid.family)
+def _query_level(word_len: int) -> dict[AutF2, dict[AutF2, FamilyId]]:
+    return _catalog_level((word_len - 1) // 2 if word_len % 2 else None)
 
 
 def identify_quad(q: Quad) -> FamilyId | None:
     """First decorated family identifier whose quad equals q, if any."""
-    tau, kappa = q.tau, q.kappa
-    hits = [fid for level in _levels(q.max_word_length()) if (fid := level.get(tau, {}).get(kappa))]
-    return min(hits, key=_catalog_rank, default=None)
+    return _query_level(q.max_word_length()).get(q.tau, {}).get(q.kappa)
 
 
 # -- bounded exhaustive classification search ------------------------------
@@ -520,7 +489,9 @@ def rep_from_cores(cores: Sequence[AutF2]) -> LocalRep:
 
 def constant_rep(core: AutF2, n: int) -> LocalRep:
     """The rep with every core equal (requires a self-adjacency for n >= 3)."""
-    return rep_from_cores((core,) * (n - 1))
+    rep = LocalRep(n, (core,) * (n - 1))
+    rep.validate()
+    return rep
 
 
 # -- the successor graph ----------------------------------------------------
@@ -603,16 +574,10 @@ def outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:
     decorated quads whose first core equals `core` give the full outgoing
     edge set, self-loop included; each target keeps its first identifier.
     """
-    word_len = max(len(core.image_a), len(core.image_b))
-    found = [e for level in _levels(word_len) for e in level.get(core, {}).items()]
-    out: dict[AutF2, FamilyId] = {}
-    for target, fid in sorted(found, key=lambda e: _catalog_rank(e[1])):
-        out.setdefault(target, fid)
-    return tuple(out.items())
+    level = _query_level(max(len(core.image_a), len(core.image_b)))
+    return tuple(level.get(core, {}).items())
 
 
 def can_extend(rep: LocalRep) -> bool:
     """Whether the rep extends to more strands (last core has a successor)."""
-    if not rep.cores:
-        return True
-    return bool(outgoing_cores(rep.cores[-1]))
+    return not rep.cores or bool(outgoing_cores(rep.cores[-1]))

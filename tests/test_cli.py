@@ -110,6 +110,17 @@ class TestCatalog:
         )
         assert (code, out, err) == (1, "", "error: bad parameter 'r=' in 'A1:r='\n")
 
+    def test_r_in_both_family_and_option_exits_one(self, capsys):
+        code, out, err = run(capsys, "catalog", "--family", "A1:r=2", "--r", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: --family A1:r=2 and --r 3 both give the parameter r\n"
+
+    def test_repeated_decoration_exits_one(self, capsys):
+        for family, part in (("D2:-:-", "-"), ("D2:s:-s", "-s")):
+            code, out, err = run(capsys, "catalog", "--family", family)
+            assert (code, out) == (1, "")
+            assert err == f"error: repeated decoration '{part}' in '{family}'\n"
+
 
 class TestGamma:
     def test_dot_file(self, capsys, tmp_path):
@@ -355,6 +366,13 @@ class TestCheckStab:
         code, _, err = run(capsys, "check-stab", "--rep", "cores:abA,a", "--n", "3")
         assert code == 1
         assert "--n 3 does not match 1 cores" in err
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_strand_count_below_one_exits_one(self, capsys, n):
+        # Type B violates the properties; no verdict on fewer than one strand.
+        for rep in ("wada:B1", "artin"):
+            code, out, err = run(capsys, "check-stab", "--rep", rep, "--n", n)
+            assert (code, out, err) == (1, "", "error: strand count must be >= 1\n")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "check-stab", "--rep", "wada:C1", "--json")

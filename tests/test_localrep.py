@@ -14,9 +14,11 @@ from braidact.localrep import (
     Quad,
     _abelian_braid,
     _basis_pairs_by_matrix,
+    _catalog_level,
     _decorate,
     _DECORATIONS,
     backward_dual,
+    base_quad,
     build_gamma,
     can_extend,
     canonicalize,
@@ -38,6 +40,7 @@ from braidact.words import Word, word_sort_key
 
 from .util import (
     abelian_braid_by_product,
+    oracle_base_quad,
     reduced_words,
     scan_basis_pairs_by_matrix,
     scan_classify,
@@ -222,6 +225,53 @@ class TestCatalog:
     def test_family_id_text_round_trip(self):
         for text in ("T", "T'", "A1:r=2", "D2:-s", "C1:bw", "A3:r=0:-sbw"):
             assert str(FamilyId.parse(text)) == text
+        for flags in _DECORATIONS:
+            for family, r, head in (("D2", None, "D2"), ("A1", 3, "A1:r=3")):
+                fid = FamilyId(family, r, *flags)
+                assert str(fid) == (f"{head}:{fid.decoration}" if any(flags) else head)
+                assert FamilyId.parse(str(fid)) == fid
+        assert FamilyId.parse("A1:-sbw:r=3") == FamilyId("A1", 3, True, True, True)
+
+    def test_family_tags_pinned(self):
+        assert FAMILY_TAGS == (
+            "T", "T'", "A1", "A2", "A3", "B1", "B2", "C1", "C2", "C3", "D1", "D2", "D3", "D4"
+        )
+
+    def test_base_quad_matches_hand_written_oracle(self):
+        for family in FAMILY_TAGS:
+            for r in range(9) if family in ("A1", "A2", "A3") else (None,):
+                assert base_quad(family, r) == oracle_base_quad(family, r), (family, r)
+
+    def test_base_quad_refusals(self):
+        reasons = {
+            ("E1", None): "unknown family tag 'E1'",
+            ("E1", 2): "unknown family tag 'E1'",
+            ("A2", None): "family A2 needs a parameter r >= 0",
+            ("A2", -1): "family A2 needs a parameter r >= 0",
+            ("D4", 0): "family D4 takes no parameter r",
+        }
+        for (family, r), reason in reasons.items():
+            with pytest.raises(ValueError) as exc:
+                base_quad(family, r)
+            assert str(exc.value) == reason
+
+    def test_bad_or_repeated_decoration_names_the_part(self):
+        reasons = {
+            "D2:-:-": "repeated decoration '-' in 'D2:-:-'",
+            "D2:s:-s": "repeated decoration '-s' in 'D2:s:-s'",
+            "D2:sb": "bad decoration 'sb' in 'D2:sb'",
+            "D2:bws": "bad decoration 'bws' in 'D2:bws'",
+            "D2:--": "bad decoration '--' in 'D2:--'",
+            "D2:x": "bad decoration 'x' in 'D2:x'",
+            "D2:-:x": "bad decoration 'x' in 'D2:-:x'",
+            "A1:r=1:r=x": "bad parameter 'r=x' in 'A1:r=1:r=x'",
+        }
+        for text, reason in reasons.items():
+            with pytest.raises(ValueError) as exc:
+                FamilyId.parse(text)
+            assert str(exc.value) == reason
+        assert FamilyId.parse("D2:") == FamilyId("D2")
+        assert FamilyId.parse("D2::-s") == FamilyId("D2", inv=True, swap=True)
 
     def test_bad_or_repeated_parameter_names_the_part(self):
         reasons = {
@@ -271,6 +321,17 @@ class TestCatalogIndex:
         cores = {catalog(fid).tau for fid in self.FIDS}
         for core in cores:
             assert outgoing_cores(core) == scan_outgoing_cores(core), str(core)
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_a_first_cores_are_not_fixed_first_cores(self, r):
+        # The disjointness that lets one level answer a query exactly.
+        a_cores = {
+            catalog(FamilyId(family, r, *flags)).tau
+            for family in ("A1", "A2", "A3")
+            for flags in _DECORATIONS
+        }
+        assert a_cores <= set(_catalog_level(r))
+        assert not a_cores & set(_catalog_level(None))
 
     def test_non_catalog_queries(self):
         for text in ("a,b,b,a", "b,a,a,b", "aa,b,a,b", "1,1,1,1", "abA,a,aBA,a"):

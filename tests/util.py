@@ -211,6 +211,43 @@ def compose_braid_relations(rep: LocalRep) -> bool:
     return True
 
 
+# -- the family table as hand-written words, an oracle for base_quad -----------
+
+FIXED_QUADS = {
+    "T": ("a", "b", "a", "b"),
+    "T'": ("a", "B", "A", "b"),
+    "B1": ("B", "a", "B", "a"),
+    "B2": ("B", "a", "b", "A"),
+    "C1": ("aBa", "a", "aBa", "a"),
+    "C2": ("aBa", "a", "aba", "A"),
+    "C3": ("aba", "A", "aba", "A"),
+    "D1": ("ABa", "bba", "ABa", "bba"),
+    "D2": ("abA", "bbA", "ABa", "bba"),
+    "D3": ("ABa", "bba", "Aba", "Abb"),
+    "D4": ("abA", "bbA", "Aba", "Abb"),
+}
+
+
+def conj_power(r: int, mid: int) -> Word:
+    """a^r mid a^-r (r may be negative), built letter by letter."""
+    outer = 1 if r >= 0 else -1
+    return Word((outer,) * abs(r) + (mid,) + (-outer,) * abs(r))
+
+
+def oracle_base_quad(family: str, r: int | None = None) -> Quad:
+    """A family's undecorated quad: the fixed families from their words, the
+    A families as conjugates of b^+-1 by powers of a."""
+    if family in FIXED_QUADS:
+        return Quad(*(Word.parse(t) for t in FIXED_QUADS[family]))
+    a, a_inv = Word((1,)), Word((-1,))
+    if family == "A1":
+        return Quad(conj_power(r, 2), a, conj_power(r, 2), a)
+    if family == "A2":
+        return Quad(conj_power(r, 2), a, conj_power(r, -2), a_inv)
+    assert family == "A3", family
+    return Quad(conj_power(r, -2), a_inv, conj_power(-r, -2), a_inv)
+
+
 # -- linear-scan oracle for the catalog index ---------------------------------
 
 
