@@ -23,7 +23,6 @@ from .localrep import (
     LocalRep,
     Quad,
     build_gamma,
-    can_extend,
     catalog,
     check_quad,
     classify_search,
@@ -65,10 +64,12 @@ def _groups_from_arg(arg: str | None):
             continue
         # A name of the built-in form never falls back to a file, so that
         # builtin_group's reason for refusing it (Z1000, S7) is the one shown.
-        if _NAME.fullmatch(name):
-            groups.append(builtin_group(name))
-        else:
-            groups.append(load_group_table(name))
+        group = builtin_group(name) if _NAME.fullmatch(name) else load_group_table(name)
+        # Counts are reported by group name, so a second group of one name
+        # would drop or repeat a count.
+        if any(g.name == group.name for g in groups):
+            raise ValueError(f"repeated group name {group.name!r} in --homs")
+        groups.append(group)
     return groups
 
 
@@ -154,7 +155,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_gamma(args) -> int:
     graph = build_gamma(component_vertices(args.family, args.r))
-    dot = graph.to_dot(name="gamma")
+    dot = graph.to_dot()
     if args.dot == "-":
         print(dot, end="")
     else:
@@ -207,8 +208,10 @@ def _cmd_check_stab(args) -> int:
     # Three strands by default; a cores: spec takes its strand count from its cores.
     n = 3 if args.n is None and not args.rep.startswith("cores:") else args.n
     rep = _parse_rep(args.rep, n)
-    extensions = outgoing_cores(rep.cores[-1]) if rep.cores else ()
-    extendable = can_extend(rep)
+    if not rep.cores:
+        raise ValueError("a rep on 1 strand has no core to check")
+    extensions = outgoing_cores(rep.cores[-1])
+    extendable = bool(extensions)
     core_reports = []
     lines = []
     for i, core in enumerate(rep.cores, start=1):

@@ -25,7 +25,8 @@ __all__ = [
     "symmetric_group",
 ]
 
-# Battery used by the invariant fingerprints unless the caller says otherwise.
+# A battery of small groups for fingerprints; `fingerprint` itself counts into
+# no group unless it is given some.
 DEFAULT_FINGERPRINT_GROUPS = ("Z2", "Z3", "Z4", "Z5", "S3", "S4")
 
 _NAME = re.compile(r"([ZSD])([0-9]+)")
@@ -206,8 +207,9 @@ def builtin_group(name: str) -> FiniteGroupTable:
     return dihedral_group(k)
 
 
-def load_group_table(path: str | Path, name: str | None = None) -> FiniteGroupTable:
-    """Read a table file: the order N followed by N*N row-major 0-based entries."""
+def load_group_table(path: str | Path) -> FiniteGroupTable:
+    """Read a table file: the order N followed by N*N row-major 0-based
+    entries.  The group is named after the file's stem."""
     p = Path(path)
     tokens = p.read_text().split()
     if not tokens:
@@ -220,4 +222,4 @@ def load_group_table(path: str | Path, name: str | None = None) -> FiniteGroupTa
     if len(rest) != order * order:
         raise ValueError(f"{p}: expected {order * order} entries, got {len(rest)}")
     rows = [rest[i * order : (i + 1) * order] for i in range(order)]
-    return group_from_table(name or p.stem, rows)
+    return group_from_table(p.stem, rows)

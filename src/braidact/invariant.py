@@ -23,7 +23,7 @@ from .braid import BraidWord, endo_of_braid
 from .groups import FiniteGroupTable
 from .localrep import LocalRep
 from .snf import smith_normal_form
-from .words import Word
+from .words import Word, _word
 
 __all__ = [
     "Fingerprint",
@@ -125,15 +125,8 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
 
     Into an abelian group every hom factors through the abelianization, and
     the count is read from its invariant factors.  Otherwise the
-    presentation is split into its free factors (_free_factors), and since
-    Hom(A * B, H) = Hom(A, H) x Hom(B, H) the count is the product of the
-    factors' counts.  A factor on one generator is cyclic, and its count is
-    read from its invariant factor.  On a factor with k >= 2 generators,
-    conjugation by h permutes the homs, so each orbit of H on pairs
-    (x_1, x_2) under simultaneous conjugation (pair_orbits) adds its size
-    times the homs that send (x_1, x_2) to its representative.  That walks
-    (1/|H|) sum_h |C_H(h)|^2 pairs times |H|^(k-2) values of x_3..x_k; each
-    tuple evaluates the relators by table lookups until one fails.
+    presentation is split into its free factors (_free_factors) and counted
+    by _homs_from_factors.
 
     Refuses (raises ValueError) when the candidate tuple space |H|^n of the
     whole presentation exceeds MAX_HOM_TUPLES, whichever rule counts; it
@@ -142,7 +135,24 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     _check_hom_budget(group, p.ngens)
     if not group.pair_orbits:  # only an abelian group stores no pair orbits
         return _homs_from_abelianization(abelian_invariants(p), group)
-    cyclic, walked = _free_factors(p)
+    return _homs_from_factors(*_free_factors(p), group)
+
+
+def _homs_from_factors(
+    cyclic: tuple[int, ...], walked: list[GroupPresentation], group: FiniteGroupTable
+) -> int:
+    """The homs into a non-abelian group from the free product of cyclic
+    groups with these invariant factors and of the walked factors.
+
+    Since Hom(A * B, H) = Hom(A, H) x Hom(B, H), the count is the product of
+    the factors' counts.  A cyclic factor's count is read from its invariant
+    factor.  On a factor with k >= 2 generators, conjugation by h permutes
+    the homs, so each orbit of H on pairs (x_1, x_2) under simultaneous
+    conjugation (pair_orbits) adds its size times the homs that send
+    (x_1, x_2) to its representative.  That walks (1/|H|) sum_h |C_H(h)|^2
+    pairs times |H|^(k-2) values of x_3..x_k; each tuple evaluates the
+    relators by table lookups until one fails.
+    """
     count = _homs_from_abelianization(cyclic, group)
     for f in walked:
         count *= _walk_homs(f, group)
@@ -157,21 +167,16 @@ def _free_factors(p: GroupPresentation) -> tuple[tuple[int, ...], list[GroupPres
     Returns the invariant factors of the factors on one generator, which are
     cyclic (0 for Z, none for the trivial group), and the factors on two or
     more generators, renumbered from x_1 in order and keeping the order of
-    their nonempty relators.  A presentation on two or more generators that
-    does not split comes back as it is.
+    their nonempty relators.  So a presentation on two or more generators
+    that does not split comes back as one factor, without its empty relators.
     """
     # block[g] is the lowest generator of g's class so far.
     block = list(range(p.ngens + 1))
     for r in p.relators:
-        gens = set(map(abs, r.letters))
-        if len(gens) == p.ngens >= 2:
-            return (), [p]
-        linked = set(map(block.__getitem__, gens))
+        linked = set(map(block.__getitem__, set(map(abs, r.letters))))
         if len(linked) > 1:
             lowest = min(linked)
             block = [lowest if b in linked else b for b in block]
-    if p.ngens >= 2 and block.count(1) == p.ngens:
-        return (), [p]
     cyclic = []
     walked = []
     for head in sorted(set(block[1:])):
@@ -182,8 +187,9 @@ def _free_factors(p: GroupPresentation) -> tuple[tuple[int, ...], list[GroupPres
             if d != 1:
                 cyclic.append(d)
             continue
+        # Renumbering the generators keeps a reduced word reduced.
         new = {s * g: s * i for i, g in enumerate(gens, start=1) for s in (1, -1)}
-        relators = [Word(tuple(map(new.__getitem__, r.letters))) for r in relators]
+        relators = [_word(tuple(map(new.__getitem__, r.letters))) for r in relators]
         walked.append(GroupPresentation(len(gens), tuple(relators)))
     return tuple(cyclic), walked
 
@@ -241,8 +247,9 @@ def _homs_from_abelianization(factors: tuple[int, ...], group: FiniteGroupTable)
 
 
 def _walk_tuples(group: FiniteGroupTable, walked: list[GroupPresentation]) -> int:
-    """The tuples count_homs walks over these free factors, each on k >= 2
-    generators: P(H) |H|^(k-2) per factor, and none into an abelian group."""
+    """The tuples _homs_from_factors walks over these free factors, each on
+    k >= 2 generators: P(H) |H|^(k-2) per factor, and none into an abelian
+    group."""
     return sum(
         len(reps) * group.order ** (f.ngens - 2) for f in walked for _, reps in group.pair_orbits
     )
@@ -457,24 +464,20 @@ def fingerprint_report(
     Fingerprint: abelianization plus hom counts of the closed-braid group.
 
     Both measurements are invariants of the group, so the simplification
-    only buys speed.  The abelianization, computed once, gives each hom
-    count into an abelian group.  When some group is non-abelian, the
-    simplified presentation is also split once into its free factors, and
-    a count into a non-abelian group is the product over the factors: each
-    cyclic factor's count is read from its invariant factor, and each
-    factor on two or more generators is walked by count_homs.  Where some
-    factor would be walked, the count may come from count_homs_by_action
-    instead, whichever should cost less for that group; all three rules
-    are exact.
+    only buys speed.  Each group's budget is checked once, as count_homs
+    checks it.  The abelianization, computed once, gives each hom count into
+    an abelian group.  When some group is non-abelian, the simplified
+    presentation is also split once into its free factors, and a count into
+    a non-abelian group comes from _homs_from_factors, or from
+    count_homs_by_action where some factor would be walked and the action
+    should cost less for that group; all three rules are exact.
     """
     groups = tuple(groups)
     pres = presentation(rep, braid)
     simplified = tietze_simplify(pres)
     factors = abelian_invariants(simplified)
-    if simplified.ngens >= 2 and any(g.pair_orbits for g in groups):
+    if any(g.pair_orbits for g in groups):
         cyclic, walkable = _free_factors(simplified)
-    else:  # a cyclic group is its own one free factor; abelian groups need no split
-        cyclic, walkable = factors, []
     # In table lookups per point: the action makes one per crossing and about
     # 12 per distinct letter to build that letter's list; the walk visits
     # _walk_tuples tuples, which mostly fail within the first relator.
@@ -482,18 +485,17 @@ def fingerprint_report(
     walk_steps = len(simplified.relators[0]) if simplified.relators else 0
     counts = []
     for g in groups:
-        states = g.order**rep.n
-        walked = _walk_tuples(g, walkable)
-        if walked and states <= ACTION_STATES_CHOSEN and states * action_steps < walked * walk_steps:
-            counts.append((g.name, count_homs_by_action(rep, braid, g)))
-            continue
         _check_hom_budget(g, simplified.ngens)
-        if g.pair_orbits:
-            count = _homs_from_abelianization(cyclic, g)
-            for f in walkable:
-                count *= count_homs(f, g)
-        else:
+        states = g.order**rep.n
+        if not g.pair_orbits:
             count = _homs_from_abelianization(factors, g)
+        elif (
+            states <= ACTION_STATES_CHOSEN
+            and states * action_steps < _walk_tuples(g, walkable) * walk_steps
+        ):
+            count = count_homs_by_action(rep, braid, g)
+        else:
+            count = _homs_from_factors(cyclic, walkable, g)
         counts.append((g.name, count))
     return pres, simplified, Fingerprint(factors, tuple(sorted(counts)))
 

@@ -343,10 +343,8 @@ def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
         level = {core: dict(targets) for core, targets in _catalog_level(None).items()}
         families = _A_FAMILIES
     for family in families:
-        for inv, swap, backward in _DECORATIONS:
-            fid = FamilyId(family, r, inv, swap, backward)
-            q = catalog(fid)
-            level.setdefault(q.tau, {}).setdefault(q.kappa, fid)
+        for flags, q in zip(_DECORATIONS, _orbit(base_quad(family, r))):
+            level.setdefault(q.tau, {}).setdefault(q.kappa, FamilyId(family, r, *flags))
     return level
 
 
@@ -512,8 +510,8 @@ class GammaGraph:
     def has_edge(self, src: AutF2, dst: AutF2) -> bool:
         return any(e.src == src and e.dst == dst for e in self.edges)
 
-    def to_dot(self, name: str = "gamma") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph gamma {"]
         for v in self.vertices:
             lines.append(f'  "({v})";')
         for e in self.edges:

@@ -2,9 +2,8 @@ import json
 
 import pytest
 
-from braidact import braid, cli
+from braidact import braid, localrep
 from braidact.cli import main
-from braidact.localrep import outgoing_cores
 
 
 def run(capsys, *argv):
@@ -279,6 +278,28 @@ class TestInvariant:
         assert code == 0
         assert "hom count into Z3: 3" in out
 
+    def test_repeated_group_name_exits_one(self, capsys, tmp_path):
+        # A table file named S3.txt holding Z6 is named S3 too, so its count
+        # would be lost under the built-in S3's.
+        path = tmp_path / "S3.txt"
+        rows = [" ".join(str((i + j) % 6) for j in range(6)) for i in range(6)]
+        path.write_text("6\n" + "\n".join(rows) + "\n")
+        for homs in ("S3,S3", f"S3,{path}", f"Z2,{path},S3"):
+            code, out, err = run(
+                capsys,
+                "invariant", "--rep", "artin", "--n", "2", "--braid", "1 1 1",
+                "--homs", homs,
+            )
+            assert (code, out, err) == (1, "", "error: repeated group name 'S3' in --homs\n")
+        # On its own the file counts as Z6.
+        code, out, _ = run(
+            capsys,
+            "invariant", "--rep", "artin", "--n", "2", "--braid", "1 1 1",
+            "--homs", str(path),
+        )
+        assert code == 0
+        assert "hom count into S3: 6" in out
+
     def test_unsupported_builtin_group_reports_its_reason(self, capsys):
         reasons = {
             "Z1000": "cyclic group Z1000 is too large for table form",
@@ -374,6 +395,13 @@ class TestCheckStab:
             code, out, err = run(capsys, "check-stab", "--rep", rep, "--n", n)
             assert (code, out, err) == (1, "", "error: strand count must be >= 1\n")
 
+    @pytest.mark.parametrize("rep", ["wada:B1", "wada:T", "artin"])
+    def test_one_strand_has_no_core_to_check(self, capsys, rep):
+        # No S1 test runs without a core, so no verdict is claimed; type B
+        # violates the properties at every n >= 2.
+        code, out, err = run(capsys, "check-stab", "--rep", rep, "--n", "1")
+        assert (code, out, err) == (1, "", "error: a rep on 1 strand has no core to check\n")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "check-stab", "--rep", "wada:C1", "--json")
         assert code == 0
@@ -382,13 +410,15 @@ class TestCheckStab:
         assert data["stabilization_properties"] == "satisfied"
 
     def test_last_core_extensions_computed_once(self, capsys, monkeypatch):
+        # _query_level is the one read of the catalog index.
+        query_level = localrep._query_level
         calls = []
 
-        def counted(core):
-            calls.append(core)
-            return outgoing_cores(core)
+        def counted(word_len):
+            calls.append(word_len)
+            return query_level(word_len)
 
-        monkeypatch.setattr(cli, "outgoing_cores", counted)
+        monkeypatch.setattr(localrep, "_query_level", counted)
         code, out, _ = run(capsys, "check-stab", "--rep", "wada:C1")
         assert code == 0
         assert "S2 extensions: (aBa,a) via C1, (aba,A) via C2" in out

@@ -231,6 +231,9 @@ class TestCountHoms:
         assert invariant._free_factors(pres(3, "x2 x2", "x2 x2 x2")) == ((0, 0), [])
         connected = pres(3, "x1 x3", "x3 x2 x2")
         assert invariant._free_factors(connected) == ((), [connected])
+        # A factor keeps only its nonempty relators.
+        with_empty = pres(3, "x1 x3", "", "x3 x2 x2")
+        assert invariant._free_factors(with_empty) == ((), [connected])
 
     def test_free_products_match_both_oracles(self):
         # A factor may leave one generator out of its relators, and may
@@ -347,7 +350,7 @@ class TestFingerprintBackends:
         rep = constant_rep(AutF2.parse("aBa,a"), 4)
         braid = random_braid(random.Random(43), 4, 40)
         reference = walk_fingerprint(rep, braid, [S3])
-        monkeypatch.setattr(invariant, "count_homs", _refuse)
+        monkeypatch.setattr(invariant, "_walk_homs", _refuse)
         assert fingerprint(rep, braid, [S3]) == reference
 
     def test_abelian_targets_and_cyclic_groups_read_the_abelianization(self, monkeypatch):
@@ -362,7 +365,7 @@ class TestFingerprintBackends:
         assert all(tietze_simplify(presentation(*case)).ngens == 1 for case in cyclic)
         cases = [(long, GROUPS[:4])] + [(case, [S3, S4]) for case in cyclic]
         references = [walk_fingerprint(*case, groups) for case, groups in cases]
-        monkeypatch.setattr(invariant, "count_homs", _refuse)
+        monkeypatch.setattr(invariant, "_walk_homs", _refuse)
         monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
         assert [fingerprint(*case, groups) for case, groups in cases] == references
 
@@ -422,6 +425,25 @@ class TestFingerprintBackends:
         fp = fingerprint(rep, braid, [S4])
         assert fp == reference and fp.hom_count("S4") == 2880
 
+    def test_one_split_per_fingerprint(self, monkeypatch):
+        # The split Hopf link into S3 and S4: both counts walk the linked
+        # pair, from one split of the simplified presentation, and neither
+        # goes through count_homs.
+        rep, braid = constant_rep(ARTIN_CORE, 3), parse_braid("1 1", 3)
+        reference = walk_fingerprint(rep, braid, [S3, S4])
+        free_factors = invariant._free_factors
+        splits = []
+
+        def counted(p):
+            splits.append(p)
+            return free_factors(p)
+
+        monkeypatch.setattr(invariant, "_free_factors", counted)
+        monkeypatch.setattr(invariant, "count_homs", _refuse)
+        monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
+        assert fingerprint(rep, braid, [S3, S4]) == reference
+        assert len(splits) == 1
+
     def test_free_product_of_cyclic_groups_walks_nothing(self, monkeypatch):
         # Under the type-B core, s1^2 s3 on 4 strands closes to
         # Z/2 * Z/2 * Z/2: ten elements of S4 square to the identity.
@@ -429,7 +451,7 @@ class TestFingerprintBackends:
         simplified = tietze_simplify(presentation(rep, braid))
         assert invariant._free_factors(simplified) == ((2, 2, 2), [])
         reference = walk_fingerprint(rep, braid, [S3, S4])
-        monkeypatch.setattr(invariant, "count_homs", _refuse)
+        monkeypatch.setattr(invariant, "_walk_homs", _refuse)
         monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
         fp = fingerprint(rep, braid, [S3, S4])
         assert fp == reference and fp.hom_count("S4") == 1000
@@ -445,7 +467,7 @@ class TestFingerprintBackends:
 
             return wrapper
 
-        monkeypatch.setattr(invariant, "count_homs", counted("walk", count_homs))
+        monkeypatch.setattr(invariant, "_walk_homs", counted("walk", invariant._walk_homs))
         monkeypatch.setattr(
             invariant, "count_homs_by_action", counted("action", count_homs_by_action)
         )
