@@ -3,8 +3,7 @@
 An endomorphism a |-> image_a, b |-> image_b of F_2 is an automorphism
 exactly when (image_a, image_b) is a basis.  The basis test is the
 classical commutator criterion; greedy Nielsen reduction decides the same
-question on its own while it builds a constructive inverse, and its move
-table generates the basis pairs of the classification search.
+question on its own while it builds a constructive inverse.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .autf2 import _MOVES, AutF2, aut_sort_key, is_basis
+from .autf2 import AutF2, aut_sort_key, is_basis
 from .words import Word, word_sort_key
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _X, _Y, _Z = Word((1,)), Word((2,)), Word((3,))
-_A, _B = Word((1,)), Word((2,))
+_A = Word((1,))
 
 ARTIN_CORE = AutF2(Word((1, 2, -1)), _A)
 
@@ -131,17 +131,16 @@ class QuadReport:
         return tuple(out)
 
 
-def _equations(a: Word, b: Word, c: Word, d: Word) -> tuple[bool, bool, bool]:
-    """The three defining word equations (T, M, B) in F_3."""
+def _equations(a: Word, b: Word, c: Word, d: Word) -> Iterator[bool]:
+    """The three defining word equations (T, M, B) in F_3, evaluated lazily
+    in that order, so ``all(...)`` stops at the first that fails."""
     c_yz = c.substitute((_Y, _Z))
-    d_yz = d.substitute((_Y, _Z))
     c_bz = c.substitute((b, _Z))
+    yield a.substitute((a, c_bz)) == a.substitute((_X, c_yz))
     b_xc = b.substitute((_X, c_yz))
-    return (
-        a.substitute((a, c_bz)) == a.substitute((_X, c_yz)),
-        b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz)),
-        d.substitute((b, _Z)) == d.substitute((b_xc, d_yz)),
-    )
+    d_yz = d.substitute((_Y, _Z))
+    yield b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz))
+    yield d.substitute((b, _Z)) == d.substitute((b_xc, d_yz))
 
 
 def check_quad(a: Word, b: Word, c: Word, d: Word) -> QuadReport:
@@ -359,24 +358,79 @@ def identify_quad(q: Quad) -> FamilyId | None:
 
 # -- bounded exhaustive classification search ------------------------------
 
+# Past this many quads the search refuses before checking any word equation.
+MAX_SEARCH_QUADS = 10_000_000
 
-def _basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], list[tuple[Word, Word]]]:
-    """Basis pairs (u, v) of words of length <= max_len, keyed by their
-    exponent-sum matrix (u_a, u_b, v_a, v_b), each list in word order.
+# One-letter conjugations w |-> x w x^-1, as (x, x^-1).
+_CONJUGATORS = tuple((Word((x,)), Word((-x,))) for x in (1, -1, 2, -2))
 
-    Generated from the 8 length-2 bases by Nielsen moves (see classify_search)."""
-    pairs = [p for x in (_A, _A.inverse()) for y in (_B, _B.inverse()) for p in ((x, y), (y, x))]
-    seen = set(pairs)
-    for u, v in pairs:  # breadth first: the loop also visits the pairs it appends
-        for _, move in _MOVES:
-            pair = move(u, v)
-            if pair not in seen and len(pair[0]) <= max_len and len(pair[1]) <= max_len:
-                seen.add(pair)
-                pairs.append(pair)
-    out: dict[tuple[int, ...], list[tuple[Word, Word]]] = {}
-    for u, v in sorted(pairs, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1]))):
-        matrix = (u.exponent_sum(1), u.exponent_sum(2), v.exponent_sum(1), v.exponent_sum(2))
-        out.setdefault(matrix, []).append((u, v))
+
+def _matrices(max_len: int) -> list[tuple[int, int, int, int]]:
+    """Every integer matrix (u_a, u_b, v_a, v_b) of determinant +-1 whose two
+    rows have |entries| summing to <= max_len: the exponent-sum matrices that
+    a basis pair of words of length <= max_len can have."""
+    rows = [
+        (x, y)
+        for x in range(-max_len, max_len + 1)
+        for y in range(abs(x) - max_len, max_len - abs(x) + 1)
+    ]
+    return [(ua, ub, va, vb) for ua, ub in rows for va, vb in rows if abs(ua * vb - ub * va) == 1]
+
+
+def _representative(m: tuple[int, ...]) -> tuple[Word, Word]:
+    """One basis pair with exponent-sum matrix m (determinant +-1).
+
+    Euclid on the a column, then one more move, takes the rows to a signed
+    permutation matrix by row moves r_i <- r_i - q r_j; the pair of a^+-1
+    and b^+-1 with that matrix is taken back through the moves in reverse,
+    each undone by the Nielsen move w_i <- w_i w_j^q."""
+    rows = [list(m[:2]), list(m[2:])]
+    moves = []
+
+    def move(i: int, q: int) -> None:
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[1 - i])]
+        moves.append((i, q))
+
+    while rows[0][0] and rows[1][0]:
+        i = int(abs(rows[0][0]) < abs(rows[1][0]))
+        move(i, rows[i][0] // rows[1 - i][0])
+    j = int(rows[0][0] == 0)  # rows[j] is (+-1, y), rows[1 - j] is (0, +-1)
+    move(j, rows[j][1] * rows[1 - j][1])
+    pair = [Word((rows[0][0] + 2 * rows[0][1],)), Word((rows[1][0] + 2 * rows[1][1],))]
+    for i, q in reversed(moves):
+        pair[i] = pair[i] * pair[1 - i] ** q
+    return pair[0], pair[1]
+
+
+def _size(pair: tuple[Word, Word]) -> int:
+    return max(len(pair[0]), len(pair[1]))
+
+
+def _conjugates(pair: tuple[Word, Word]) -> Iterator[tuple[Word, Word]]:
+    u, v = pair
+    for x, x_inv in _CONJUGATORS:
+        yield x * u * x_inv, x * v * x_inv
+
+
+def _bases_with_matrix(m: tuple[int, ...], max_len: int) -> list[tuple[Word, Word]]:
+    """Every basis pair with exponent-sum matrix m and both words of length
+    <= max_len: the bounded simultaneous conjugates of one representative,
+    found by descent and flood fill (see classify_search)."""
+    pair = _representative(m)
+    while True:
+        best = min(_conjugates(pair), key=_size)
+        if _size(best) >= _size(pair):
+            break
+        pair = best
+    if _size(pair) > max_len:
+        return []
+    out = [pair]
+    seen = {pair}
+    for pair in out:  # breadth first: the loop also visits the pairs it appends
+        for c in _conjugates(pair):
+            if c not in seen and _size(c) <= max_len:
+                seen.add(c)
+                out.append(c)
     return out
 
 
@@ -398,43 +452,83 @@ def _abelian_braid(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
     )
 
 
+def _braid_matrix_pairs(
+    matrices: list[tuple[int, ...]],
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (m, n) of the given matrices that pass :func:`_abelian_braid`.
+
+    Its first condition, m0^2 - m0 + m1 m2 n0 = 0, fixes n0 when m1 m2 != 0,
+    so only the matrices with that n0 are tried against such an m; when
+    m1 m2 = 0 it holds for every n if m0 is 0 or 1, and for none otherwise."""
+    by_n0: dict[int, list[tuple[int, ...]]] = {}
+    for n in matrices:
+        by_n0.setdefault(n[0], []).append(n)
+    out = []
+    for m in matrices:
+        p, c = m[1] * m[2], m[0] * m[0] - m[0]
+        if p:
+            n0, rest = divmod(-c, p)
+            tried = [] if rest else by_n0.get(n0, [])
+        else:
+            tried = [] if c else matrices
+        out += [(m, n) for n in tried if _abelian_braid(m, n)]
+    return out
+
+
 def classify_search(max_len: int) -> set[Quad]:
     """All canonical classes of valid quads with word lengths <= max_len.
 
     The search runs in four stages, each doing its work once.
 
-    1. Bases.  The basis pairs are generated, not tested.  A breadth-first
-       search from the 8 length-2 bases (a^+-1, b^+-1) and (b^+-1, a^+-1)
-       applies every Nielsen multiplication of ``autf2._MOVES`` and keeps a
-       pair when both its words have length <= max_len.  Each move is an
-       automorphism, so every pair found is a basis.  Every basis pair is
-       found: greedy Nielsen reduction (Magnus, Karrass and Solitar,
-       *Combinatorial Group Theory*, section 3.2) takes it to a length-2
-       basis by multiplications alone, each shortening the one word it
-       changes, and the table holds the inverse of each move, so the
-       reversed path reaches the pair without a word ever outgrowing the
-       bound.  The pairs are grouped by their 2x2 exponent-sum matrix.
-    2. Matrices.  Each pair of matrices is tested once against the
-       abelianized braid relation E1 E2 E1 = E2 E1 E2 in closed form.
-       This is sound: a quad is valid exactly when its two cores satisfy
-       the braid relation on F_3 (:func:`braidact.braid.check_pair_via_braid`),
-       and abelianizing is multiplicative.  The relation word is a
-       palindrome, so the row or column convention does not matter.
-    3. Words again.  Only the quads of surviving matrix pairs meet the
-       three word equations; their basis tests are already known.
+    1. Matrices.  A basis pair (u, v) of words of length <= max_len has an
+       exponent-sum matrix (u_a, u_b, v_a, v_b) of determinant +-1 with
+       |u_a| + |u_b| <= max_len and |v_a| + |v_b| <= max_len; these
+       finitely many matrices are listed.  Each pair of them is tested
+       against the abelianized braid relation E1 E2 E1 = E2 E1 E2 in
+       closed form.  This is sound: a quad is valid exactly when its two
+       cores satisfy the braid relation on F_3
+       (:func:`braidact.braid.check_pair_via_braid`), and abelianizing is
+       multiplicative.  The relation word is a palindrome, so the row or
+       column convention does not matter.
+    2. Bases, only for the matrices of surviving pairs.  They are
+       generated, not tested.  By Nielsen's theorem (Math. Ann. 78, 1918)
+       the kernel of Aut(F_2) -> GL_2(Z) is Inn(F_2), so the basis pairs
+       with matrix M are exactly the simultaneous conjugates
+       (w u_0 w^-1, w v_0 w^-1) of one pair (u_0, v_0) with matrix M,
+       distinct w giving distinct pairs.  Euclid builds (u_0, v_0).  On
+       the Cayley tree of F_2, |w u w^-1| is the displacement d(p, u p) of
+       p = w^-1, which is the translation length of u plus twice d(p,
+       axis(u)), a convex function along every geodesic.  So is the
+       maximum f(p) of the two words' lengths, and its sublevel set
+       {f <= max_len} is a connected subtree.  A one-letter conjugation
+       moves p to a neighbour, so a pair that no one-letter conjugation
+       shortens (in max(|u|, |v|)) is a global minimum of f, and from it a
+       flood fill over one-letter conjugations that keeps f <= max_len
+       reaches every pair of the sublevel set and no other.  Once the
+       bases are built, a search over more than ``MAX_SEARCH_QUADS`` quads
+       is refused with ValueError before any word equation runs.
+    3. Words.  Only the quads of surviving matrix pairs meet the three
+       word equations, evaluated lazily in the order T, M, B, so a quad
+       costs no more equations than its first failure; their basis tests
+       are already known.
     4. Orbits.  A valid quad's 8 symmetry images come from the quad and
        its one inverse; the least is its class, and later quads of the
        same orbit are skipped unchecked, since they are valid too.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    by_matrix = _basis_pairs_by_matrix(max_len)
+    pairs = _braid_matrix_pairs(_matrices(max_len))
+    bases = {m: _bases_with_matrix(m, max_len) for m in {m for pair in pairs for m in pair}}
+    quads = sum(len(bases[m]) * len(bases[n]) for m, n in pairs)
+    if quads > MAX_SEARCH_QUADS:
+        raise ValueError(
+            f"classification search refused: {quads} quads exceeds the budget "
+            f"of {MAX_SEARCH_QUADS}"
+        )
     found = set()
     seen: set[Quad] = set()
-    for m, n in itertools.product(by_matrix, repeat=2):
-        if not _abelian_braid(m, n):
-            continue
-        for (a, b), (c, d) in itertools.product(by_matrix[m], by_matrix[n]):
+    for m, n in pairs:
+        for (a, b), (c, d) in itertools.product(bases[m], bases[n]):
             quad = Quad(a, b, c, d)
             if quad not in seen and all(_equations(a, b, c, d)):
                 orbit = _orbit(quad)

@@ -69,6 +69,31 @@ class TestClassify:
         assert data["count"] == 7
         assert len(data["classes"]) == 7
 
+    def test_search_budget_counts_every_quad(self, capsys, monkeypatch):
+        # Length 3 word-checks 450 quads: 18 surviving matrix pairs over 55
+        # basis pairs.  One quad over the budget is refused, with no output.
+        monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 449)
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "classify", "--max-len", "3", *json_flag)
+            assert code == 1
+            assert out == ""
+            assert err == (
+                "error: classification search refused: 450 quads exceeds the budget of 449\n"
+            )
+        monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 450)
+        code, out, _ = run(capsys, "classify", "--max-len", "3")
+        assert code == 0
+        assert "canonical classes with word length <= 3: 16" in out
+
+    def test_length_13_is_refused(self, capsys):
+        code, out, err = run(capsys, "classify", "--max-len", "13")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: classification search refused: 48682978 quads exceeds the budget "
+            "of 10000000\n"
+        )
+
 
 class TestCatalog:
     def test_single_family(self, capsys):

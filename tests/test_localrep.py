@@ -13,10 +13,14 @@ from braidact.localrep import (
     PathError,
     Quad,
     _abelian_braid,
-    _basis_pairs_by_matrix,
+    _bases_with_matrix,
+    _braid_matrix_pairs,
     _catalog_level,
     _decorate,
     _DECORATIONS,
+    _equations,
+    _matrices,
+    _representative,
     backward_dual,
     base_quad,
     build_gamma,
@@ -40,6 +44,7 @@ from braidact.words import Word, word_sort_key
 
 from .util import (
     abelian_braid_by_product,
+    nielsen_basis_pairs_by_matrix,
     oracle_base_quad,
     reduced_words,
     scan_basis_pairs_by_matrix,
@@ -110,8 +115,8 @@ class TestCheckPairViaBraid:
         bases = sorted(
             (
                 (u, v)
-                for pairs in _basis_pairs_by_matrix(5).values()
-                for u, v in pairs
+                for m in _matrices(5)
+                for u, v in _bases_with_matrix(m, 5)
                 if len(u) + len(v) >= 5
             ),
             key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1])),
@@ -382,23 +387,88 @@ class TestClassifySearch:
             assert _abelian_braid(m, n), str(fid)
 
     def test_closed_form_prune_matches_matrix_product(self):
-        matrices = list(_basis_pairs_by_matrix(5))
+        matrices = _matrices(5)
         assert len(matrices) == 296
-        survivors = 0
+        survivors = []
         for m, n in itertools.product(matrices, repeat=2):
             assert _abelian_braid(m, n) == abelian_braid_by_product(m, n), (m, n)
-            survivors += _abelian_braid(m, n)
-        assert survivors == 34
+            if _abelian_braid(m, n):
+                survivors.append((m, n))
+        assert len(survivors) == 34
+        # Solving the first condition for n0 drops no surviving pair.
+        assert sorted(_braid_matrix_pairs(matrices)) == sorted(survivors)
 
     @pytest.mark.parametrize(
         "max_len", [1, 2, 3, 4, 5, pytest.param(7, marks=pytest.mark.extended)]
     )
     def test_basis_pairs_match_unfiltered_scan(self, max_len):
-        # Generation by Nielsen moves misses no basis pair and makes none up.
-        by_matrix = _basis_pairs_by_matrix(max_len)
-        assert {k: set(v) for k, v in by_matrix.items()} == scan_basis_pairs_by_matrix(max_len)
-        for pairs in by_matrix.values():
-            assert pairs == sorted(pairs, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1])))
+        # Neither generator misses a basis pair or makes one up.
+        scan = scan_basis_pairs_by_matrix(max_len)
+        generated = {m: set(_bases_with_matrix(m, max_len)) for m in _matrices(max_len)}
+        assert generated == scan
+        assert nielsen_basis_pairs_by_matrix(max_len) == scan
+
+    @pytest.mark.parametrize(
+        "max_len, count",
+        [(1, 8), (2, 40), (3, 104), (4, 168), (5, 296), (6, 360),
+         pytest.param(7, 552, marks=pytest.mark.extended)],
+    )
+    def test_bases_match_nielsen_oracle(self, max_len, count):
+        # Matrix by matrix: every listed matrix has a basis pair within the
+        # bound, and its conjugate flood fill equals the Nielsen search's.
+        oracle = nielsen_basis_pairs_by_matrix(max_len)
+        matrices = _matrices(max_len)
+        assert len(matrices) == len(set(matrices)) == count
+        assert set(matrices) == set(oracle)
+        for m in matrices:
+            bases = _bases_with_matrix(m, max_len)
+            assert len(bases) == len(set(bases))
+            assert set(bases) == oracle[m], m
+
+    def test_representatives_have_their_matrix(self):
+        matrices = _matrices(12)
+        for m in matrices:
+            u, v = _representative(m)
+            assert (u.exponent_sum(1), u.exponent_sum(2), v.exponent_sum(1), v.exponent_sum(2)) == m
+            assert is_basis(u, v), m
+
+    def test_descent_from_any_conjugate(self, monkeypatch):
+        # The flood fill starts from a minimum wherever the representative
+        # sits in its conjugacy class.
+        import random
+
+        rng = random.Random(7)
+        matrices = _matrices(4)
+        expected = {m: set(_bases_with_matrix(m, 4)) for m in matrices}
+        representative = _representative
+
+        def far_representative(m):
+            w = Word(rng.choice((1, -1, 2, -2)) for _ in range(12))
+            u, v = representative(m)
+            return w * u * w.inverse(), w * v * w.inverse()
+
+        monkeypatch.setattr(localrep, "_representative", far_representative)
+        for m in matrices:
+            assert set(_bases_with_matrix(m, 4)) == expected[m], m
+
+    def test_equations_are_lazy_in_order_t_m_b(self, monkeypatch):
+        # Each quad fails exactly one equation, so the order shows.
+        for text, flags in (
+            ("A,b,a,b", [False, True, True]),
+            ("a,b,A,b", [True, False, True]),
+            ("a,b,a,B", [True, True, False]),
+        ):
+            assert list(_equations(*q(text).words)) == flags
+            report = check_quad(*q(text).words)
+            assert [report.eq_t, report.eq_m, report.eq_b] == flags
+        calls = []
+        substitute = Word.substitute
+        monkeypatch.setattr(
+            Word, "substitute", lambda w, images: calls.append(w) or substitute(w, images)
+        )
+        # T fails here, so all() stops before M and B substitute anything.
+        assert not all(_equations(*q("aa,b,a,b").words))
+        assert len(calls) == 4
 
     def test_search_makes_no_basis_test(self, monkeypatch):
         def refuse(u, v):

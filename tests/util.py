@@ -6,7 +6,7 @@ import functools
 import itertools
 import math
 
-from braidact.autf2 import AutF2, is_basis
+from braidact.autf2 import _MOVES, AutF2, is_basis
 from braidact.braid import BraidWord, Endo
 from braidact.groups import FiniteGroupTable, group_from_table
 from braidact.invariant import (
@@ -314,6 +314,33 @@ def scan_basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], set[tuple[
             for u, v in itertools.product(by_vector[ua, ub], by_vector[va, vb]):
                 if is_basis(u, v):
                     out.setdefault((ua, ub, va, vb), set()).add((u, v))
+    return out
+
+
+def nielsen_basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], set[tuple[Word, Word]]]:
+    """Basis pairs of words of length <= max_len keyed by exponent-sum matrix,
+    by a breadth-first search from the 8 length-2 bases under every Nielsen
+    multiplication of ``autf2._MOVES`` that keeps both words within the bound.
+
+    Every move is an automorphism, so every pair found is a basis.  Every
+    basis pair is found: greedy Nielsen reduction (Magnus, Karrass and
+    Solitar, *Combinatorial Group Theory*, section 3.2) takes it to a
+    length-2 basis by multiplications alone, each shortening the one word
+    it changes, and the table holds the inverse of each move, so the
+    reversed path reaches the pair without a word ever outgrowing the bound."""
+    a, b = Word((1,)), Word((2,))
+    pairs = [p for x in (a, a.inverse()) for y in (b, b.inverse()) for p in ((x, y), (y, x))]
+    seen = set(pairs)
+    for u, v in pairs:  # breadth first: the loop also visits the pairs it appends
+        for _, move in _MOVES:
+            pair = move(u, v)
+            if pair not in seen and len(pair[0]) <= max_len and len(pair[1]) <= max_len:
+                seen.add(pair)
+                pairs.append(pair)
+    out: dict[tuple[int, ...], set[tuple[Word, Word]]] = {}
+    for u, v in pairs:
+        matrix = (u.exponent_sum(1), u.exponent_sum(2), v.exponent_sum(1), v.exponent_sum(2))
+        out.setdefault(matrix, set()).add((u, v))
     return out
 
 
