@@ -359,7 +359,9 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
         for ri, r in enumerate(relators):
             ls = r.letters
             for g in range(1, ngens + 1):
-                if ls.count(g) + ls.count(-g) == 1:
+                # Each `in` stops at its first hit; only one sign is counted.
+                pos, neg = g in ls, -g in ls
+                if pos != neg and ls.count(g if pos else -g) == 1:
                     key = (len(r), ri, g)
                     if choice is None or key < choice:
                         choice = key

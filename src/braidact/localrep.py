@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .autf2 import AutF2, aut_sort_key, is_basis
-from .words import Word, word_sort_key
+from .words import Word, _word, word_sort_key
 
 __all__ = [
     "ARTIN_CORE",
@@ -53,9 +53,9 @@ __all__ = [
 ]
 
 _X, _Y, _Z = Word((1,)), Word((2,)), Word((3,))
-_A = Word((1,))
+_YZ = (_Y, _Z)
 
-ARTIN_CORE = AutF2(Word((1, 2, -1)), _A)
+ARTIN_CORE = AutF2(Word((1, 2, -1)), _X)
 
 
 class PathError(ValueError):
@@ -131,14 +131,17 @@ class QuadReport:
         return tuple(out)
 
 
-def _equations(a: Word, b: Word, c: Word, d: Word) -> Iterator[bool]:
+def _equations(
+    a: Word, b: Word, c: Word, d: Word, c_yz: Word | None = None, d_yz: Word | None = None
+) -> Iterator[bool]:
     """The three defining word equations (T, M, B) in F_3, evaluated lazily
-    in that order, so ``all(...)`` stops at the first that fails."""
-    c_yz = c.substitute((_Y, _Z))
+    in that order, so ``all(...)`` stops at the first that fails.  c_yz and
+    d_yz, the images c(y, z) and d(y, z), are computed here unless given."""
+    c_yz = c.substitute(_YZ) if c_yz is None else c_yz
     c_bz = c.substitute((b, _Z))
     yield a.substitute((a, c_bz)) == a.substitute((_X, c_yz))
     b_xc = b.substitute((_X, c_yz))
-    d_yz = d.substitute((_Y, _Z))
+    d_yz = d.substitute(_YZ) if d_yz is None else d_yz
     yield b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz))
     yield d.substitute((b, _Z)) == d.substitute((b_xc, d_yz))
 
@@ -209,9 +212,9 @@ def _decorate(q: Quad, inv: bool, swap: bool, backward: bool) -> Quad:
     return q
 
 
-def _orbit(q: Quad) -> tuple[Quad, ...]:
+def _orbit(q: Quad, q_inv: Quad | None = None) -> tuple[Quad, ...]:
     # The inverse is the only costly symmetry; compute it once, not per image.
-    q_inv = _inverse_quad(q)
+    q_inv = q_inv or _inverse_quad(q)
     return tuple(
         _decorate(q_inv if inv else q, False, swap, backward)
         for inv, swap, backward in _DECORATIONS
@@ -361,10 +364,6 @@ def identify_quad(q: Quad) -> FamilyId | None:
 # Past this many quads the search refuses before checking any word equation.
 MAX_SEARCH_QUADS = 10_000_000
 
-# One-letter conjugations w |-> x w x^-1, as (x, x^-1).
-_CONJUGATORS = tuple((Word((x,)), Word((-x,))) for x in (1, -1, 2, -2))
-
-
 def _matrices(max_len: int) -> list[tuple[int, int, int, int]]:
     """Every integer matrix (u_a, u_b, v_a, v_b) of determinant +-1 whose two
     rows have |entries| summing to <= max_len: the exponent-sum matrices that
@@ -402,21 +401,27 @@ def _representative(m: tuple[int, ...]) -> tuple[Word, Word]:
     return pair[0], pair[1]
 
 
-def _size(pair: tuple[Word, Word]) -> int:
-    return max(len(pair[0]), len(pair[1]))
+def _conjugate(u: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """x u x^-1 for reduced letters u: x cancels only at the two ends."""
+    h = u[1:] if u and u[0] == -x else (x,) + u
+    return h[:-1] if h and h[-1] == x else h + (-x,)
 
 
-def _conjugates(pair: tuple[Word, Word]) -> Iterator[tuple[Word, Word]]:
+def _conjugates(pair: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     u, v = pair
-    for x, x_inv in _CONJUGATORS:
-        yield x * u * x_inv, x * v * x_inv
+    for x in (1, -1, 2, -2):
+        yield _conjugate(u, x), _conjugate(v, x)
+
+
+def _size(pair: tuple[tuple[int, ...], ...]) -> int:
+    return max(len(pair[0]), len(pair[1]))
 
 
 def _bases_with_matrix(m: tuple[int, ...], max_len: int) -> list[tuple[Word, Word]]:
     """Every basis pair with exponent-sum matrix m and both words of length
     <= max_len: the bounded simultaneous conjugates of one representative,
-    found by descent and flood fill (see classify_search)."""
-    pair = _representative(m)
+    found by descent and flood fill on letter tuples (see classify_search)."""
+    pair = tuple(w.letters for w in _representative(m))
     while True:
         best = min(_conjugates(pair), key=_size)
         if _size(best) >= _size(pair):
@@ -431,7 +436,7 @@ def _bases_with_matrix(m: tuple[int, ...], max_len: int) -> list[tuple[Word, Wor
             if c not in seen and _size(c) <= max_len:
                 seen.add(c)
                 out.append(c)
-    return out
+    return [(_word(u), _word(v)) for u, v in out]
 
 
 def _abelian_braid(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
@@ -457,20 +462,25 @@ def _braid_matrix_pairs(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The pairs (m, n) of the given matrices that pass :func:`_abelian_braid`.
 
-    Its first condition, m0^2 - m0 + m1 m2 n0 = 0, fixes n0 when m1 m2 != 0,
-    so only the matrices with that n0 are tried against such an m; when
-    m1 m2 = 0 it holds for every n if m0 is 0 or 1, and for none otherwise."""
+    Its first condition, c + p n0 = 0 with c = m0^2 - m0 and p = m1 m2,
+    fixes n0 when p != 0, and holds for every n or for none when p = 0.  If
+    it holds for every n and m is not diagonal, the second condition,
+    m0 + (m3 - 1) n0 = 0, fixes n0 when m3 != 1.  A fixed n0 is looked up;
+    a condition that fixes none passes every matrix or none."""
     by_n0: dict[int, list[tuple[int, ...]]] = {}
     for n in matrices:
         by_n0.setdefault(n[0], []).append(n)
     out = []
     for m in matrices:
-        p, c = m[1] * m[2], m[0] * m[0] - m[0]
-        if p:
-            n0, rest = divmod(-c, p)
+        m0, m1, m2, m3 = m
+        c, p = m0 * m0 - m0, m1 * m2
+        # The condition alpha + beta n0 = 0 that is solved for n0.
+        alpha, beta = (c, p) if p or c or not (m1 or m2) else (m0, m3 - 1)
+        if beta:
+            n0, rest = divmod(-alpha, beta)
             tried = [] if rest else by_n0.get(n0, [])
         else:
-            tried = [] if c else matrices
+            tried = [] if alpha else matrices
         out += [(m, n) for n in tried if _abelian_braid(m, n)]
     return out
 
@@ -504,35 +514,48 @@ def classify_search(max_len: int) -> set[Quad]:
        moves p to a neighbour, so a pair that no one-letter conjugation
        shortens (in max(|u|, |v|)) is a global minimum of f, and from it a
        flood fill over one-letter conjugations that keeps f <= max_len
-       reaches every pair of the sublevel set and no other.  Once the
+       reaches every pair of the sublevel set and no other.  Both run on
+       letter tuples, which also key each pair in stages 3 and 4.  Once the
        bases are built, a search over more than ``MAX_SEARCH_QUADS`` quads
        is refused with ValueError before any word equation runs.
     3. Words.  Only the quads of surviving matrix pairs meet the three
        word equations, evaluated lazily in the order T, M, B, so a quad
        costs no more equations than its first failure; their basis tests
-       are already known.
+       are already known.  c(y, z) and d(y, z) are computed once per
+       basis pair of a second matrix, so a quad failing T costs three
+       substitutions.
     4. Orbits.  A valid quad's 8 symmetry images come from the quad and
-       its one inverse; the least is its class, and later quads of the
-       same orbit are skipped unchecked, since they are valid too.
+       its inverse quad; the least is its class, and later quads of the
+       same orbit are skipped unchecked, since they are valid too.  Each
+       basis pair is inverted at most once per search, and only valid
+       quads become :class:`Quad` values.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     pairs = _braid_matrix_pairs(_matrices(max_len))
-    bases = {m: _bases_with_matrix(m, max_len) for m in {m for pair in pairs for m in pair}}
+    bases = {
+        m: [((a.letters, b.letters), a, b) for a, b in _bases_with_matrix(m, max_len)]
+        for m in {m for pair in pairs for m in pair}
+    }
     quads = sum(len(bases[m]) * len(bases[n]) for m, n in pairs)
     if quads > MAX_SEARCH_QUADS:
         raise ValueError(
             f"classification search refused: {quads} quads exceeds the budget "
             f"of {MAX_SEARCH_QUADS}"
         )
-    found = set()
-    seen: set[Quad] = set()
+    second_bases = {
+        n: [(cd, c, d, c.substitute(_YZ), d.substitute(_YZ)) for cd, c, d in bases[n]]
+        for n in {n for _, n in pairs}
+    }
+    found, seen, inverses = set(), set(), {}
     for m, n in pairs:
-        for (a, b), (c, d) in itertools.product(bases[m], bases[n]):
-            quad = Quad(a, b, c, d)
-            if quad not in seen and all(_equations(a, b, c, d)):
-                orbit = _orbit(quad)
-                seen.update(orbit)
+        for (ab, a, b), (cd, c, d, c_yz, d_yz) in itertools.product(bases[m], second_bases[n]):
+            if (ab, cd) not in seen and all(_equations(a, b, c, d, c_yz, d_yz)):
+                for key, u, v in ((ab, a, b), (cd, c, d)):
+                    if key not in inverses:
+                        inverses[key] = AutF2(u, v).inverse()
+                orbit = _orbit(Quad(a, b, c, d), Quad.from_cores(inverses[ab], inverses[cd]))
+                seen.update(((q.a.letters, q.b.letters), (q.c.letters, q.d.letters)) for q in orbit)
                 found.add(min(orbit, key=quad_sort_key))
     return found
 

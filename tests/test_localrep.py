@@ -386,17 +386,30 @@ class TestClassifySearch:
             n = tuple(w.exponent_sum(g) for w in (quad.c, quad.d) for g in (1, 2))
             assert _abelian_braid(m, n), str(fid)
 
-    def test_closed_form_prune_matches_matrix_product(self):
-        matrices = _matrices(5)
-        assert len(matrices) == 296
+    @pytest.mark.parametrize("max_len, count", [(5, 296), (6, 360)])
+    def test_closed_form_prune_matches_matrix_product(self, max_len, count):
+        matrices = _matrices(max_len)
+        assert len(matrices) == count
         survivors = []
         for m, n in itertools.product(matrices, repeat=2):
             assert _abelian_braid(m, n) == abelian_braid_by_product(m, n), (m, n)
             if _abelian_braid(m, n):
                 survivors.append((m, n))
         assert len(survivors) == 34
-        # Solving the first condition for n0 drops no surviving pair.
+        # Solving the conditions for n0 drops no surviving pair.
         assert sorted(_braid_matrix_pairs(matrices)) == sorted(survivors)
+
+    def test_prune_tries_only_matrices_with_a_solved_n0(self, monkeypatch):
+        # An m with m1 m2 = 0 passes the first condition only with m0 = 1;
+        # unless it is diagonal, the second then needs n0 = 1/2 or m0 = 0,
+        # so only the two diagonal such m are tried against all 104.
+        calls = []
+        abelian_braid = _abelian_braid
+        monkeypatch.setattr(
+            localrep, "_abelian_braid", lambda m, n: calls.append(m) or abelian_braid(m, n)
+        )
+        assert len(_braid_matrix_pairs(_matrices(3))) == 18
+        assert len(calls) == 1328
 
     @pytest.mark.parametrize(
         "max_len", [1, 2, 3, 4, 5, pytest.param(7, marks=pytest.mark.extended)]
@@ -469,6 +482,46 @@ class TestClassifySearch:
         # T fails here, so all() stops before M and B substitute anything.
         assert not all(_equations(*q("aa,b,a,b").words))
         assert len(calls) == 4
+
+    def test_search_fails_t_in_three_substitutions(self, monkeypatch):
+        # c(y, z) and d(y, z) come with each second basis pair, so the T
+        # check of a search substitutes only c(b, z), a(a, c(b, z)) and
+        # a(x, c(y, z)).
+        calls = []
+        substitute = Word.substitute
+        monkeypatch.setattr(
+            Word, "substitute", lambda w, images: calls.append(w) or substitute(w, images)
+        )
+        equations = _equations
+        t_costs = []
+
+        def counted(*args):
+            flags = equations(*args)
+            before = len(calls)
+            t = next(flags)
+            if not t:
+                t_costs.append(len(calls) - before)
+            yield t
+            yield from flags
+
+        monkeypatch.setattr(localrep, "_equations", counted)
+        assert len(classify_search(3)) == 16
+        assert len(t_costs) == 276
+        assert set(t_costs) == {3}
+
+    def test_search_inverts_each_basis_pair_once(self, monkeypatch):
+        # Each basis pair of a quad that starts a new class is inverted by
+        # one greedy reduction per search, not one per class that holds it.
+        from braidact import autf2
+
+        calls = []
+        reduce = autf2._greedy_reduce
+        monkeypatch.setattr(
+            autf2, "_greedy_reduce", lambda *args: calls.append(args[:2]) or reduce(*args)
+        )
+        assert len(classify_search(3)) == 16
+        assert 0 < len(calls) <= 16
+        assert len(calls) == len(set(calls))
 
     def test_search_makes_no_basis_test(self, monkeypatch):
         def refuse(u, v):
