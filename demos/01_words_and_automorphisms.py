@@ -13,7 +13,11 @@ print("substitute a->xy, b->yx^-1 into aab:",
 w = Word.parse("abaBA")
 core, conj = w.cyclically_reduce()
 print(f"cyclic reduction of {w}: core {core}, conjugator {conj}")
-print("ababb conjugate to babba?", Word.parse("ababb").is_conjugate(Word.parse("babba")))
+# Conjugate words have cyclic cores that are rotations of each other.
+c1, _ = Word.parse("ababb").cyclically_reduce()
+c2, _ = Word.parse("babba").cyclically_reduce()
+rotations = {c1.letters[k:] + c1.letters[:k] for k in range(len(c1))}
+print("ababb conjugate to babba?", c2.letters in rotations)
 
 print()
 print("== bases of the rank-two free group ==")

@@ -4,11 +4,10 @@
 from braidact import (
     ARTIN_CORE,
     build_gamma,
-    can_extend,
     component_vertices,
     constant_rep,
     outgoing_cores,
-    rep_from_path,
+    rep_from_cores,
 )
 
 print("== components of the classification graph ==")
@@ -31,9 +30,9 @@ print()
 print("== edge-paths are representations ==")
 graph = build_gamma(component_vertices("A", 1))
 v1, v2 = graph.vertices[0], graph.vertices[1]
-rep = rep_from_path(graph, [v1, v1, v2])
+rep = rep_from_cores([v1, v1, v2])
 print("path (v1, v1, v2) gives a representation on", rep.n, "strands")
-print("extendable:", can_extend(rep))
+print("extendable:", bool(outgoing_cores(rep.cores[-1])))
 print("successors of the constant core:",
       [f"({c}) via {fid}" for c, fid in outgoing_cores(ARTIN_CORE)])
 

@@ -58,7 +58,6 @@ from .localrep import (
     backward_dual,
     base_quad,
     build_gamma,
-    can_extend,
     canonicalize,
     catalog,
     check_quad,
@@ -70,7 +69,6 @@ from .localrep import (
     outgoing_cores,
     quad_sort_key,
     rep_from_cores,
-    rep_from_path,
     swap_dual,
     symmetry_orbit,
 )

@@ -133,9 +133,6 @@ class AutF2:
             images[abs(letter)] = mirror if letter > 0 else mirror.inverse()
         return AutF2(images[1], images[2])
 
-    def is_identity(self) -> bool:
-        return self.image_a == _A and self.image_b == _B
-
     def __str__(self) -> str:
         return f"{self.image_a.text(2)},{self.image_b.text(2)}"
 

@@ -83,17 +83,11 @@ class Endo:
     def identity(cls, n: int) -> Endo:
         return cls(tuple(Word.gen(i) for i in range(1, n + 1)))
 
-    def apply(self, w: Word) -> Word:
-        return w.substitute(self.images)
-
     def compose(self, other: Endo) -> Endo:
         """Right-action composition: self first, then other."""
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
         return Endo(tuple(w.substitute(other.images) for w in self.images))
-
-    def is_identity(self) -> bool:
-        return all(img.letters == (i + 1,) for i, img in enumerate(self.images))
 
     def __str__(self) -> str:
         return "; ".join(

@@ -2,9 +2,9 @@
 
 Tables are validated on construction (identity, inverses, associativity
 by Light's test), so downstream counting loops can trust them blindly.
-Construction also records each element's order and splits the group into
-its conjugacy classes, and unless it is abelian its pairs of elements into
-orbits under simultaneous conjugation.
+Construction also records each element's order and, unless the group is
+abelian, splits its pairs of elements into orbits under simultaneous
+conjugation.
 """
 
 from __future__ import annotations
@@ -40,25 +40,18 @@ class FiniteGroupTable:
     inverse: tuple[int, ...]
     # The order of each element: the least m >= 1 with x^m the identity.
     orders: tuple[int, ...]
-    # (representative, class size) per conjugacy class; the representative is
-    # the class's lowest element, and the classes come in that order.
-    classes: tuple[tuple[int, int], ...]
     # The orbits of the group on pairs (g, h) under simultaneous conjugation,
     # as (orbit size, representatives) blocks in increasing size.  Each
     # representative is stored as (g, h, g^-1, h^-1), g a class representative
-    # and h the lowest element of its orbit under the centralizer of g.  An
-    # abelian group stores no block: hom counts into it read the abelianization.
+    # and h the lowest element of its orbit under the centralizer of g.  With g
+    # the identity these are the conjugacy classes, each class's lowest element
+    # with its size as weight.  An abelian group stores no block: hom counts
+    # into it read the abelianization.
     pair_orbits: tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]
 
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def inv(self, x: int) -> int:
-        return self.inverse[x]
 
     def __str__(self) -> str:
         return f"{self.name} (order {self.order})"
@@ -123,9 +116,7 @@ def group_from_table(name: str, rows: list[list[int]]) -> FiniteGroupTable:
             seen |= cls
             classes.append((x, len(cls)))
     orbits = _pair_orbits(table, inverse, classes)
-    return FiniteGroupTable(
-        name, table, identity, tuple(inverse), tuple(orders), tuple(classes), orbits
-    )
+    return FiniteGroupTable(name, table, identity, tuple(inverse), tuple(orders), orbits)
 
 
 def _pair_orbits(

@@ -35,7 +35,6 @@ __all__ = [
     "backward_dual",
     "base_quad",
     "build_gamma",
-    "can_extend",
     "canonicalize",
     "catalog",
     "check_quad",
@@ -47,7 +46,6 @@ __all__ = [
     "outgoing_cores",
     "quad_sort_key",
     "rep_from_cores",
-    "rep_from_path",
     "swap_dual",
     "symmetry_orbit",
 ]
@@ -597,6 +595,8 @@ class LocalRep:
 
 
 def rep_from_cores(cores: Sequence[AutF2]) -> LocalRep:
+    """The validated rep with these cores, for example the vertices of an
+    edge-path of the successor graph in order."""
     rep = LocalRep(len(cores) + 1, tuple(cores))
     rep.validate()
     return rep
@@ -623,9 +623,6 @@ class GammaEdge:
 class GammaGraph:
     vertices: tuple[AutF2, ...]
     edges: tuple[GammaEdge, ...]
-
-    def has_edge(self, src: AutF2, dst: AutF2) -> bool:
-        return any(e.src == src and e.dst == dst for e in self.edges)
 
     def to_dot(self) -> str:
         lines = ["digraph gamma {"]
@@ -674,14 +671,6 @@ def component_vertices(kind: str, r: int | None = None) -> tuple[AutF2, ...]:
     return tuple(out)
 
 
-def rep_from_path(graph: GammaGraph, path: Sequence[AutF2]) -> LocalRep:
-    """Rep whose cores are the vertices of an edge-path of the graph."""
-    for v, w in zip(path, path[1:]):
-        if not graph.has_edge(v, w):
-            raise PathError(f"no edge from ({v}) to ({w}) in the graph")
-    return LocalRep(len(path) + 1, tuple(path))
-
-
 def outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:
     """All successors of a core, found by matching decorated family quads.
 
@@ -691,8 +680,3 @@ def outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:
     """
     level = _query_level(max(len(core.image_a), len(core.image_b)))
     return tuple(level.get(core, {}).items())
-
-
-def can_extend(rep: LocalRep) -> bool:
-    """Whether the rep extends to more strands (last core has a successor)."""
-    return not rep.cores or bool(outgoing_cores(rep.cores[-1]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 import re
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = ["Word", "word_sort_key"]
 
@@ -176,22 +176,6 @@ class Word:
             j -= 1
         return _word(ls[i:j]), _word(ls[:i])
 
-    def is_cyclically_reduced(self) -> bool:
-        ls = self.letters
-        return len(ls) < 2 or ls[0] != -ls[-1]
-
-    def is_conjugate(self, other: Word) -> bool:
-        """Free-group conjugacy: cyclic cores are rotations of each other."""
-        c1, _ = self.cyclically_reduce()
-        c2, _ = other.cyclically_reduce()
-        n = len(c1.letters)
-        if n != len(c2.letters):
-            return False
-        if n == 0:
-            return True
-        doubled = c1.letters + c1.letters
-        return any(doubled[k : k + n] == c2.letters for k in range(n))
-
     def exponent_sum(self, gen: int) -> int:
         return self.letters.count(gen) - self.letters.count(-gen)
 
@@ -214,9 +198,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
     def __str__(self) -> str:
         return self.text()

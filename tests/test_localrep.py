@@ -24,7 +24,6 @@ from braidact.localrep import (
     backward_dual,
     base_quad,
     build_gamma,
-    can_extend,
     canonicalize,
     catalog,
     check_quad,
@@ -36,7 +35,6 @@ from braidact.localrep import (
     outgoing_cores,
     quad_sort_key,
     rep_from_cores,
-    rep_from_path,
     swap_dual,
     symmetry_orbit,
 )
@@ -199,8 +197,8 @@ def test_every_catalog_core_inverts_cleanly():
     for fid in all_family_ids(3):
         quad = catalog(fid)
         for core in (quad.tau, quad.kappa):
-            assert core.compose(core.inverse()).is_identity()
-            assert core.inverse().compose(core).is_identity()
+            assert core.compose(core.inverse()) == AutF2.identity()
+            assert core.inverse().compose(core) == AutF2.identity()
 
 
 class TestCatalog:
@@ -624,20 +622,20 @@ class TestReps:
     def test_alternating_b_path(self):
         g = build_gamma(component_vertices("B"))
         v, w_ = g.vertices
-        rep = rep_from_path(g, [v, w_, v])
+        rep = rep_from_cores([v, w_, v])
         assert rep.n == 4
 
     def test_single_vertex_path(self):
         g = build_gamma(component_vertices("C"))
-        rep = rep_from_path(g, [g.vertices[0]])
+        rep = rep_from_cores([g.vertices[0]])
         assert rep.n == 2
 
     def test_missing_edge_names_pair(self):
         g = build_gamma(component_vertices("T'"))
         src, dst = g.vertices[1], g.vertices[0]
-        assert not g.has_edge(src, dst)
-        with pytest.raises(PathError, match=r"no edge from \(A,b\)"):
-            rep_from_path(g, [src, dst])
+        assert (src, dst) not in {(e.src, e.dst) for e in g.edges}
+        with pytest.raises(PathError, match=r"^cores 1 and 2 \(\(A,b\); \(a,B\)\) do not"):
+            rep_from_cores([src, dst])
 
     def test_rep_from_cores_validates(self):
         with pytest.raises(PathError):
@@ -671,17 +669,20 @@ class TestReps:
 
 
 class TestExtension:
+    # A rep extends to one more strand exactly when its last core has a
+    # successor; each successor appended gives a valid rep.
     def test_artin_extends(self):
-        assert can_extend(constant_rep(ARTIN_CORE, 3))
-        successors = {str(core) for core, _ in outgoing_cores(ARTIN_CORE)}
-        assert successors == {"abA,a", "aBA,A"}
+        rep = constant_rep(ARTIN_CORE, 3)
+        successors = outgoing_cores(rep.cores[-1])
+        assert {str(core) for core, _ in successors} == {"abA,a", "aBA,A"}
+        for core, _ in successors:
+            assert rep_from_cores(rep.cores + (core,)).n == 4
 
     def test_inverting_type_does_not_extend(self):
         rep = rep_from_cores((AutF2.parse("a,B"), AutF2.parse("A,b")))
-        assert not can_extend(rep)
+        assert not outgoing_cores(rep.cores[-1])
 
     def test_self_loop_vertex_extends(self):
-        assert can_extend(constant_rep(AutF2.parse("aBa,a"), 2))
-
-    def test_trivial_strand_count_extends(self):
-        assert can_extend(LocalRep(1, ()))
+        core = AutF2.parse("aBa,a")
+        assert core in dict(outgoing_cores(constant_rep(core, 2).cores[-1]))
+        assert rep_from_cores((core, core)).n == 3

@@ -159,7 +159,7 @@ def burnside_pair_orbit_count(group: FiniteGroupTable) -> int:
     centralizer C_H(h), so the count is (1/|H|) sum_h |C_H(h)|^2."""
     total = 0
     for h in range(group.order):
-        centralizer = sum(group.mul(h, x) == group.mul(x, h) for x in range(group.order))
+        centralizer = sum(group.table[h][x] == group.table[x][h] for x in range(group.order))
         total += centralizer**2
     assert total % group.order == 0
     return total // group.order
