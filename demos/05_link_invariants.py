@@ -8,7 +8,7 @@ the type-B action does not give a stabilization-invariant group.
 from braidact import (
     ARTIN_CORE,
     AutF2,
-    abelian_invariants,
+    abelianization,
     builtin_group,
     check_S1,
     constant_rep,
@@ -53,8 +53,8 @@ s3 = builtin_group("S3")
 print("unknot :", count_homs(presentation(artin2, parse_braid("1", 2)), s3))
 print("trefoil:", count_homs(presentation(artin2, trefoil), s3))
 print("abelianizations:",
-      abelian_invariants(presentation(artin2, parse_braid("1", 2))),
-      abelian_invariants(presentation(artin2, trefoil)))
+      abelianization(presentation(artin2, parse_braid("1", 2))),
+      abelianization(presentation(artin2, trefoil)))
 
 print()
 print("== collapse behaviour of the cores ==")

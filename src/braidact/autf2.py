@@ -23,6 +23,7 @@ __all__ = [
 
 _A = Word((1,))
 _B = Word((2,))
+_X2_X3 = (_B, Word((3,)))
 # The cyclic words conjugate to [a, b] = abAB or to its inverse baBA.
 _BASIS_COMMUTATORS = frozenset(
     w[k:] + w[:k] for w in ((1, 2, -1, -2), (2, 1, -2, -1)) for k in range(4)
@@ -65,20 +66,22 @@ _MOVES = (
 )
 
 
-def _greedy_reduce(u: Word, v: Word, mirrors: list[Word] | None = None):
+def _greedy_reduce(u: Word, v: Word):
+    """Greedily shorten (u, v) by elementary moves.  Returns the shortened
+    pair, the move tags, and (a, b) taken through the same moves."""
     moves: list[str] = []
+    mirror = (_A, _B)
     while True:
         total = len(u) + len(v)
         for tag, f in _MOVES:
             u2, v2 = f(u, v)
             if len(u2) + len(v2) < total:
                 u, v = u2, v2
-                if mirrors is not None:
-                    mirrors[:] = f(mirrors[0], mirrors[1])
+                mirror = f(*mirror)
                 moves.append(tag)
                 break
         else:
-            return (u, v), tuple(moves)
+            return (u, v), tuple(moves), mirror
 
 
 def nielsen_reduce(image_a: Word, image_b: Word) -> tuple[tuple[Word, Word], tuple[str, ...]]:
@@ -87,7 +90,7 @@ def nielsen_reduce(image_a: Word, image_b: Word) -> tuple[tuple[Word, Word], tup
     A pair generates F_2 exactly when the reduction bottoms out at total
     length 2.
     """
-    return _greedy_reduce(image_a, image_b)
+    return _greedy_reduce(image_a, image_b)[:2]
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,20 @@ class AutF2:
 
     @functools.cached_property
     def _inverse(self) -> AutF2:
-        mirrors = [_A, _B]
-        (u, v), _ = _greedy_reduce(self.image_a, self.image_b, mirrors)
+        (u, v), _, mirrors = _greedy_reduce(self.image_a, self.image_b)
         if len(u) != 1 or len(v) != 1 or {abs(u.letters[0]), abs(v.letters[0])} != {1, 2}:
             raise ValueError(f"({self}) is not a basis of F_2; cannot invert")
         images: dict[int, Word] = {}
-        for end, mirror in ((u, mirrors[0]), (v, mirrors[1])):
+        for end, mirror in zip((u, v), mirrors):
             letter = end.letters[0]
             images[abs(letter)] = mirror if letter > 0 else mirror.inverse()
         return AutF2(images[1], images[2])
+
+    @functools.cached_property
+    def shifted(self) -> tuple[Word, Word]:
+        """The two images one strand up, with a and b renamed x_2 and x_3.
+        Kept on the instance like the inverse."""
+        return self.image_a.substitute(_X2_X3), self.image_b.substitute(_X2_X3)
 
     def __str__(self) -> str:
         return f"{self.image_a.text(2)},{self.image_b.text(2)}"

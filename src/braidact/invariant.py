@@ -23,13 +23,12 @@ from .braid import BraidWord, endo_of_braid
 from .groups import FiniteGroupTable
 from .localrep import LocalRep
 from .snf import smith_normal_form
-from .words import Word, _word
+from .words import Word
 
 __all__ = [
     "Fingerprint",
     "GroupPresentation",
     "S1Report",
-    "abelian_invariants",
     "abelianization",
     "check_S1",
     "count_homs",
@@ -102,22 +101,18 @@ def markov_stabilize(b: BraidWord, sign: int) -> BraidWord:
 
 
 def abelianization(p: GroupPresentation) -> tuple[int, ...]:
-    """Invariant factors of the abelianized group, one entry per generator.
+    """Invariant factors of the abelianized group, 0 for each free factor.
 
-    Smith normal form diagonal of the relator exponent matrix, padded with
-    zeros (free factors); entries form a divisibility chain.
+    The Smith normal form diagonal of the relator exponent matrix, padded
+    with zeros to one entry per generator, without the units: a
+    presentation-independent divisibility chain.
     """
     rows = []
     for r in p.relators:
         counts = Counter(r.letters)
         rows.append([counts[j] - counts[-j] for j in range(1, p.ngens + 1)])
     diag = smith_normal_form(rows)
-    return tuple(diag) + (0,) * (p.ngens - len(diag))
-
-
-def abelian_invariants(p: GroupPresentation) -> tuple[int, ...]:
-    """Abelianization with unit factors dropped: a presentation-independent form."""
-    return tuple(d for d in abelianization(p) if d != 1)
+    return tuple(d for d in diag if d != 1) + (0,) * (p.ngens - len(diag))
 
 
 def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
@@ -134,12 +129,12 @@ def count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     """
     _check_hom_budget(group, p.ngens)
     if not group.pair_orbits:  # only an abelian group stores no pair orbits
-        return _homs_from_abelianization(abelian_invariants(p), group)
+        return _homs_from_abelianization(abelianization(p), group)
     return _homs_from_factors(*_free_factors(p), group)
 
 
 def _homs_from_factors(
-    cyclic: tuple[int, ...], walked: list[GroupPresentation], group: FiniteGroupTable
+    cyclic: tuple[int, ...], walked: list[tuple[int, tuple]], group: FiniteGroupTable
 ) -> int:
     """The homs into a non-abelian group from the free product of cyclic
     groups with these invariant factors and of the walked factors.
@@ -154,21 +149,31 @@ def _homs_from_factors(
     relators by table lookups until one fails.
     """
     count = _homs_from_abelianization(cyclic, group)
-    for f in walked:
-        count *= _walk_homs(f, group)
+    for k, relators in walked:
+        count *= _walk_homs(k, relators, group)
     return count
 
 
-def _free_factors(p: GroupPresentation) -> tuple[tuple[int, ...], list[GroupPresentation]]:
+def _slot(letter: int, k: int) -> int:
+    """Where a hom's values on k generators keep the value of this letter:
+    x_1, x_2, x_1^-1, x_2^-1 (the layout of a stored pair orbit
+    representative), then x_3..x_k, then x_3^-1..x_k^-1."""
+    if letter > 0:
+        return letter - 1 if letter <= 2 else letter + 1
+    return 1 - letter if letter >= -2 else k - letter - 1
+
+
+def _free_factors(p: GroupPresentation) -> tuple[tuple[int, ...], list[tuple[int, tuple]]]:
     """p as a free product: the generators linked by sharing a nonempty
     relator form one factor, and a generator in no relator is a factor
     < x | > of its own.
 
     Returns the invariant factors of the factors on one generator, which are
-    cyclic (0 for Z, none for the trivial group), and the factors on two or
-    more generators, renumbered from x_1 in order and keeping the order of
-    their nonempty relators.  So a presentation on two or more generators
-    that does not split comes back as one factor, without its empty relators.
+    cyclic (0 for Z, none for the trivial group), and each factor on k >= 2
+    generators as (k, relators): its generators renumbered from x_1 in
+    order, each nonempty relator, in order, as the _slot of each letter.  So
+    a presentation on two or more generators that does not split comes back
+    as one factor, without its empty relators.
     """
     # block[g] is the lowest generator of g's class so far.
     block = list(range(p.ngens + 1))
@@ -187,28 +192,18 @@ def _free_factors(p: GroupPresentation) -> tuple[tuple[int, ...], list[GroupPres
             if d != 1:
                 cyclic.append(d)
             continue
-        # Renumbering the generators keeps a reduced word reduced.
-        new = {s * g: s * i for i, g in enumerate(gens, start=1) for s in (1, -1)}
-        relators = [_word(tuple(map(new.__getitem__, r.letters))) for r in relators]
-        walked.append(GroupPresentation(len(gens), tuple(relators)))
+        k = len(gens)
+        slot = {s * g: _slot(s * i, k) for i, g in enumerate(gens, start=1) for s in (1, -1)}
+        walked.append((k, tuple(tuple(map(slot.__getitem__, r.letters)) for r in relators)))
     return tuple(cyclic), walked
 
 
-def _walk_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
-    """The homs into a non-abelian group from p on at least two generators,
-    one pair orbit of (x_1, x_2) at a time."""
-    n = p.ngens
-    # A tuple's images hold the values of x_1, x_2, then their inverses, then
-    # the values of x_3..x_k, then their inverses.
-    relators = [
-        tuple(
-            (l - 1 if l <= 2 else l + 1) if l > 0 else (1 - l if l >= -2 else n - l - 1)
-            for l in r.letters
-        )
-        for r in p.relators
-    ]
+def _walk_homs(k: int, relators: tuple, group: FiniteGroupTable) -> int:
+    """The homs into a non-abelian group from a factor on k >= 2 generators
+    whose relators are given as _slot values, one pair orbit of (x_1, x_2)
+    at a time."""
     product = itertools.product
-    tails = product(range(group.order), repeat=n - 2), product(group.inverse, repeat=n - 2)
+    tails = product(range(group.order), repeat=k - 2), product(group.inverse, repeat=k - 2)
     table = group.table
     e = group.identity
     count = 0
@@ -219,8 +214,8 @@ def _walk_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
                 image = rep + tail
                 for rel in relators:
                     cur = e
-                    for k in rel:
-                        cur = table[cur][image[k]]
+                    for slot in rel:
+                        cur = table[cur][image[slot]]
                     if cur != e:
                         break
                 else:
@@ -246,12 +241,12 @@ def _homs_from_abelianization(factors: tuple[int, ...], group: FiniteGroupTable)
     return math.prod(sum(d % order == 0 for order in group.orders) for d in factors)
 
 
-def _walk_tuples(group: FiniteGroupTable, walked: list[GroupPresentation]) -> int:
+def _walk_tuples(group: FiniteGroupTable, walked: list[tuple[int, tuple]]) -> int:
     """The tuples _homs_from_factors walks over these free factors, each on
     k >= 2 generators: P(H) |H|^(k-2) per factor, and none into an abelian
     group."""
     return sum(
-        len(reps) * group.order ** (f.ngens - 2) for f in walked for _, reps in group.pair_orbits
+        len(reps) * group.order ** (k - 2) for k, _ in walked for _, reps in group.pair_orbits
     )
 
 
@@ -265,10 +260,7 @@ def pair_action(core: AutF2, group: FiniteGroupTable) -> tuple[int, ...]:
     q = group.order
     table = group.table
     e = group.identity
-    # A pair's values hold a at 0, b at 1, a^-1 at 2 and b^-1 at 3.
-    words = [
-        tuple(l - 1 if l > 0 else 1 - l for l in w.letters) for w in (core.image_a, core.image_b)
-    ]
+    words = [tuple(_slot(l, 2) for l in w.letters) for w in (core.image_a, core.image_b)]
     out = []
     for a, b in itertools.product(range(q), repeat=2):
         values = (a, b, group.inverse[a], group.inverse[b])
@@ -477,7 +469,7 @@ def fingerprint_report(
     groups = tuple(groups)
     pres = presentation(rep, braid)
     simplified = tietze_simplify(pres)
-    factors = abelian_invariants(simplified)
+    factors = abelianization(simplified)
     if any(g.pair_orbits for g in groups):
         cyclic, walkable = _free_factors(simplified)
     # In table lookups per point: the action makes one per crossing and about

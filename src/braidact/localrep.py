@@ -50,8 +50,7 @@ __all__ = [
     "symmetry_orbit",
 ]
 
-_X, _Y, _Z = Word((1,)), Word((2,)), Word((3,))
-_YZ = (_Y, _Z)
+_X, _Z = Word((1,)), Word((3,))
 
 ARTIN_CORE = AutF2(Word((1, 2, -1)), _X)
 
@@ -129,17 +128,17 @@ class QuadReport:
         return tuple(out)
 
 
-def _equations(
-    a: Word, b: Word, c: Word, d: Word, c_yz: Word | None = None, d_yz: Word | None = None
-) -> Iterator[bool]:
-    """The three defining word equations (T, M, B) in F_3, evaluated lazily
-    in that order, so ``all(...)`` stops at the first that fails.  c_yz and
-    d_yz, the images c(y, z) and d(y, z), are computed here unless given."""
-    c_yz = c.substitute(_YZ) if c_yz is None else c_yz
+def _equations(tau: AutF2, kappa: AutF2) -> Iterator[bool]:
+    """The three defining word equations (T, M, B) in F_3 for the cores
+    tau = (a, b) and kappa = (c, d), evaluated lazily in that order, so
+    ``all(...)`` stops at the first that fails.  c(y, z) and d(y, z) are
+    kappa's images one strand up, kept on kappa."""
+    a, b = tau.image_a, tau.image_b
+    c, d = kappa.image_a, kappa.image_b
+    c_yz, d_yz = kappa.shifted
     c_bz = c.substitute((b, _Z))
     yield a.substitute((a, c_bz)) == a.substitute((_X, c_yz))
     b_xc = b.substitute((_X, c_yz))
-    d_yz = d.substitute(_YZ) if d_yz is None else d_yz
     yield b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz))
     yield d.substitute((b, _Z)) == d.substitute((b_xc, d_yz))
 
@@ -152,7 +151,8 @@ def check_quad(a: Word, b: Word, c: Word, d: Word) -> QuadReport:
     for w in (a, b, c, d):
         if w.max_generator() > 2:
             raise ValueError("quad words must be over a, b")
-    return QuadReport(Quad(a, b, c, d), is_basis(a, b), is_basis(c, d), *_equations(a, b, c, d))
+    q = Quad(a, b, c, d)
+    return QuadReport(q, is_basis(a, b), is_basis(c, d), *_equations(q.tau, q.kappa))
 
 
 # -- the three commuting symmetries -------------------------------------
@@ -210,9 +210,9 @@ def _decorate(q: Quad, inv: bool, swap: bool, backward: bool) -> Quad:
     return q
 
 
-def _orbit(q: Quad, q_inv: Quad | None = None) -> tuple[Quad, ...]:
-    # The inverse is the only costly symmetry; compute it once, not per image.
-    q_inv = q_inv or _inverse_quad(q)
+def _orbit(tau: AutF2, kappa: AutF2) -> tuple[Quad, ...]:
+    # The inverse is the only costly symmetry; each core keeps its own.
+    q, q_inv = Quad.from_cores(tau, kappa), Quad.from_cores(tau.inverse(), kappa.inverse())
     return tuple(
         _decorate(q_inv if inv else q, False, swap, backward)
         for inv, swap, backward in _DECORATIONS
@@ -222,7 +222,7 @@ def _orbit(q: Quad, q_inv: Quad | None = None) -> tuple[Quad, ...]:
 def symmetry_orbit(q: Quad) -> tuple[Quad, ...]:
     """The 8 symmetry images of a valid quad (duplicates possible)."""
     _require_valid(q, "symmetry_orbit")
-    return _orbit(q)
+    return _orbit(q.tau, q.kappa)
 
 
 def quad_sort_key(q: Quad) -> tuple:
@@ -343,7 +343,8 @@ def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
         level = {core: dict(targets) for core, targets in _catalog_level(None).items()}
         families = _A_FAMILIES
     for family in families:
-        for flags, q in zip(_DECORATIONS, _orbit(base_quad(family, r))):
+        base = base_quad(family, r)
+        for flags, q in zip(_DECORATIONS, _orbit(base.tau, base.kappa)):
             level.setdefault(q.tau, {}).setdefault(q.kappa, FamilyId(family, r, *flags))
     return level
 
@@ -516,23 +517,24 @@ def classify_search(max_len: int) -> set[Quad]:
        letter tuples, which also key each pair in stages 3 and 4.  Once the
        bases are built, a search over more than ``MAX_SEARCH_QUADS`` quads
        is refused with ValueError before any word equation runs.
-    3. Words.  Only the quads of surviving matrix pairs meet the three
-       word equations, evaluated lazily in the order T, M, B, so a quad
-       costs no more equations than its first failure; their basis tests
-       are already known.  c(y, z) and d(y, z) are computed once per
-       basis pair of a second matrix, so a quad failing T costs three
+    3. Words.  Each basis pair becomes one :class:`AutF2`, and only the
+       quads of surviving matrix pairs meet the three word equations,
+       evaluated lazily in the order T, M, B, so a quad costs no more
+       equations than its first failure; their basis tests are already
+       known.  A second core keeps its images one strand up, c(y, z) and
+       d(y, z), once computed, so beyond them a quad failing T costs three
        substitutions.
-    4. Orbits.  A valid quad's 8 symmetry images come from the quad and
-       its inverse quad; the least is its class, and later quads of the
+    4. Orbits.  A valid quad's 8 symmetry images come from its two cores
+       and their inverses; the least is its class, and later quads of the
        same orbit are skipped unchecked, since they are valid too.  Each
-       basis pair is inverted at most once per search, and only valid
-       quads become :class:`Quad` values.
+       core keeps its inverse, so each basis pair is inverted at most once
+       per search, and only valid quads become :class:`Quad` values.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     pairs = _braid_matrix_pairs(_matrices(max_len))
     bases = {
-        m: [((a.letters, b.letters), a, b) for a, b in _bases_with_matrix(m, max_len)]
+        m: [((a.letters, b.letters), AutF2(a, b)) for a, b in _bases_with_matrix(m, max_len)]
         for m in {m for pair in pairs for m in pair}
     }
     quads = sum(len(bases[m]) * len(bases[n]) for m, n in pairs)
@@ -541,18 +543,11 @@ def classify_search(max_len: int) -> set[Quad]:
             f"classification search refused: {quads} quads exceeds the budget "
             f"of {MAX_SEARCH_QUADS}"
         )
-    second_bases = {
-        n: [(cd, c, d, c.substitute(_YZ), d.substitute(_YZ)) for cd, c, d in bases[n]]
-        for n in {n for _, n in pairs}
-    }
-    found, seen, inverses = set(), set(), {}
+    found, seen = set(), set()
     for m, n in pairs:
-        for (ab, a, b), (cd, c, d, c_yz, d_yz) in itertools.product(bases[m], second_bases[n]):
-            if (ab, cd) not in seen and all(_equations(a, b, c, d, c_yz, d_yz)):
-                for key, u, v in ((ab, a, b), (cd, c, d)):
-                    if key not in inverses:
-                        inverses[key] = AutF2(u, v).inverse()
-                orbit = _orbit(Quad(a, b, c, d), Quad.from_cores(inverses[ab], inverses[cd]))
+        for (ab, tau), (cd, kappa) in itertools.product(bases[m], bases[n]):
+            if (ab, cd) not in seen and all(_equations(tau, kappa)):
+                orbit = _orbit(tau, kappa)
                 seen.update(((q.a.letters, q.b.letters), (q.c.letters, q.d.letters)) for q in orbit)
                 found.add(min(orbit, key=quad_sort_key))
     return found
@@ -584,8 +579,7 @@ class LocalRep:
             if i == 0:
                 continue
             prev = self.cores[i - 1]
-            q = Quad.from_cores(prev, core)
-            if not (bases[i - 1] and bases[i] and all(_equations(*q.words))):
+            if not (bases[i - 1] and bases[i] and all(_equations(prev, core))):
                 raise PathError(
                     f"cores {i} and {i + 1} (({prev}); ({core})) do not define a local action"
                 )

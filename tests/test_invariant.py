@@ -8,7 +8,6 @@ from braidact.braid import BraidWord, parse_braid
 from braidact.groups import builtin_group
 from braidact.invariant import (
     GroupPresentation,
-    abelian_invariants,
     abelianization,
     check_S1,
     count_homs,
@@ -112,15 +111,18 @@ class TestAbelianization:
         assert abelianization(pres(1)) == (0,)
 
     def test_trefoil_matrix(self):
+        # Two generators, one relator: the diagonal (1, 0) loses its unit.
         p = presentation(constant_rep(ARTIN_CORE, 2), parse_braid("1 1 1", 2))
-        assert abelianization(p) == (1, 0)
+        assert p.ngens == 2 and abelianization(p) == (0,)
 
     def test_torsion_presentation(self):
-        assert abelianization(pres(2, "aa", "bbb")) == (1, 6)
+        # Z/2 x Z/3: the diagonal (1, 6) loses its unit.
+        assert abelianization(pres(2, "aa", "bbb")) == (6,)
 
     def test_invariant_form_drops_units(self):
+        # Without units the factors do not depend on the presentation.
         p = presentation(constant_rep(ARTIN_CORE, 2), parse_braid("1 1 1", 2))
-        assert abelian_invariants(p) == (0,)
+        assert abelianization(p) == abelianization(tietze_simplify(p)) == abelianization(pres(1))
 
 
 class TestCountHoms:
@@ -217,23 +219,46 @@ class TestCountHoms:
         # Z/2 * Z/3 into S4: 10 elements of order dividing 2 times 9 of order
         # dividing 3.  Its abelianization Z/6 would allow only 18 homs.
         p = pres(2, "x1 x1", "x2 x2 x2")
-        assert abelian_invariants(p) == (6,)
+        assert abelianization(p) == (6,)
         assert invariant._homs_from_abelianization((6,), S4) == 18
         assert count_homs(p, S4) == brute_hom_count(p, S4) == 90
 
     def test_free_factors_renumber_interleaved_generators(self):
         # The commutator lives on x1 and x3, the square on x2 and x4 is free;
         # the empty relator belongs to no factor.
+        # A factor's relators come as the _slot values of its renumbered
+        # letters: x1, x2, X1, X2, then x3..xk, then X3..Xk.
         u = disjoint_union(pres(2, "x1 x2 X1 X2", ""), pres(2, "x1 x1"))
         assert str(u) == "gens: 4; relators: x1 x3 X1 X3, 1, x2 x2"
-        assert invariant._free_factors(u) == ((2, 0), [pres(2, "x1 x2 X1 X2")])
+        assert invariant._free_factors(u) == ((2, 0), [(2, ((0, 1, 2, 3),))])
         # A generator whose relators have coprime exponent sums is trivial.
         assert invariant._free_factors(pres(3, "x2 x2", "x2 x2 x2")) == ((0, 0), [])
-        connected = pres(3, "x1 x3", "x3 x2 x2")
-        assert invariant._free_factors(connected) == ((), [connected])
+        connected = pres(3, "x1 x3", "x3 X2 X2")
+        assert invariant._free_factors(connected) == ((), [(3, ((0, 4), (4, 3, 3)))])
         # A factor keeps only its nonempty relators.
-        with_empty = pres(3, "x1 x3", "", "x3 x2 x2")
-        assert invariant._free_factors(with_empty) == ((), [connected])
+        with_empty = pres(3, "x1 x3", "", "x3 X2 X2")
+        assert invariant._free_factors(with_empty) == invariant._free_factors(connected)
+        # Past two generators the inverses follow the values.
+        assert invariant._free_factors(pres(4, "x4 X3 x1 X2")) == ((), [(4, ((5, 6, 0, 3),))])
+
+    def test_slot_layout_matches_the_stored_pair_orbits(self):
+        # A pair orbit representative is stored as (g, h, g^-1, h^-1); the
+        # walk appends the values of x_3..x_k and then their inverses.  Each
+        # letter's slot must hold its value, on every k.
+        for group in (S3, S4, builtin_group("D4"), quaternion_group()):
+            inverse = group.inverse
+            reps = [rep for _, block in group.pair_orbits for rep in block]
+            assert reps and all(rep[2:] == (inverse[rep[0]], inverse[rep[1]]) for rep in reps)
+            for k in (2, 3, 4):
+                slots = [invariant._slot(s * i, k) for i in range(1, k + 1) for s in (1, -1)]
+                assert sorted(slots) == list(range(2 * k))
+                tail = tuple(range(1, k - 1))
+                for rep in reps:
+                    values = rep[:2] + tail
+                    image = rep + tail + tuple(inverse[t] for t in tail)
+                    for i, v in enumerate(values, start=1):
+                        assert image[invariant._slot(i, k)] == v
+                        assert image[invariant._slot(-i, k)] == inverse[v]
 
     def test_free_products_match_both_oracles(self):
         # A factor may leave one generator out of its relators, and may
@@ -417,8 +442,8 @@ class TestFingerprintBackends:
         rep, braid = constant_rep(ARTIN_CORE, 3), parse_braid("1 1", 3)
         simplified = tietze_simplify(presentation(rep, braid))
         cyclic, walked = invariant._free_factors(simplified)
-        assert simplified.ngens == 3 and cyclic == (0,) and [f.ngens for f in walked] == [2]
-        assert invariant._walk_tuples(S4, [simplified]) == 1032
+        assert simplified.ngens == 3 and cyclic == (0,) and [k for k, _ in walked] == [2]
+        assert invariant._walk_tuples(S4, [(3, ())]) == 1032
         assert invariant._walk_tuples(S4, walked) == 43
         reference = walk_fingerprint(rep, braid, [S4])
         monkeypatch.setattr(invariant, "count_homs_by_action", _refuse)
@@ -543,7 +568,7 @@ class TestTietze:
                 )
             p = GroupPresentation(ngens, tuple(rels))
             simplified = tietze_simplify(p)
-            assert abelian_invariants(simplified) == abelian_invariants(p)
+            assert abelianization(simplified) == abelianization(p)
             assert count_homs(simplified, S3) == count_homs(p, S3)
 
     def test_matches_renumbering_oracle_on_braid_presentations(self):

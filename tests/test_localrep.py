@@ -469,22 +469,28 @@ class TestClassifySearch:
             ("a,b,A,b", [True, False, True]),
             ("a,b,a,B", [True, True, False]),
         ):
-            assert list(_equations(*q(text).words)) == flags
-            report = check_quad(*q(text).words)
+            quad = q(text)
+            assert list(_equations(quad.tau, quad.kappa)) == flags
+            report = check_quad(*quad.words)
             assert [report.eq_t, report.eq_m, report.eq_b] == flags
         calls = []
         substitute = Word.substitute
         monkeypatch.setattr(
             Word, "substitute", lambda w, images: calls.append(w) or substitute(w, images)
         )
-        # T fails here, so all() stops before M and B substitute anything.
-        assert not all(_equations(*q("aa,b,a,b").words))
-        assert len(calls) == 4
+        tau, kappa = AutF2.parse("aa,b"), AutF2.parse("a,b")
+        # c(y, z) and d(y, z), kept on kappa.
+        assert kappa.shifted == (Word((2,)), Word((3,))) and len(calls) == 2
+        # T fails here, so all() stops before M and B substitute anything:
+        # T alone substitutes c(b, z), a(a, c(b, z)) and a(x, c(y, z)).
+        assert not all(_equations(tau, kappa))
+        assert len(calls) == 5
 
     def test_search_fails_t_in_three_substitutions(self, monkeypatch):
-        # c(y, z) and d(y, z) come with each second basis pair, so the T
-        # check of a search substitutes only c(b, z), a(a, c(b, z)) and
-        # a(x, c(y, z)).
+        # Each basis pair is one AutF2 for the whole search, which computes
+        # c(y, z) and d(y, z) on its first quad as a second core and keeps
+        # them.  So the T check of a search substitutes only c(b, z),
+        # a(a, c(b, z)) and a(x, c(y, z)).
         calls = []
         substitute = Word.substitute
         monkeypatch.setattr(
@@ -492,9 +498,14 @@ class TestClassifySearch:
         )
         equations = _equations
         t_costs = []
+        kappas = set()
 
-        def counted(*args):
-            flags = equations(*args)
+        def counted(tau, kappa):
+            before = len(calls)
+            kappa.shifted
+            assert len(calls) - before == (0 if id(kappa) in kappas else 2)
+            kappas.add(id(kappa))
+            flags = equations(tau, kappa)
             before = len(calls)
             t = next(flags)
             if not t:

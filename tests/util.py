@@ -12,7 +12,7 @@ from braidact.groups import FiniteGroupTable, group_from_table
 from braidact.invariant import (
     Fingerprint,
     GroupPresentation,
-    abelian_invariants,
+    abelianization,
     presentation,
     tietze_simplify,
 )
@@ -171,7 +171,7 @@ def walk_fingerprint(rep: LocalRep, braid: BraidWord, groups) -> Fingerprint:
     braid's action or by conjugacy classes."""
     simplified = tietze_simplify(presentation(rep, braid))
     counts = tuple(sorted((g.name, plain_count_homs(simplified, g)) for g in groups))
-    return Fingerprint(abelian_invariants(simplified), counts)
+    return Fingerprint(abelianization(simplified), counts)
 
 
 def crossing_endo(rep: LocalRep, i: int, sign: int) -> Endo:
