@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .autf2 import AutF2, aut_sort_key, is_basis
-from .words import Word, _word, word_sort_key
+from .words import Word, _letters_sort_key, _swapped_letters, _word, word_sort_key
 
 __all__ = [
     "ARTIN_CORE",
@@ -157,19 +157,58 @@ def check_quad(a: Word, b: Word, c: Word, d: Word) -> QuadReport:
 
 # -- the three commuting symmetries -------------------------------------
 
+# A basis pair as letter tuples, and a quad as its two basis pairs: the form
+# the symmetries act on and the search compares.
+_Pair = tuple[tuple[int, ...], tuple[int, ...]]
+_Letters = tuple[_Pair, _Pair]
 
-def _inverse_quad(q: Quad) -> Quad:
-    return Quad.from_cores(q.tau.inverse(), q.kappa.inverse())
+
+def _reversed(p: _Pair) -> _Pair:
+    """Both words read backward: backward's action on one basis pair."""
+    return p[0][::-1], p[1][::-1]
 
 
-def _swap_quad(q: Quad) -> Quad:
-    return Quad(
-        q.d.swap_letters(), q.c.swap_letters(), q.b.swap_letters(), q.a.swap_letters()
+def _swapped(p: _Pair) -> _Pair:
+    """(v, u) with a and b interchanged, for p = (u, v): swap sends a quad
+    (p, p') to (swapped p', swapped p)."""
+    return _swapped_letters(p[1]), _swapped_letters(p[0])
+
+
+def _decorate(tau: AutF2, kappa: AutF2, inv: bool, swap: bool, backward: bool) -> _Letters:
+    """The quad of cores tau, kappa under the flagged symmetries, applied in
+    the order inverse, swap, backward.  Each core keeps its inverse."""
+    if inv:
+        tau, kappa = tau.inverse(), kappa.inverse()
+    p = tau.image_a.letters, tau.image_b.letters
+    p2 = kappa.image_a.letters, kappa.image_b.letters
+    if swap:
+        p, p2 = _swapped(p2), _swapped(p)
+    if backward:
+        p, p2 = _reversed(p), _reversed(p2)
+    return p, p2
+
+
+def _quad(q: _Letters) -> Quad:
+    (a, b), (c, d) = q
+    return Quad(_word(a), _word(b), _word(c), _word(d))
+
+
+# (inv, swap, backward) flags; the symmetry images apply them in that order.
+_DECORATIONS = tuple(itertools.product((False, True), repeat=3))
+
+
+def _orbit(tau: AutF2, kappa: AutF2) -> tuple[_Letters, ...]:
+    """The 8 symmetry images of the quad of cores tau, kappa, in
+    _DECORATIONS order; the inverse cores are looked up once."""
+    cores = {False: (tau, kappa), True: (tau.inverse(), kappa.inverse())}
+    return tuple(
+        _decorate(*cores[inv], False, swap, backward) for inv, swap, backward in _DECORATIONS
     )
 
 
-def _backward_quad(q: Quad) -> Quad:
-    return Quad(*(w.reverse() for w in q.words))
+def _least(orbit: Iterable[_Letters]) -> Quad:
+    """The least image under :func:`quad_sort_key`'s order; only it becomes a Quad."""
+    return _quad(min(orbit, key=lambda q: tuple(_letters_sort_key(w) for p in q for w in p)))
 
 
 def _require_valid(q: Quad, op: str) -> None:
@@ -181,48 +220,25 @@ def _require_valid(q: Quad, op: str) -> None:
 def inverse_rep(q: Quad) -> Quad:
     """Quad of the inverted cores; an involution on valid quads."""
     _require_valid(q, "inverse_rep")
-    return _inverse_quad(q)
+    return _quad(_decorate(q.tau, q.kappa, True, False, False))
 
 
 def swap_dual(q: Quad) -> Quad:
     """(D, C, B, A) with a and b interchanged; an involution on valid quads."""
     _require_valid(q, "swap_dual")
-    return _swap_quad(q)
+    return _quad(_decorate(q.tau, q.kappa, False, True, False))
 
 
 def backward_dual(q: Quad) -> Quad:
     """Each word read backward; an involution on valid quads."""
     _require_valid(q, "backward_dual")
-    return _backward_quad(q)
-
-
-# (inv, swap, backward) flags; the symmetry images apply them in that order.
-_DECORATIONS = tuple(itertools.product((False, True), repeat=3))
-
-
-def _decorate(q: Quad, inv: bool, swap: bool, backward: bool) -> Quad:
-    if inv:
-        q = _inverse_quad(q)
-    if swap:
-        q = _swap_quad(q)
-    if backward:
-        q = _backward_quad(q)
-    return q
-
-
-def _orbit(tau: AutF2, kappa: AutF2) -> tuple[Quad, ...]:
-    # The inverse is the only costly symmetry; each core keeps its own.
-    q, q_inv = Quad.from_cores(tau, kappa), Quad.from_cores(tau.inverse(), kappa.inverse())
-    return tuple(
-        _decorate(q_inv if inv else q, False, swap, backward)
-        for inv, swap, backward in _DECORATIONS
-    )
+    return _quad(_decorate(q.tau, q.kappa, False, False, True))
 
 
 def symmetry_orbit(q: Quad) -> tuple[Quad, ...]:
     """The 8 symmetry images of a valid quad (duplicates possible)."""
     _require_valid(q, "symmetry_orbit")
-    return _orbit(q.tau, q.kappa)
+    return tuple(map(_quad, _orbit(q.tau, q.kappa)))
 
 
 def quad_sort_key(q: Quad) -> tuple:
@@ -231,7 +247,8 @@ def quad_sort_key(q: Quad) -> tuple:
 
 def canonicalize(q: Quad) -> Quad:
     """Least symmetry image under the length-lexicographic word order."""
-    return min(symmetry_orbit(q), key=quad_sort_key)
+    _require_valid(q, "canonicalize")
+    return _least(_orbit(q.tau, q.kappa))
 
 
 # -- the fourteen classified families ------------------------------------
@@ -318,7 +335,8 @@ class FamilyId:
 
 def catalog(fid: FamilyId) -> Quad:
     """Exact quad for a (possibly decorated) family identifier."""
-    return _decorate(base_quad(fid.family, fid.r), fid.inv, fid.swap, fid.backward)
+    base = base_quad(fid.family, fid.r)
+    return _quad(_decorate(base.tau, base.kappa, fid.inv, fid.swap, fid.backward))
 
 
 @functools.cache
@@ -344,7 +362,7 @@ def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
         families = _A_FAMILIES
     for family in families:
         base = base_quad(family, r)
-        for flags, q in zip(_DECORATIONS, _orbit(base.tau, base.kappa)):
+        for flags, q in zip(_DECORATIONS, map(_quad, _orbit(base.tau, base.kappa))):
             level.setdefault(q.tau, {}).setdefault(q.kappa, FamilyId(family, r, *flags))
     return level
 
@@ -360,8 +378,17 @@ def identify_quad(q: Quad) -> FamilyId | None:
 
 # -- bounded exhaustive classification search ------------------------------
 
-# Past this many quads the search refuses before checking any word equation.
+# Past this many candidate quads the search refuses before checking any word
+# equation.  It counts the candidates before the reduction to one quad per
+# orbit of swap and backward, so it still bounds the quads word-checked.
 MAX_SEARCH_QUADS = 10_000_000
+
+
+def _over_budget(quads: str) -> ValueError:
+    return ValueError(
+        f"classification search refused: {quads} quads exceeds the budget of {MAX_SEARCH_QUADS}"
+    )
+
 
 def _matrices(max_len: int) -> list[tuple[int, int, int, int]]:
     """Every integer matrix (u_a, u_b, v_a, v_b) of determinant +-1 whose two
@@ -498,7 +525,16 @@ def classify_search(max_len: int) -> set[Quad]:
        cores satisfy the braid relation on F_3
        (:func:`braidact.braid.check_pair_via_braid`), and abelianizing is
        multiplicative.  The relation word is a palindrome, so the row or
-       column convention does not matter.
+       column convention does not matter.  Before any of this, a search
+       whose T pair alone passes ``MAX_SEARCH_QUADS`` is refused.  Its
+       matrix, the identity, passes the prune, and its basis pairs are the
+       (w a w^-1, w b w^-1), one per w (stage 2).  w a w^-1 has length
+       2 |w'| + 1 for w' = w less its trailing power of a, likewise for b,
+       and w ends in at most one of the two letters, so both fit in
+       max_len exactly when |w| <= k = (max_len - 1) // 2: 2 3^k - 1
+       words.  The square of that count is a lower bound on the quads; it
+       is grown only until it passes the budget, so no huge integer is
+       built.
     2. Bases, only for the matrices of surviving pairs.  They are
        generated, not tested.  By Nielsen's theorem (Math. Ann. 78, 1918)
        the kernel of Aut(F_2) -> GL_2(Z) is Inn(F_2), so the basis pairs
@@ -515,41 +551,76 @@ def classify_search(max_len: int) -> set[Quad]:
        flood fill over one-letter conjugations that keeps f <= max_len
        reaches every pair of the sublevel set and no other.  Both run on
        letter tuples, which also key each pair in stages 3 and 4.  Once the
-       bases are built, a search over more than ``MAX_SEARCH_QUADS`` quads
-       is refused with ValueError before any word equation runs.
-    3. Words.  Each basis pair becomes one :class:`AutF2`, and only the
-       quads of surviving matrix pairs meet the three word equations,
-       evaluated lazily in the order T, M, B, so a quad costs no more
-       equations than its first failure; their basis tests are already
-       known.  A second core keeps its images one strand up, c(y, z) and
-       d(y, z), once computed, so beyond them a quad failing T costs three
-       substitutions.
+       bases are built, a search over more than ``MAX_SEARCH_QUADS``
+       candidate quads is refused with ValueError before any word equation
+       runs.
+    3. Words, once per orbit of swap and backward.  The candidates are the
+       quads of surviving matrix pairs, and they are closed under both
+       symmetries.  Backward reads each word backward, which keeps every
+       word length and exponent-sum matrix, and takes a basis pair to a
+       basis pair (its words are the inverses of the pair's image under a
+       -> a^-1, b -> b^-1).  Swap sends a quad (p, p') to (s p', s p),
+       where s(u, v) = (v, u) with a and b interchanged, so it keeps word
+       lengths and sends the matrix pair (m, n) to (rot n, rot m), rot
+       reversing the four entries; s is a bijection from the bases of m
+       onto those of rot m.  Conjugating by the antidiagonal 3x3
+       permutation J reverses the rows and columns of a matrix, so J E1 J =
+       diag(1, rot m) and J E2 J = diag(rot n, 1): E1 E2 E1 = E2 E1 E2
+       holds exactly when it holds for (rot n, rot m), so that pair
+       survives stage 1 too.  Both symmetries keep validity, so every
+       valid quad is in the orbit of a valid candidate that is least, by
+       letter tuples, among its at most four images, and only such least
+       candidates meet the word equations.  Each basis pair's reversal and
+       swap image are computed once, so the test is three tuple
+       comparisons.  The equations are evaluated lazily in the order T,
+       M, B, so a quad costs no more equations than its first failure;
+       the basis tests are already known.  A second core keeps its images
+       one strand up, c(y, z) and d(y, z), once computed, so beyond them a
+       quad failing T costs three substitutions.
     4. Orbits.  A valid quad's 8 symmetry images come from its two cores
-       and their inverses; the least is its class, and later quads of the
+       and their inverses, as letter tuples; the least is its class and
+       the only one that becomes a :class:`Quad`, and later quads of the
        same orbit are skipped unchecked, since they are valid too.  Each
        core keeps its inverse, so each basis pair is inverted at most once
-       per search, and only valid quads become :class:`Quad` values.
+       per search, and at most two per class.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    # The T pair's 2 3^j - 1 basis pairs, from j = 0 up to (max_len - 1) // 2.
+    t_bases, k = 1, (max_len - 1) // 2
+    while k and t_bases * t_bases <= MAX_SEARCH_QUADS:
+        t_bases, k = 3 * t_bases + 2, k - 1
+    if t_bases * t_bases > MAX_SEARCH_QUADS:
+        raise _over_budget(f"at least {t_bases * t_bases}")
     pairs = _braid_matrix_pairs(_matrices(max_len))
-    bases = {
-        m: [((a.letters, b.letters), AutF2(a, b)) for a, b in _bases_with_matrix(m, max_len)]
-        for m in {m for pair in pairs for m in pair}
-    }
+    bases = {}
+    for m in {m for pair in pairs for m in pair}:
+        bases[m] = []
+        for a, b in _bases_with_matrix(m, max_len):
+            p = a.letters, b.letters
+            r = _reversed(p)
+            bases[m].append((p, r, _swapped(p), _swapped(r), AutF2(a, b)))
     quads = sum(len(bases[m]) * len(bases[n]) for m, n in pairs)
     if quads > MAX_SEARCH_QUADS:
-        raise ValueError(
-            f"classification search refused: {quads} quads exceeds the budget "
-            f"of {MAX_SEARCH_QUADS}"
-        )
+        raise _over_budget(str(quads))
     found, seen = set(), set()
     for m, n in pairs:
-        for (ab, tau), (cd, kappa) in itertools.product(bases[m], bases[n]):
-            if (ab, cd) not in seen and all(_equations(tau, kappa)):
-                orbit = _orbit(tau, kappa)
-                seen.update(((q.a.letters, q.b.letters), (q.c.letters, q.d.letters)) for q in orbit)
-                found.add(min(orbit, key=quad_sort_key))
+        for p, p_r, p_s, p_rs, tau in bases[m]:
+            if p > p_r:
+                continue  # each (p, p2) exceeds its backward image (p_r, p2_r)
+            for p2, p2_r, p2_s, p2_rs, kappa in bases[n]:
+                # The quad against its backward, swap and swap-backward images.
+                q = p, p2
+                if (
+                    (p < p_r or p2 <= p2_r)
+                    and q <= (p2_s, p_s)
+                    and q <= (p2_rs, p_rs)
+                    and q not in seen
+                    and all(_equations(tau, kappa))
+                ):
+                    orbit = _orbit(tau, kappa)
+                    seen.update(orbit)
+                    found.add(_least(orbit))
     return found
 
 

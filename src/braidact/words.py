@@ -164,8 +164,7 @@ class Word:
         """Interchange the first two generators; defined for rank <= 2 only."""
         if self.max_generator() > 2:
             raise ValueError("letter swap is defined for words over a, b only")
-        table = {1: 2, 2: 1, -1: -2, -2: -1}
-        return _word(tuple(map(table.__getitem__, self.letters)))
+        return _word(_swapped_letters(self.letters))
 
     def cyclically_reduce(self) -> tuple[Word, Word]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
@@ -206,6 +205,18 @@ class Word:
         return f"Word({self.text()!r})"
 
 
+_LETTER_SWAP = {1: 2, 2: 1, -1: -2, -2: -1}
+
+
+def _swapped_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    # a and b interchanged in reduced letters over a, b; still reduced.
+    return tuple(map(_LETTER_SWAP.__getitem__, letters))
+
+
 def word_sort_key(w: Word) -> tuple:
     """Length-lexicographic order with a < a^-1 < b < b^-1 < x3 < ..."""
-    return (len(w.letters), tuple((abs(l), 0 if l > 0 else 1) for l in w.letters))
+    return _letters_sort_key(w.letters)
+
+
+def _letters_sort_key(letters: tuple[int, ...]) -> tuple:
+    return (len(letters), tuple((abs(l), 0 if l > 0 else 1) for l in letters))

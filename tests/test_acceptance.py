@@ -150,6 +150,16 @@ def test_criterion_2_extended_lengths_eight_nine():
                         f"each equal to the truncated catalog ({time.time() - t0:.1f}s)")
 
 
+@pytest.mark.extended
+def test_criterion_2_extended_length_eleven():
+    t0 = time.time()
+    search11 = classify_search(11)
+    assert search11 == _truncated_catalog_classes(11)
+    assert len(search11) == 28
+    _report("2x", True, f"search(11) = {len(search11)} classes, equal to the truncated "
+                        f"catalog ({time.time() - t0:.1f}s)")
+
+
 # Expected labelled edge sets read off the classification graph figure,
 # with each component's vertices in the catalog text form.
 _FIGURE_EDGES = {

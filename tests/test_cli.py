@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -70,7 +71,7 @@ class TestClassify:
         assert len(data["classes"]) == 7
 
     def test_search_budget_counts_every_quad(self, capsys, monkeypatch):
-        # Length 3 word-checks 450 quads: 18 surviving matrix pairs over 55
+        # Length 3 has 450 candidate quads: 18 surviving matrix pairs over 55
         # basis pairs.  One quad over the budget is refused, with no output.
         monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 449)
         for json_flag in ((), ("--json",)):
@@ -92,6 +93,20 @@ class TestClassify:
         assert err == (
             "error: classification search refused: 48682978 quads exceeds the budget "
             "of 10000000\n"
+        )
+
+    @pytest.mark.parametrize("max_len", [17, 21, 25, 1000000])
+    def test_long_searches_refused_at_once(self, capsys, max_len):
+        # The T pair alone passes the budget from length 15 on, so these are
+        # refused before any basis pair is built, with a lower bound.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--max-len", str(max_len))
+        assert time.perf_counter() - t0 < 2
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: classification search refused: at least 19123129 quads exceeds the "
+            "budget of 10000000\n"
         )
 
 

@@ -16,11 +16,12 @@ from braidact.localrep import (
     _bases_with_matrix,
     _braid_matrix_pairs,
     _catalog_level,
-    _decorate,
     _DECORATIONS,
     _equations,
     _matrices,
     _representative,
+    _reversed,
+    _swapped,
     backward_dual,
     base_quad,
     build_gamma,
@@ -42,6 +43,7 @@ from braidact.words import Word, word_sort_key
 
 from .util import (
     abelian_braid_by_product,
+    all_candidates_classify,
     nielsen_basis_pairs_by_matrix,
     oracle_base_quad,
     reduced_words,
@@ -184,12 +186,16 @@ class TestCanonicalize:
             assert 8 % len(orbit) == 0
 
     def test_orbit_matches_flagwise_decoration(self):
-        # The orbit shares one inverse between its images; it must equal the
-        # images decorated one flag triple at a time, in _DECORATIONS order.
+        # The orbit must equal the public involutions applied one flag at a
+        # time, in the order inverse, swap, backward, in _DECORATIONS order.
         for fid in scan_family_ids(7):
             quad = catalog(fid)
-            flagwise = tuple(_decorate(quad, *flags) for flags in _DECORATIONS)
-            assert symmetry_orbit(quad) == flagwise, str(fid)
+            flagwise = []
+            for inv, swap, backward in _DECORATIONS:
+                image = inverse_rep(quad) if inv else quad
+                image = swap_dual(image) if swap else image
+                flagwise.append(backward_dual(image) if backward else image)
+            assert symmetry_orbit(quad) == tuple(flagwise), str(fid)
             assert canonicalize(quad) == min(flagwise, key=quad_sort_key), str(fid)
 
 
@@ -515,12 +521,15 @@ class TestClassifySearch:
 
         monkeypatch.setattr(localrep, "_equations", counted)
         assert len(classify_search(3)) == 16
-        assert len(t_costs) == 276
+        # Only the least quad of each swap/backward orbit is word-checked:
+        # 80 fail T, against 276 when every candidate was.
+        assert len(t_costs) == 80
         assert set(t_costs) == {3}
 
     def test_search_inverts_each_basis_pair_once(self, monkeypatch):
         # Each basis pair of a quad that starts a new class is inverted by
-        # one greedy reduction per search, not one per class that holds it.
+        # one greedy reduction per search, not one per class that holds it,
+        # and a class inverts only its own two cores.
         from braidact import autf2
 
         calls = []
@@ -528,9 +537,54 @@ class TestClassifySearch:
         monkeypatch.setattr(
             autf2, "_greedy_reduce", lambda *args: calls.append(args[:2]) or reduce(*args)
         )
-        assert len(classify_search(3)) == 16
-        assert 0 < len(calls) <= 16
+        classes = classify_search(3)
+        assert len(classes) == 16
+        assert 0 < len(calls) <= 2 * len(classes)
         assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("max_len", [3, 4, 5])
+    def test_matches_all_candidates_oracle(self, max_len):
+        # The search word-checks one quad per swap/backward orbit; the oracle
+        # word-checks every candidate quad of the surviving matrix pairs.
+        assert classify_search(max_len) == all_candidates_classify(max_len)
+
+    @pytest.mark.parametrize("max_len", range(1, 10))
+    def test_surviving_pairs_closed_under_swap(self, max_len):
+        # Swap sends the matrix pair (m, n) to (rot n, rot m), rot reversing
+        # the four entries; the prune keeps the pair set closed under it.
+        pairs = set(_braid_matrix_pairs(_matrices(max_len)))
+        assert {(n[::-1], m[::-1]) for m, n in pairs} == pairs
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
+    def test_bases_closed_under_swap_and_reversal(self, max_len):
+        # Swap maps the bases of m onto those of rot m, reversal maps them
+        # onto themselves: both keep the candidate quads a closed set.
+        def pairs(m):
+            return {(u.letters, v.letters) for u, v in _bases_with_matrix(m, max_len)}
+
+        for m in _matrices(max_len):
+            assert {_swapped(p) for p in pairs(m)} == pairs(m[::-1]), m
+            assert {_reversed(p) for p in pairs(m)} == pairs(m), m
+
+    @pytest.mark.parametrize("max_len", range(1, 14))
+    def test_t_pair_basis_count(self, max_len):
+        # The early refusal's lower bound: the identity matrix has exactly
+        # 2 3^k - 1 basis pairs, k = (max_len - 1) // 2.
+        k = (max_len - 1) // 2
+        assert len(_bases_with_matrix((1, 0, 0, 1), max_len)) == 2 * 3**k - 1
+
+    def test_refuses_before_building_bases(self, monkeypatch):
+        def refuse(m, max_len):
+            raise AssertionError("bases built before the refusal")
+
+        monkeypatch.setattr(localrep, "_bases_with_matrix", refuse)
+        monkeypatch.setattr(localrep, "_matrices", refuse)
+        with pytest.raises(ValueError, match=r"refused: at least 19123129 quads exceeds"):
+            classify_search(15)
+        # The T pair's 5 basis pairs at length 3 give 25 quads.
+        monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 24)
+        with pytest.raises(ValueError, match=r"refused: at least 25 quads exceeds the budget of 24$"):
+            classify_search(3)
 
     def test_search_makes_no_basis_test(self, monkeypatch):
         def refuse(u, v):

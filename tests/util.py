@@ -21,9 +21,15 @@ from braidact.localrep import (
     FamilyId,
     LocalRep,
     Quad,
+    _bases_with_matrix,
+    _braid_matrix_pairs,
+    _equations,
+    _matrices,
     canonicalize,
     catalog,
     check_quad,
+    quad_sort_key,
+    symmetry_orbit,
 )
 from braidact.words import Word
 
@@ -300,6 +306,28 @@ def scan_classify(max_len: int) -> set[Quad]:
         for (a, b), (c, d) in itertools.product(bases, repeat=2)
         if check_quad(a, b, c, d).valid
     }
+
+
+def all_candidates_classify(max_len: int) -> set[Quad]:
+    """Canonical classes of valid quads with word lengths <= max_len, by
+    running the word equations on every candidate quad of the search's
+    surviving matrix pairs, with no reduction by swap and backward.  A quad
+    in the symmetry orbit of an earlier valid one is skipped, since it is
+    valid too."""
+    pairs = _braid_matrix_pairs(_matrices(max_len))
+    bases = {
+        m: [AutF2(a, b) for a, b in _bases_with_matrix(m, max_len)]
+        for m in {m for pair in pairs for m in pair}
+    }
+    found, seen = set(), set()
+    for m, n in pairs:
+        for tau, kappa in itertools.product(bases[m], bases[n]):
+            quad = Quad.from_cores(tau, kappa)
+            if quad not in seen and all(_equations(tau, kappa)):
+                orbit = symmetry_orbit(quad)
+                seen.update(orbit)
+                found.add(min(orbit, key=quad_sort_key))
+    return found
 
 
 def scan_basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], set[tuple[Word, Word]]]:
