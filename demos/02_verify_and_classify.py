@@ -17,7 +17,7 @@ from braidact import (
 print("== checking quads ==")
 for text in ("a,b,a,b", "abA,a,abA,a", "a,b,b,a"):
     quad = Quad.parse(text)
-    report = check_quad(*quad.words)
+    report = check_quad(quad)
     fam = identify_quad(quad) if report.valid else None
     status = f"valid, family {fam}" if report.valid else f"invalid, fails {report.failures()}"
     print(f"({text}): {status}")

@@ -89,9 +89,8 @@ def _cmd_verify(args) -> int:
         parts = args.pair.split(";")
         if len(parts) != 2:
             raise ValueError(f"expected 'A,B;C,D' pair syntax, got {args.pair!r}")
-        tau, kappa = (AutF2.parse(p) for p in parts)
-        quad = Quad.from_cores(tau, kappa)
-    report = check_quad(*quad.words)
+        quad = Quad(*map(AutF2.parse, parts))
+    report = check_quad(quad)
     if args.pair and report.basis_ab and report.basis_cd:
         braid_check = check_pair_via_braid(quad.tau, quad.kappa)
     family = identify_quad(quad) if report.valid else None
@@ -145,8 +144,6 @@ def _cmd_catalog(args) -> int:
     lines = []
     for fid in ids:
         quad = catalog(fid)
-        if not check_quad(*quad.words).valid:
-            raise ValueError(f"catalog produced an invalid quad for {fid}")
         entries.append({"id": str(fid), "quad": str(quad)})
         lines.append(f"{fid}: ({quad})")
     _emit(args, {"entries": entries}, lines)

@@ -1,7 +1,7 @@
 """Local actions on the rank-three free group and their classification.
 
-A quadruple of reduced words (A, B, C, D) over {a, b} encodes two
-endomorphisms of F_2 — tau: a|->A, b|->B and kappa: a|->C, b|->D.  The
+A quad is two endomorphisms of F_2, its cores tau: a|->A, b|->B and
+kappa: a|->C, b|->D, written as the reduced words (A, B, C, D).  The
 pair defines a braid-compatible local action on F_3 exactly when three
 word equations hold and both pairs are bases.  This module checks those
 equations, applies the three commuting symmetries (inverse, swap,
@@ -61,48 +61,35 @@ class PathError(ValueError):
 
 @dataclass(frozen=True)
 class Quad:
-    """Images (A, B, C, D) of two rank-two endomorphisms."""
+    """Two rank-two endomorphisms, the cores tau: a|->A, b|->B and
+    kappa: a|->C, b|->D, written (A, B, C, D)."""
 
-    a: Word
-    b: Word
-    c: Word
-    d: Word
+    tau: AutF2
+    kappa: AutF2
 
     @classmethod
     def parse(cls, text: str) -> Quad:
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError(f"expected 'A,B,C,D' quad syntax, got {text!r}")
-        return cls(*(Word.parse(p) for p in parts))
-
-    @classmethod
-    def from_cores(cls, tau: AutF2, kappa: AutF2) -> Quad:
-        return cls(tau.image_a, tau.image_b, kappa.image_a, kappa.image_b)
-
-    @property
-    def tau(self) -> AutF2:
-        return AutF2(self.a, self.b)
-
-    @property
-    def kappa(self) -> AutF2:
-        return AutF2(self.c, self.d)
+        a, b, c, d = map(Word.parse, parts)
+        return cls(AutF2(a, b), AutF2(c, d))
 
     @property
     def words(self) -> tuple[Word, Word, Word, Word]:
-        return (self.a, self.b, self.c, self.d)
+        return self.tau.image_a, self.tau.image_b, self.kappa.image_a, self.kappa.image_b
 
     def max_word_length(self) -> int:
         return max(len(w) for w in self.words)
 
     def __str__(self) -> str:
-        return ",".join(w.text(2) for w in self.words)
+        return f"{self.tau},{self.kappa}"
 
 
 @dataclass(frozen=True)
 class QuadReport:
     """Outcome of the defining checks, condition by condition."""
 
-    quad: Quad
     basis_ab: bool
     basis_cd: bool
     eq_t: bool
@@ -143,16 +130,15 @@ def _equations(tau: AutF2, kappa: AutF2) -> Iterator[bool]:
     yield d.substitute((b, _Z)) == d.substitute((b_xc, d_yz))
 
 
-def check_quad(a: Word, b: Word, c: Word, d: Word) -> QuadReport:
+def check_quad(q: Quad) -> QuadReport:
     """Evaluate the three defining word equations in F_3 plus both basis tests.
 
     Failure is data, not an error: the report carries one flag per condition.
     """
-    for w in (a, b, c, d):
-        if w.max_generator() > 2:
-            raise ValueError("quad words must be over a, b")
-    q = Quad(a, b, c, d)
-    return QuadReport(q, is_basis(a, b), is_basis(c, d), *_equations(q.tau, q.kappa))
+    a, b, c, d = q.words
+    if any(w.max_generator() > 2 for w in (a, b, c, d)):
+        raise ValueError("quad words must be over a, b")
+    return QuadReport(is_basis(a, b), is_basis(c, d), *_equations(q.tau, q.kappa))
 
 
 # -- the three commuting symmetries -------------------------------------
@@ -174,11 +160,10 @@ def _swapped(p: _Pair) -> _Pair:
     return _swapped_letters(p[1]), _swapped_letters(p[0])
 
 
-def _decorate(tau: AutF2, kappa: AutF2, inv: bool, swap: bool, backward: bool) -> _Letters:
-    """The quad of cores tau, kappa under the flagged symmetries, applied in
-    the order inverse, swap, backward.  Each core keeps its inverse."""
-    if inv:
-        tau, kappa = tau.inverse(), kappa.inverse()
+def _decorate(q: Quad, inv: bool, swap: bool, backward: bool) -> _Letters:
+    """q under the flagged symmetries, applied in the order inverse, swap,
+    backward.  Each core keeps its inverse."""
+    tau, kappa = (q.tau.inverse(), q.kappa.inverse()) if inv else (q.tau, q.kappa)
     p = tau.image_a.letters, tau.image_b.letters
     p2 = kappa.image_a.letters, kappa.image_b.letters
     if swap:
@@ -190,19 +175,19 @@ def _decorate(tau: AutF2, kappa: AutF2, inv: bool, swap: bool, backward: bool) -
 
 def _quad(q: _Letters) -> Quad:
     (a, b), (c, d) = q
-    return Quad(_word(a), _word(b), _word(c), _word(d))
+    return Quad(AutF2(_word(a), _word(b)), AutF2(_word(c), _word(d)))
 
 
 # (inv, swap, backward) flags; the symmetry images apply them in that order.
 _DECORATIONS = tuple(itertools.product((False, True), repeat=3))
 
 
-def _orbit(tau: AutF2, kappa: AutF2) -> tuple[_Letters, ...]:
-    """The 8 symmetry images of the quad of cores tau, kappa, in
-    _DECORATIONS order; the inverse cores are looked up once."""
-    cores = {False: (tau, kappa), True: (tau.inverse(), kappa.inverse())}
+def _orbit(q: Quad) -> tuple[_Letters, ...]:
+    """The 8 symmetry images of q, in _DECORATIONS order; the inverse cores
+    are looked up once."""
+    quads = {False: q, True: Quad(q.tau.inverse(), q.kappa.inverse())}
     return tuple(
-        _decorate(*cores[inv], False, swap, backward) for inv, swap, backward in _DECORATIONS
+        _decorate(quads[inv], False, swap, backward) for inv, swap, backward in _DECORATIONS
     )
 
 
@@ -212,7 +197,7 @@ def _least(orbit: Iterable[_Letters]) -> Quad:
 
 
 def _require_valid(q: Quad, op: str) -> None:
-    report = check_quad(*q.words)
+    report = check_quad(q)
     if not report.valid:
         raise ValueError(f"{op}: quad ({q}) is not valid (fails {report.failures()})")
 
@@ -220,25 +205,25 @@ def _require_valid(q: Quad, op: str) -> None:
 def inverse_rep(q: Quad) -> Quad:
     """Quad of the inverted cores; an involution on valid quads."""
     _require_valid(q, "inverse_rep")
-    return _quad(_decorate(q.tau, q.kappa, True, False, False))
+    return _quad(_decorate(q, True, False, False))
 
 
 def swap_dual(q: Quad) -> Quad:
     """(D, C, B, A) with a and b interchanged; an involution on valid quads."""
     _require_valid(q, "swap_dual")
-    return _quad(_decorate(q.tau, q.kappa, False, True, False))
+    return _quad(_decorate(q, False, True, False))
 
 
 def backward_dual(q: Quad) -> Quad:
     """Each word read backward; an involution on valid quads."""
     _require_valid(q, "backward_dual")
-    return _quad(_decorate(q.tau, q.kappa, False, False, True))
+    return _quad(_decorate(q, False, False, True))
 
 
 def symmetry_orbit(q: Quad) -> tuple[Quad, ...]:
     """The 8 symmetry images of a valid quad (duplicates possible)."""
     _require_valid(q, "symmetry_orbit")
-    return tuple(map(_quad, _orbit(q.tau, q.kappa)))
+    return tuple(map(_quad, _orbit(q)))
 
 
 def quad_sort_key(q: Quad) -> tuple:
@@ -248,31 +233,31 @@ def quad_sort_key(q: Quad) -> tuple:
 def canonicalize(q: Quad) -> Quad:
     """Least symmetry image under the length-lexicographic word order."""
     _require_valid(q, "canonicalize")
-    return _least(_orbit(q.tau, q.kappa))
+    return _least(_orbit(q))
 
 
 # -- the fourteen classified families ------------------------------------
 
 
-def _family_texts(r: int) -> dict[str, tuple[str, str, str, str]]:
-    """Each family's quad as four words of text, in catalog order, with the
-    A families written at r: a^r b a^-r is ``p + "b" + m``."""
+def _family_texts(r: int) -> dict[str, tuple[str, str]]:
+    """Each family's two cores as text, in catalog order, with the A
+    families written at r: a^r b a^-r is ``p + "b" + m``."""
     p, m = "a" * r, "A" * r
     return {
-        "T": ("a", "b", "a", "b"),
-        "T'": ("a", "B", "A", "b"),
-        "A1": (p + "b" + m, "a", p + "b" + m, "a"),
-        "A2": (p + "b" + m, "a", p + "B" + m, "A"),
-        "A3": (p + "B" + m, "A", m + "B" + p, "A"),
-        "B1": ("B", "a", "B", "a"),
-        "B2": ("B", "a", "b", "A"),
-        "C1": ("aBa", "a", "aBa", "a"),
-        "C2": ("aBa", "a", "aba", "A"),
-        "C3": ("aba", "A", "aba", "A"),
-        "D1": ("ABa", "bba", "ABa", "bba"),
-        "D2": ("abA", "bbA", "ABa", "bba"),
-        "D3": ("ABa", "bba", "Aba", "Abb"),
-        "D4": ("abA", "bbA", "Aba", "Abb"),
+        "T": ("a,b", "a,b"),
+        "T'": ("a,B", "A,b"),
+        "A1": (p + "b" + m + ",a", p + "b" + m + ",a"),
+        "A2": (p + "b" + m + ",a", p + "B" + m + ",A"),
+        "A3": (p + "B" + m + ",A", m + "B" + p + ",A"),
+        "B1": ("B,a", "B,a"),
+        "B2": ("B,a", "b,A"),
+        "C1": ("aBa,a", "aBa,a"),
+        "C2": ("aBa,a", "aba,A"),
+        "C3": ("aba,A", "aba,A"),
+        "D1": ("ABa,bba", "ABa,bba"),
+        "D2": ("abA,bbA", "ABa,bba"),
+        "D3": ("ABa,bba", "Aba,Abb"),
+        "D4": ("abA,bbA", "Aba,Abb"),
     }
 
 
@@ -288,7 +273,7 @@ def base_quad(family: str, r: int | None = None) -> Quad:
         raise ValueError(f"family {family} needs a parameter r >= 0")
     if family not in _A_FAMILIES and r is not None:
         raise ValueError(f"family {family} takes no parameter r")
-    return Quad(*(Word.parse(t) for t in _family_texts(r or 0)[family]))
+    return Quad(*map(AutF2.parse, _family_texts(r or 0)[family]))
 
 
 # The two kinds of part after a family tag, each given at most once.  A
@@ -335,8 +320,7 @@ class FamilyId:
 
 def catalog(fid: FamilyId) -> Quad:
     """Exact quad for a (possibly decorated) family identifier."""
-    base = base_quad(fid.family, fid.r)
-    return _quad(_decorate(base.tau, base.kappa, fid.inv, fid.swap, fid.backward))
+    return _quad(_decorate(base_quad(fid.family, fid.r), fid.inv, fid.swap, fid.backward))
 
 
 @functools.cache
@@ -361,8 +345,7 @@ def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
         level = {core: dict(targets) for core, targets in _catalog_level(None).items()}
         families = _A_FAMILIES
     for family in families:
-        base = base_quad(family, r)
-        for flags, q in zip(_DECORATIONS, map(_quad, _orbit(base.tau, base.kappa))):
+        for flags, q in zip(_DECORATIONS, map(_quad, _orbit(base_quad(family, r)))):
             level.setdefault(q.tau, {}).setdefault(q.kappa, FamilyId(family, r, *flags))
     return level
 
@@ -577,12 +560,13 @@ def classify_search(max_len: int) -> set[Quad]:
        the basis tests are already known.  A second core keeps its images
        one strand up, c(y, z) and d(y, z), once computed, so beyond them a
        quad failing T costs three substitutions.
-    4. Orbits.  A valid quad's 8 symmetry images come from its two cores
-       and their inverses, as letter tuples; the least is its class and
-       the only one that becomes a :class:`Quad`, and later quads of the
-       same orbit are skipped unchecked, since they are valid too.  Each
-       core keeps its inverse, so each basis pair is inverted at most once
-       per search, and at most two per class.
+    4. Orbits.  A valid quad, the first candidate made a :class:`Quad`,
+       gives its 8 symmetry images from its two cores and their inverses,
+       as letter tuples; the least is its class and the only image that
+       becomes a Quad, and later quads of the same orbit are skipped
+       unchecked, since they are valid too.  Each core keeps its inverse,
+       so each basis pair is inverted at most once per search, and at most
+       two per class.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -618,7 +602,7 @@ def classify_search(max_len: int) -> set[Quad]:
                     and q not in seen
                     and all(_equations(tau, kappa))
                 ):
-                    orbit = _orbit(tau, kappa)
+                    orbit = _orbit(Quad(tau, kappa))
                     seen.update(orbit)
                     found.add(_least(orbit))
     return found

@@ -156,16 +156,6 @@ class Word:
 
     # -- letter-level transformations -------------------------------------
 
-    def reverse(self) -> Word:
-        """The word read backward (letter signs unchanged)."""
-        return _word(self.letters[::-1])
-
-    def swap_letters(self) -> Word:
-        """Interchange the first two generators; defined for rank <= 2 only."""
-        if self.max_generator() > 2:
-            raise ValueError("letter swap is defined for words over a, b only")
-        return _word(_swapped_letters(self.letters))
-
     def cyclically_reduce(self) -> tuple[Word, Word]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
         ls = self.letters

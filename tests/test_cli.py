@@ -160,6 +160,18 @@ class TestCatalog:
             assert (code, out) == (1, "")
             assert err == f"error: repeated decoration '{part}' in '{family}'\n"
 
+    @pytest.mark.parametrize("decoration", ["", "s", "bw", "sbw"])
+    def test_long_family_prints_catalog_quad_quickly(self, capsys, decoration):
+        # The command prints the catalog's quad without re-checking it, so it
+        # stays linear in r.  The inverse decoration goes through
+        # AutF2.inverse, which is still quadratic in r.
+        fid = localrep.FamilyId("A1", 20000, swap="s" in decoration, backward="bw" in decoration)
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "catalog", "--family", f"A1:{decoration}", "--r", "20000")
+        assert time.perf_counter() - t0 < 2
+        assert code == 0
+        assert out == f"{fid}: ({localrep.catalog(fid)})\n"
+
 
 class TestGamma:
     def test_dot_file(self, capsys, tmp_path):

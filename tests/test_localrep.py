@@ -68,20 +68,20 @@ def all_family_ids(max_r):
 
 class TestCheckQuad:
     def test_trivial_family_valid(self):
-        assert check_quad(*q("a,b,a,b").words).valid
+        assert check_quad(q("a,b,a,b")).valid
 
     def test_conjugation_family_valid(self):
-        assert check_quad(*q("abA,a,abA,a").words).valid
+        assert check_quad(q("abA,a,abA,a")).valid
 
     def test_mismatched_pair_fails_m_and_b(self):
-        report = check_quad(*q("a,b,b,a").words)
+        report = check_quad(q("a,b,b,a"))
         assert not report.valid
         assert report.eq_t and not report.eq_m and not report.eq_b
         assert report.failures() == ("M", "B")
 
     def test_rank_error(self):
         with pytest.raises(ValueError):
-            check_quad(Word.parse("x3"), *q("a,b,a").words[:3])
+            check_quad(q("x3,a,b,a"))
 
 
 class TestCheckPairViaBraid:
@@ -104,9 +104,8 @@ class TestCheckPairViaBraid:
 
         pairs = [(u, v) for u in words for v in words if is_basis(u, v)]
         for (a, b), (c, d) in itertools.product(pairs, repeat=2):
-            assert check_quad(a, b, c, d).valid == check_pair_via_braid(
-                AutF2(a, b), AutF2(c, d)
-            )
+            tau, kappa = AutF2(a, b), AutF2(c, d)
+            assert check_quad(Quad(tau, kappa)).valid == check_pair_via_braid(tau, kappa)
 
     def test_agreement_with_check_quad_random_longer(self):
         import random
@@ -125,9 +124,8 @@ class TestCheckPairViaBraid:
         for _ in range(150):
             a, b = rng.choice(bases)
             c, d = rng.choice(bases)
-            assert check_quad(a, b, c, d).valid == check_pair_via_braid(
-                AutF2(a, b), AutF2(c, d)
-            )
+            tau, kappa = AutF2(a, b), AutF2(c, d)
+            assert check_quad(Quad(tau, kappa)).valid == check_pair_via_braid(tau, kappa)
 
 
 class TestSymmetries:
@@ -139,9 +137,8 @@ class TestSymmetries:
         assert swap_dual(q("a,B,A,b")) == q("a,B,A,b")
 
     def test_backward_dual_flips_conjugation_direction(self):
-        assert backward_dual(catalog(FamilyId("A1", 2))) == Quad(
-            Word.parse("AAbaa"), Word.parse("a"), Word.parse("AAbaa"), Word.parse("a")
-        )
+        expected = Quad(AutF2.parse("AAbaa,a"), AutF2.parse("AAbaa,a"))
+        assert backward_dual(catalog(FamilyId("A1", 2))) == expected
 
     def test_inverse_rep_of_artin_family(self):
         assert inverse_rep(q("abA,a,abA,a")) == q("b,Bab,b,Bab")
@@ -156,7 +153,7 @@ class TestSymmetries:
         }
         ops = {"inv": inverse_rep, "swap": swap_dual, "bw": backward_dual}
         for name, image in images.items():
-            assert check_quad(*image.words).valid
+            assert check_quad(image).valid
             assert ops[name](image) == quad
         for n1, n2 in itertools.combinations(ops, 2):
             assert ops[n1](ops[n2](quad)) == ops[n2](ops[n1](quad))
@@ -229,7 +226,7 @@ class TestCatalog:
     def test_all_emitted_quads_valid(self, fid):
         for inv, swap, backward in itertools.product((False, True), repeat=3):
             decorated = FamilyId(fid.family, fid.r, inv, swap, backward)
-            assert check_quad(*catalog(decorated).words).valid
+            assert check_quad(catalog(decorated)).valid
 
     def test_family_id_text_round_trip(self):
         for text in ("T", "T'", "A1:r=2", "D2:-s", "C1:bw", "A3:r=0:-sbw"):
@@ -319,7 +316,7 @@ class TestCatalogIndex:
             if fid.r is not None:
                 quad = catalog(fid)
                 assert quad.max_word_length() == 2 * fid.r + 1, fid
-                assert max(len(quad.a), len(quad.b)) == 2 * fid.r + 1, fid
+                assert max(len(quad.tau.image_a), len(quad.tau.image_b)) == 2 * fid.r + 1, fid
 
     def test_identify_quad_matches_scan(self):
         for fid in self.FIDS:
@@ -375,7 +372,7 @@ class TestClassifySearch:
     def test_results_closed_under_canonicalize(self):
         for quad in classify_search(1):
             assert canonicalize(quad) == quad
-            assert check_quad(*quad.words).valid
+            assert check_quad(quad).valid
             assert check_pair_via_braid(quad.tau, quad.kappa)
 
     @pytest.mark.parametrize("max_len", [1, 2])
@@ -386,8 +383,10 @@ class TestClassifySearch:
         # A prune that rejected a valid pair would drop classes silently.
         for fid in scan_family_ids(13):
             quad = catalog(fid)
-            m = tuple(w.exponent_sum(g) for w in (quad.a, quad.b) for g in (1, 2))
-            n = tuple(w.exponent_sum(g) for w in (quad.c, quad.d) for g in (1, 2))
+            m, n = (
+                tuple(w.exponent_sum(g) for w in (core.image_a, core.image_b) for g in (1, 2))
+                for core in (quad.tau, quad.kappa)
+            )
             assert _abelian_braid(m, n), str(fid)
 
     @pytest.mark.parametrize("max_len, count", [(5, 296), (6, 360)])
@@ -477,7 +476,7 @@ class TestClassifySearch:
         ):
             quad = q(text)
             assert list(_equations(quad.tau, quad.kappa)) == flags
-            report = check_quad(*quad.words)
+            report = check_quad(quad)
             assert [report.eq_t, report.eq_m, report.eq_b] == flags
         calls = []
         substitute = Word.substitute
@@ -649,7 +648,7 @@ class TestGamma:
             g = build_gamma(component_vertices(kind, r))
             for e in g.edges:
                 fid = FamilyId.parse(e.label)
-                assert catalog(fid) == Quad.from_cores(e.src, e.dst)
+                assert catalog(fid) == Quad(e.src, e.dst)
 
     def test_edges_and_labels_match_the_definition(self):
         # The graph comes from the catalog index; the oracle is the
@@ -662,11 +661,11 @@ class TestGamma:
             g = build_gamma(vertices)
             expected = {
                 (v, w_) for v in vertices for w_ in vertices
-                if check_quad(*Quad.from_cores(v, w_).words).valid
+                if check_quad(Quad(v, w_)).valid
             }
             assert {(e.src, e.dst) for e in g.edges} == expected, (kind, r)
             for e in g.edges:
-                assert e.label == str(scan_identify_quad(Quad.from_cores(e.src, e.dst)))
+                assert e.label == str(scan_identify_quad(Quad(e.src, e.dst)))
 
     def test_non_basis_vertex_rejected(self):
         with pytest.raises(ValueError):

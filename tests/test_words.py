@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidact.words import Word, word_sort_key
+from braidact.localrep import _reversed, _swapped
+from braidact.words import Word, _swapped_letters, _word, word_sort_key
 
 from .util import concat_substitute
 
@@ -212,29 +213,39 @@ class TestSubstitute:
 
 
 class TestLetterTransforms:
+    """Backward and swap act on letter tuples: a basis pair is reversed by
+    localrep._reversed and swapped by localrep._swapped, through
+    _swapped_letters on each word."""
+
     def test_reverse_example(self):
-        assert w("Babaa").reverse() == w("aabaB")
+        assert _reversed((w("Babaa").letters, w("ab").letters)) == (
+            w("aabaB").letters,
+            w("ba").letters,
+        )
 
     def test_swap_example(self):
-        assert w("AAba").swap_letters() == w("BBab")
+        assert _swapped_letters(w("AAba").letters) == w("BBab").letters
+        assert _swapped((w("AAba").letters, w("b").letters)) == (
+            w("a").letters,
+            w("BBab").letters,
+        )
 
-    def test_swap_rank_error(self):
-        with pytest.raises(ValueError):
-            w("x3").swap_letters()
+    @given(rank2_words, rank2_words)
+    def test_involutions(self, u, v):
+        p = u.letters, v.letters
+        assert _reversed(_reversed(p)) == p
+        assert _swapped(_swapped(p)) == p
 
-    @given(rank2_words)
-    def test_involutions(self, u):
-        assert u.reverse().reverse() == u
-        assert u.swap_letters().swap_letters() == u
-
-    @given(rank2_words)
-    def test_reverse_swap_commute(self, u):
-        assert u.reverse().swap_letters() == u.swap_letters().reverse()
+    @given(rank2_words, rank2_words)
+    def test_reverse_swap_commute(self, u, v):
+        p = u.letters, v.letters
+        assert _reversed(_swapped(p)) == _swapped(_reversed(p))
 
     @given(rank2_words)
     def test_exponent_sum_under_transforms(self, u):
-        assert u.reverse().exponent_sum(1) == u.exponent_sum(1)
-        assert u.swap_letters().exponent_sum(1) == u.exponent_sum(2)
+        backward, _ = _reversed((u.letters, ()))
+        assert Word(backward).exponent_sum(1) == u.exponent_sum(1)
+        assert Word(_swapped_letters(u.letters)).exponent_sum(1) == u.exponent_sum(2)
 
 
 class TestTrustedOutputs:
@@ -253,12 +264,13 @@ class TestTrustedOutputs:
     @given(st.one_of(words, conjugate_words))
     def test_inverse_reverse_and_cyclic_reduction(self, u):
         core, conjugator = u.cyclically_reduce()
-        for out in (u.inverse(), u.reverse(), core, conjugator):
+        backward, _ = _reversed((u.letters, ()))
+        for out in (u.inverse(), _word(backward), core, conjugator):
             assert has_no_inverse_pair(out)
 
     @given(rank2_words)
     def test_swap(self, u):
-        assert has_no_inverse_pair(u.swap_letters())
+        assert has_no_inverse_pair(_word(_swapped_letters(u.letters)))
 
 
 class TestCyclicReduction:

@@ -244,14 +244,15 @@ def oracle_base_quad(family: str, r: int | None = None) -> Quad:
     """A family's undecorated quad: the fixed families from their words, the
     A families as conjugates of b^+-1 by powers of a."""
     if family in FIXED_QUADS:
-        return Quad(*(Word.parse(t) for t in FIXED_QUADS[family]))
+        a, b, c, d = map(Word.parse, FIXED_QUADS[family])
+        return Quad(AutF2(a, b), AutF2(c, d))
     a, a_inv = Word((1,)), Word((-1,))
     if family == "A1":
-        return Quad(conj_power(r, 2), a, conj_power(r, 2), a)
+        return Quad(AutF2(conj_power(r, 2), a), AutF2(conj_power(r, 2), a))
     if family == "A2":
-        return Quad(conj_power(r, 2), a, conj_power(r, -2), a_inv)
+        return Quad(AutF2(conj_power(r, 2), a), AutF2(conj_power(r, -2), a_inv))
     assert family == "A3", family
-    return Quad(conj_power(r, -2), a_inv, conj_power(-r, -2), a_inv)
+    return Quad(AutF2(conj_power(r, -2), a_inv), AutF2(conj_power(-r, -2), a_inv))
 
 
 # -- linear-scan oracle for the catalog index ---------------------------------
@@ -300,12 +301,9 @@ def scan_classify(max_len: int) -> set[Quad]:
     """Canonical classes of valid quads with word lengths <= max_len, by
     running every basis pair against every basis pair through check_quad."""
     words = reduced_words(max_len)
-    bases = [(u, v) for u in words for v in words if is_basis(u, v)]
-    return {
-        canonicalize(Quad(a, b, c, d))
-        for (a, b), (c, d) in itertools.product(bases, repeat=2)
-        if check_quad(a, b, c, d).valid
-    }
+    bases = [AutF2(u, v) for u in words for v in words if is_basis(u, v)]
+    quads = (Quad(tau, kappa) for tau, kappa in itertools.product(bases, repeat=2))
+    return {canonicalize(quad) for quad in quads if check_quad(quad).valid}
 
 
 def all_candidates_classify(max_len: int) -> set[Quad]:
@@ -322,7 +320,7 @@ def all_candidates_classify(max_len: int) -> set[Quad]:
     found, seen = set(), set()
     for m, n in pairs:
         for tau, kappa in itertools.product(bases[m], bases[n]):
-            quad = Quad.from_cores(tau, kappa)
+            quad = Quad(tau, kappa)
             if quad not in seen and all(_equations(tau, kappa)):
                 orbit = symmetry_orbit(quad)
                 seen.update(orbit)
