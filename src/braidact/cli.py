@@ -13,7 +13,7 @@ import sys
 
 from .autf2 import AutF2
 from .braid import check_pair_via_braid, endo_of_braid, parse_braid
-from .groups import _NAME, builtin_group, load_group_table
+from .groups import builtin_group
 from .invariant import check_S1, fingerprint_report
 from .localrep import (
     ARTIN_CORE,
@@ -62,9 +62,7 @@ def _groups_from_arg(arg: str | None):
         name = name.strip()
         if not name:
             continue
-        # A name of the built-in form never falls back to a file, so that
-        # builtin_group's reason for refusing it (Z1000, S7) is the one shown.
-        group = builtin_group(name) if _NAME.fullmatch(name) else load_group_table(name)
+        group = builtin_group(name)
         # Counts are reported by group name, so a second group of one name
         # would drop or repeat a count.
         if any(g.name == group.name for g in groups):
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--braid", required=True)
-    p.add_argument("--homs", default=None, help="comma-separated group names or table files")
+    p.add_argument("--homs", default=None, help="comma-separated group names: Zk, Sk (k <= 6), Dk")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_invariant)
 

@@ -193,6 +193,13 @@ class TestGamma:
         assert code == 1
         assert err == "error: unknown component 'X' (one of T, T', A, B, C, D)\n"
 
+    def test_unwritable_dot_path_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, "gamma", "--family", "D", "--dot", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not path.parent.exists()
+
     def test_r_on_fixed_component_exits_one(self, capsys):
         code, out, err = run(capsys, "gamma", "--family", "B", "--r", "3", "--dot", "-")
         assert code == 1
@@ -319,38 +326,14 @@ class TestInvariant:
         assert code == 0
         assert "abelianization" in out
 
-    def test_group_table_from_file(self, capsys, tmp_path):
-        path = tmp_path / "Z3.table"
-        path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
-        code, out, _ = run(
-            capsys,
-            "invariant", "--rep", "artin", "--n", "2", "--braid", "1 1 1",
-            "--homs", str(path),
-        )
-        assert code == 0
-        assert "hom count into Z3: 3" in out
-
-    def test_repeated_group_name_exits_one(self, capsys, tmp_path):
-        # A table file named S3.txt holding Z6 is named S3 too, so its count
-        # would be lost under the built-in S3's.
-        path = tmp_path / "S3.txt"
-        rows = [" ".join(str((i + j) % 6) for j in range(6)) for i in range(6)]
-        path.write_text("6\n" + "\n".join(rows) + "\n")
-        for homs in ("S3,S3", f"S3,{path}", f"Z2,{path},S3"):
+    def test_repeated_group_name_exits_one(self, capsys):
+        for homs in ("S3,S3", "Z2,S3,S3"):
             code, out, err = run(
                 capsys,
                 "invariant", "--rep", "artin", "--n", "2", "--braid", "1 1 1",
                 "--homs", homs,
             )
             assert (code, out, err) == (1, "", "error: repeated group name 'S3' in --homs\n")
-        # On its own the file counts as Z6.
-        code, out, _ = run(
-            capsys,
-            "invariant", "--rep", "artin", "--n", "2", "--braid", "1 1 1",
-            "--homs", str(path),
-        )
-        assert code == 0
-        assert "hom count into S3: 6" in out
 
     def test_unsupported_builtin_group_reports_its_reason(self, capsys):
         reasons = {
@@ -405,13 +388,28 @@ class TestInvariant:
                     "of 10000000\n"
                 )
 
-    def test_missing_group_table_exits_one(self, capsys):
-        code, _, err = run(
+    def test_non_builtin_group_name_exits_one(self, capsys):
+        code, out, err = run(
             capsys,
             "invariant", "--rep", "artin", "--n", "2", "--braid", "1",
             "--homs", "no/such/table",
         )
-        assert code == 1
+        assert (code, out) == (1, "")
+        assert err == "error: unknown group name 'no/such/table' (expected Zk, Sk or Dk)\n"
+
+    def test_leading_zero_group_name_exits_one(self, capsys):
+        # Z02 is not another spelling of Z2: its count would be reported
+        # under a name that was not typed, and Z2,Z02 would be a repeat.
+        # Z0, S0 and D0 are canonical and keep their own reasons (see
+        # test_zero_order_builtin_group_reports_its_reason).
+        for homs, bad in (("Z02", "Z02"), ("S03", "S03"), ("D004", "D004"), ("Z2,Z02", "Z02")):
+            code, out, err = run(
+                capsys,
+                "invariant", "--rep", "artin", "--n", "2", "--braid", "1",
+                "--homs", homs,
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: unknown group name {bad!r} (expected Zk, Sk or Dk)\n"
 
 
 class TestCheckStab:

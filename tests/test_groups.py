@@ -1,43 +1,41 @@
 import pytest
 
-from braidact.groups import (
-    builtin_group,
-    cyclic_group,
-    dihedral_group,
-    group_from_table,
-    load_group_table,
-    symmetric_group,
-)
+from braidact.groups import builtin_group
 
-from .util import burnside_pair_orbit_count, klein_four_group, quaternion_group
+from .util import (
+    burnside_pair_orbit_count,
+    klein_four_group,
+    quaternion_group,
+    validated_group,
+)
 
 
 class TestBuilders:
     def test_cyclic(self):
-        z4 = cyclic_group(4)
+        z4 = builtin_group("Z4")
         assert z4.order == 4
         assert z4.table[3][2] == 1
         assert z4.inverse[3] == 1
 
     def test_symmetric(self):
-        s3 = symmetric_group(3)
+        s3 = builtin_group("S3")
         assert s3.order == 6
         assert s3.identity == 0
-        s4 = symmetric_group(4)
+        s4 = builtin_group("S4")
         assert s4.order == 24
 
     def test_dihedral(self):
-        d4 = dihedral_group(4)
+        d4 = builtin_group("D4")
         assert d4.order == 8
-        d5 = dihedral_group(5)
+        d5 = builtin_group("D5")
         assert d5.order == 10
         # a reflection is its own inverse
         assert all(d5.inverse[x] == x for x in range(5, 10))
 
     def test_abelianness(self):
-        z6 = cyclic_group(6)
+        z6 = builtin_group("Z6")
         assert all(z6.table[x][y] == z6.table[y][x] for x in range(6) for y in range(6))
-        s3 = symmetric_group(3)
+        s3 = builtin_group("S3")
         assert any(s3.table[x][y] != s3.table[y][x] for x in range(6) for y in range(6))
 
 
@@ -58,18 +56,36 @@ class TestBuiltinNames:
             builtin_group("Q8")
 
 
+# Every builtin up to S5 and D8, the trivial Z1 and S1 and the degenerate S2
+# and D2 among them; S6 and Z512 are left out for speed.
+ORACLE_BUILTINS = (
+    [f"Z{k}" for k in range(1, 13)]
+    + [f"S{k}" for k in range(1, 6)]
+    + [f"D{k}" for k in range(2, 9)]
+)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("name", ORACLE_BUILTINS)
+    def test_builtin_passes_the_oracle(self, name):
+        group = builtin_group(name)
+        checked = validated_group(name, [list(row) for row in group.table])
+        assert checked.table == group.table
+        assert checked.inverse == group.inverse
+        assert checked.orders == group.orders
+        assert checked.pair_orbits == group.pair_orbits
+
     def test_non_associative_rejected(self):
         rows = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
         with pytest.raises(ValueError, match="associative|inverse|identity"):
-            group_from_table("bad", rows)
+            validated_group("bad", rows)
 
     def test_non_associative_loop_rejected(self):
         # Identity 0 and every element its own inverse, so only the
         # associativity test can refuse it: (1 1) 2 = 2 but 1 (1 2) = 4.
         rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
         with pytest.raises(ValueError, match="associative"):
-            group_from_table("loop", rows)
+            validated_group("loop", rows)
         # Z2 x loop, element (z, l) at 2 l + z.  The first element tested,
         # 1 = (1, 0), associates with everything, so the failure has to be
         # found at a later generator.
@@ -79,43 +95,16 @@ class TestValidation:
             for z in range(2)
         ]
         with pytest.raises(ValueError, match=r"associative at \(\d+, [2-9]"):
-            group_from_table("Z2 x loop", product)
-
-    def test_relabelled_identity_found(self):
-        z2 = group_from_table("flipped", [[1, 0], [0, 1]])
-        assert z2.identity == 1
+            validated_group("Z2 x loop", product)
 
     def test_missing_identity_rejected(self):
         rows = [[1, 1], [1, 1]]
         with pytest.raises(ValueError, match="identity"):
-            group_from_table("bad", rows)
+            validated_group("bad", rows)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            group_from_table("bad", [[0, 1], [1, 7]])
-
-
-class TestFileFormat:
-    def test_round_trip(self, tmp_path):
-        z3 = cyclic_group(3)
-        path = tmp_path / "Z3.table"
-        rows = "\n".join(" ".join(str(x) for x in row) for row in z3.table)
-        path.write_text(f"3\n{rows}\n")
-        loaded = load_group_table(path)
-        assert loaded.table == z3.table
-        assert loaded.name == "Z3"
-
-    def test_wrong_entry_count(self, tmp_path):
-        path = tmp_path / "bad.table"
-        path.write_text("2\n0 1 1\n")
-        with pytest.raises(ValueError, match="expected 4 entries"):
-            load_group_table(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.table"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            load_group_table(path)
+            validated_group("bad", [[0, 1], [1, 7]])
 
 
 def _class_of(group, x):
@@ -162,22 +151,6 @@ class TestClasses:
             covered |= cls
         assert covered == set(range(group.order))
 
-    def test_relabelled_identity_has_its_own_class(self):
-        # S3 with its labels reversed: the identity becomes 5, the
-        # transpositions 0, 3, 4 and the 3-cycles 1, 2.
-        rows = [[5 - x for x in reversed(row)] for row in reversed(symmetric_group(3).table)]
-        s3 = group_from_table("reversed", rows)
-        assert s3.identity == 5
-        assert _classes(s3) == ((0, 3), (1, 2), (5, 1))
-
-    def test_loaded_table_gets_the_builtin_classes(self, tmp_path):
-        for name in ("S4", "D4"):
-            group = builtin_group(name)
-            path = tmp_path / f"{name}.table"
-            rows = "\n".join(" ".join(str(x) for x in row) for row in group.table)
-            path.write_text(f"{group.order}\n{rows}\n")
-            assert load_group_table(path).pair_orbits == group.pair_orbits
-
 
 def _group(name):
     if name == "V4":
@@ -199,9 +172,6 @@ class TestOrders:
     def test_orders_match_the_powers(self, name):
         group = _group(name)
         assert group.orders == tuple(_power_order(group, x) for x in range(group.order))
-
-    def test_relabelled_identity_has_order_one(self):
-        assert group_from_table("flipped", [[1, 0], [0, 1]]).orders == (2, 1)
 
 
 def _pairs(group):

@@ -8,7 +8,7 @@ import math
 
 from braidact.autf2 import _MOVES, AutF2, is_basis
 from braidact.braid import BraidWord, Endo
-from braidact.groups import FiniteGroupTable, group_from_table
+from braidact.groups import FiniteGroupTable, _group
 from braidact.invariant import (
     Fingerprint,
     GroupPresentation,
@@ -133,6 +133,61 @@ def disjoint_union(p: GroupPresentation, q: GroupPresentation) -> GroupPresentat
     return GroupPresentation(p.ngens + q.ngens, relators)
 
 
+def validated_group(name: str, rows: list[list[int]]) -> FiniteGroupTable:
+    """Group-axiom oracle: check that a raw table is a group's (square with
+    entries in range, an identity, two-sided inverses, associativity by
+    Light's test), then build it with the library's unchecked builder.
+    Raises ValueError on a table that is not a group's; the builder needs
+    the identity at element 0."""
+    order = len(rows)
+    if order == 0:
+        raise ValueError("a group table needs at least the identity element")
+    for row in rows:
+        if len(row) != order or any(not 0 <= x < order for x in row):
+            raise ValueError("table must be square with entries in 0..order-1")
+    identity = None
+    for e in range(order):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(order)):
+            identity = e
+            break
+    if identity is None:
+        raise ValueError("table has no identity element")
+    inverse = []
+    for x in range(order):
+        y = next(
+            (y for y in range(order) if rows[x][y] == identity and rows[y][x] == identity),
+            None,
+        )
+        if y is None:
+            raise ValueError(f"element {x} has no inverse")
+        inverse.append(y)
+    # Light's test: check (x y) z = x (y z) for every x and z but only for y
+    # in a generating set.  The y that pass are closed under the product, so
+    # then every y passes.  Each element not yet reached from the identity by
+    # right multiplication with the generators so far becomes a generator.
+    table = tuple(tuple(r) for r in rows)
+    gens: list[int] = []
+    reached = {identity}
+    for y in range(order):
+        if y in reached:
+            continue
+        for x, row in enumerate(table):
+            if table[row[y]] != tuple(map(row.__getitem__, table[y])):
+                z = next(z for z in range(order) if table[row[y]][z] != row[table[y][z]])
+                raise ValueError(f"table is not associative at ({x}, {y}, {z})")
+        gens.append(y)
+        reached = {identity}
+        frontier = [identity]
+        for x in frontier:  # breadth first: the loop also visits what it appends
+            new = {table[x][g] for g in gens} - reached
+            reached |= new
+            frontier += new
+    assert identity == 0, f"{name}: identity at element {identity}, not 0"
+    group = _group(name, rows)
+    assert group.inverse == tuple(inverse)
+    return group
+
+
 def quaternion_group() -> FiniteGroupTable:
     """Q8 from its raw table: element 4 s + u is (-1)^s q_u, q = (1, i, j, k).
 
@@ -149,14 +204,14 @@ def quaternion_group() -> FiniteGroupTable:
         for s in (0, 1)
         for u in range(4)
     ]
-    return group_from_table("Q8", rows)
+    return validated_group("Q8", rows)
 
 
 def klein_four_group() -> FiniteGroupTable:
     """V4 = Z2 x Z2 from its raw table: the product of a and b is a XOR b.
 
     It is abelian but not cyclic: every element but the identity has order 2."""
-    return group_from_table("V4", [[a ^ b for b in range(4)] for a in range(4)])
+    return validated_group("V4", [[a ^ b for b in range(4)] for a in range(4)])
 
 
 def burnside_pair_orbit_count(group: FiniteGroupTable) -> int:
