@@ -135,6 +135,8 @@ def _cmd_catalog(args) -> int:
     base = FamilyId.parse(args.family)
     if args.r is not None and base.r is not None:
         raise ValueError(f"--family {args.family} and --r {args.r} both give the parameter r")
+    if args.all_decorations and base.decoration:
+        raise ValueError(f"--family {args.family} and --all-decorations both give the decoration")
     r = args.r if args.r is not None else base.r
     flags = _DECORATIONS if args.all_decorations else [(base.inv, base.swap, base.backward)]
     ids = [FamilyId(base.family, r, *f) for f in flags]

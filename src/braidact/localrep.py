@@ -373,16 +373,26 @@ def _over_budget(quads: str) -> ValueError:
     )
 
 
-def _matrices(max_len: int) -> list[tuple[int, int, int, int]]:
-    """Every integer matrix (u_a, u_b, v_a, v_b) of determinant +-1 whose two
-    rows have |entries| summing to <= max_len: the exponent-sum matrices that
-    a basis pair of words of length <= max_len can have."""
-    rows = [
-        (x, y)
-        for x in range(-max_len, max_len + 1)
-        for y in range(abs(x) - max_len, max_len - abs(x) + 1)
-    ]
-    return [(ua, ub, va, vb) for ua, ub in rows for va, vb in rows if abs(ua * vb - ub * va) == 1]
+# The exponent-sum matrix pairs (m, n) of the two cores of a valid quad: the
+# 34 solutions of the abelianized braid relation with det m and det n = +-1,
+# over 19 matrices.  A matrix (m0, m1, m2, m3) holds the exponent sums of a
+# and b in the first word, then in the second.  Stage 1 of classify_search
+# proves the list complete.
+_BRAID_MATRIX_PAIRS = (
+    ((1, 0, 0, 1), (1, 0, 0, 1)),
+    ((1, 0, 0, -1), (-1, 0, 0, 1)),
+    *(
+        ((0, s, t, 0), (0, u, v, 0))
+        for s, t, u, v in itertools.product((1, -1), repeat=4)
+        if s * t == u * v
+    ),
+    *(((0, s, -s, 2), (0, u, -u, 2)) for s, u in itertools.product((1, -1), repeat=2)),
+    *(((2, s, -s, 0), (2, u, -u, 0)) for s, u in itertools.product((1, -1), repeat=2)),
+    *(
+        ((-2, s, -3 // s, 2), (2, u, -3 // u, -2))
+        for s, u in itertools.product((1, -1, 3, -3), repeat=2)
+    ),
+)
 
 
 def _representative(m: tuple[int, ...]) -> tuple[Word, Word]:
@@ -448,78 +458,63 @@ def _bases_with_matrix(m: tuple[int, ...], max_len: int) -> list[tuple[Word, Wor
     return [(_word(u), _word(v)) for u, v in out]
 
 
-def _abelian_braid(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
-    """Whether E1 = diag(m, 1) and E2 = diag(1, n), the exponent-sum
-    matrices of the 1-local and 2-local maps, satisfy E1 E2 E1 = E2 E1 E2.
-
-    The five conditions are the entries of that 3x3 equation written out;
-    the others hold identically."""
-    m0, m1, m2, m3 = m
-    n0, n1, n2, n3 = n
-    p, q = m1 * m2, n1 * n2
-    return (
-        m0 * m0 - m0 + p * n0 == 0
-        and (m1 == m2 == 0 or m0 + m3 * n0 - n0 == 0)
-        and p + m3 * m3 * n0 - m3 * n0 * n0 - q == 0
-        and (n1 == n2 == 0 or m3 * n0 - m3 + n3 == 0)
-        and n3 * n3 - n3 + m3 * q == 0
-    )
-
-
-def _braid_matrix_pairs(
-    matrices: list[tuple[int, ...]],
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The pairs (m, n) of the given matrices that pass :func:`_abelian_braid`.
-
-    Its first condition, c + p n0 = 0 with c = m0^2 - m0 and p = m1 m2,
-    fixes n0 when p != 0, and holds for every n or for none when p = 0.  If
-    it holds for every n and m is not diagonal, the second condition,
-    m0 + (m3 - 1) n0 = 0, fixes n0 when m3 != 1.  A fixed n0 is looked up;
-    a condition that fixes none passes every matrix or none."""
-    by_n0: dict[int, list[tuple[int, ...]]] = {}
-    for n in matrices:
-        by_n0.setdefault(n[0], []).append(n)
-    out = []
-    for m in matrices:
-        m0, m1, m2, m3 = m
-        c, p = m0 * m0 - m0, m1 * m2
-        # The condition alpha + beta n0 = 0 that is solved for n0.
-        alpha, beta = (c, p) if p or c or not (m1 or m2) else (m0, m3 - 1)
-        if beta:
-            n0, rest = divmod(-alpha, beta)
-            tried = [] if rest else by_n0.get(n0, [])
-        else:
-            tried = [] if alpha else matrices
-        out += [(m, n) for n in tried if _abelian_braid(m, n)]
-    return out
-
-
 def classify_search(max_len: int) -> set[Quad]:
     """All canonical classes of valid quads with word lengths <= max_len.
 
     The search runs in four stages, each doing its work once.
 
-    1. Matrices.  A basis pair (u, v) of words of length <= max_len has an
-       exponent-sum matrix (u_a, u_b, v_a, v_b) of determinant +-1 with
-       |u_a| + |u_b| <= max_len and |v_a| + |v_b| <= max_len; these
-       finitely many matrices are listed.  Each pair of them is tested
-       against the abelianized braid relation E1 E2 E1 = E2 E1 E2 in
-       closed form.  This is sound: a quad is valid exactly when its two
-       cores satisfy the braid relation on F_3
-       (:func:`braidact.braid.check_pair_via_braid`), and abelianizing is
-       multiplicative.  The relation word is a palindrome, so the row or
-       column convention does not matter.  Before any of this, a search
-       whose T pair alone passes ``MAX_SEARCH_QUADS`` is refused.  Its
-       matrix, the identity, passes the prune, and its basis pairs are the
-       (w a w^-1, w b w^-1), one per w (stage 2).  w a w^-1 has length
-       2 |w'| + 1 for w' = w less its trailing power of a, likewise for b,
-       and w ends in at most one of the two letters, so both fit in
-       max_len exactly when |w| <= k = (max_len - 1) // 2: 2 3^k - 1
-       words.  The square of that count is a lower bound on the quads; it
-       is grown only until it passes the budget, so no huge integer is
-       built.
-    2. Bases, only for the matrices of surviving pairs.  They are
-       generated, not tested.  By Nielsen's theorem (Math. Ann. 78, 1918)
+    1. Matrices.  A quad is valid exactly when its two cores satisfy the
+       braid relation on F_3 (:func:`braidact.braid.check_pair_via_braid`),
+       and abelianizing is multiplicative, so the exponent-sum matrices m
+       and n of its cores, each of determinant +-1, satisfy E1 E2 E1 =
+       E2 E1 E2 for E1 = diag(m, 1) and E2 = diag(1, n).  The relation
+       word is a palindrome, so the row or column convention does not
+       matter.  With m = (m0, m1, m2, m3), p = m1 m2, and likewise n and
+       q = n1 n2, the entries of that 3x3 equation that do not hold
+       identically are
+         (1) m0^2 - m0 + p n0 = 0,
+         (2) m1 = m2 = 0, or m0 + (m3 - 1) n0 = 0,
+         (3) p + m3^2 n0 - m3 n0^2 - q = 0,
+         (4) n1 = n2 = 0, or n3 + m3 (n0 - 1) = 0,
+         (5) n3^2 - n3 + m3 q = 0.
+       Their solutions are exactly the 34 pairs of ``_BRAID_MATRIX_PAIRS``,
+       whatever the word length.  Proof, calling a matrix diagonal when
+       both its off-diagonal entries are 0:
+       - m diagonal.  Then m0, m3 = +-1 and p = 0, so (1) gives m0 = 1.
+         If m3 = 1 and n is not diagonal, (4) gives n3 = 1 - n0 and (3)
+         gives q = n0 (1 - n0), so det n = 0; so n is diagonal, and (3)
+         and (5) give n = I.  If m3 = -1 and n is not diagonal, (3), (4)
+         and (5) give -4 n0 + 2 = 0; so n is diagonal, with n0 = -1 by (3)
+         and n3 = 1 by (5).  These are 2 pairs.
+       - m not diagonal, n diagonal.  Then n3 = 1 by (5), and m0 =
+         n0 (1 - m3) by (2).  If n0 = 1, (3) gives det m = 0; if n0 = -1,
+         (3) and (1) give -4 m3 + 2 = 0.  Neither can be.
+       - Neither diagonal.  (2) and (4) give m0 = n0 (1 - m3) and n3 =
+         m3 (1 - n0).  Put in p = m0 m3 - det m, q = n0 n3 - det n and
+         t = (1 - n0)(m3 - 1): (3) becomes det m = det n = e, (1) becomes
+         n0 (t - e) = 0 and (5) becomes m3 (t - e) = 0.  If n0 = m3 = 0,
+         then m0 = n3 = 0 and p = q = -e: m = (0, s, s', 0) and n =
+         (0, u, u', 0) with s s' = u u' = +-1, 8 pairs.  If n0 = 0 and
+         m3 != 0, then t = m3 - 1 = e gives m3 = n3 = 2, e = 1 and m0 = 0:
+         m = (0, s, -s, 2) and n = (0, u, -u, 2).  If m3 = 0 and n0 != 0,
+         likewise m = (2, s, -s, 0) and n = (2, u, -u, 0).  If both are
+         nonzero, t = e = +-1 makes both factors of t equal +-1, so n0 =
+         m3 = 2 and e = -1, hence m0 = n3 = -2: m = (-2, s, s', 2) and
+         n = (2, u, u', -2) with s s' = u u' = -3, 16 pairs.
+       No matrix is listed per search: a word with exponent sums (x, y) has
+       at least |x| + |y| letters, so a matrix with a row that does not fit
+       in max_len has no basis pairs in stage 2, and its pairs add no
+       candidates.  Before any of this, a search whose T pair alone passes
+       ``MAX_SEARCH_QUADS`` is refused.  Its matrix pair is (I, I), and its
+       basis pairs are the (w a w^-1, w b w^-1), one per w (stage 2).
+       w a w^-1 has length 2 |w'| + 1 for w' = w less its trailing power of
+       a, likewise for b, and w ends in at most one of the two letters, so
+       both fit in max_len exactly when |w| <= k = (max_len - 1) // 2:
+       2 3^k - 1 words.  The square of that count is a lower bound on the
+       quads; it is grown only until it passes the budget, so no huge
+       integer is built.
+    2. Bases, for the 19 matrices of the table.  They are generated, not
+       tested.  By Nielsen's theorem (Math. Ann. 78, 1918)
        the kernel of Aut(F_2) -> GL_2(Z) is Inn(F_2), so the basis pairs
        with matrix M are exactly the simultaneous conjugates
        (w u_0 w^-1, w v_0 w^-1) of one pair (u_0, v_0) with matrix M,
@@ -538,7 +533,7 @@ def classify_search(max_len: int) -> set[Quad]:
        candidate quads is refused with ValueError before any word equation
        runs.
     3. Words, once per orbit of swap and backward.  The candidates are the
-       quads of surviving matrix pairs, and they are closed under both
+       quads of the table's matrix pairs, and they are closed under both
        symmetries.  Backward reads each word backward, which keeps every
        word length and exponent-sum matrix, and takes a basis pair to a
        basis pair (its words are the inverses of the pair's image under a
@@ -546,20 +541,17 @@ def classify_search(max_len: int) -> set[Quad]:
        where s(u, v) = (v, u) with a and b interchanged, so it keeps word
        lengths and sends the matrix pair (m, n) to (rot n, rot m), rot
        reversing the four entries; s is a bijection from the bases of m
-       onto those of rot m.  Conjugating by the antidiagonal 3x3
-       permutation J reverses the rows and columns of a matrix, so J E1 J =
-       diag(1, rot m) and J E2 J = diag(rot n, 1): E1 E2 E1 = E2 E1 E2
-       holds exactly when it holds for (rot n, rot m), so that pair
-       survives stage 1 too.  Both symmetries keep validity, so every
-       valid quad is in the orbit of a valid candidate that is least, by
-       letter tuples, among its at most four images, and only such least
-       candidates meet the word equations.  Each basis pair's reversal and
-       swap image are computed once, so the test is three tuple
-       comparisons.  The equations are evaluated lazily in the order T,
-       M, B, so a quad costs no more equations than its first failure;
-       the basis tests are already known.  A second core keeps its images
-       one strand up, c(y, z) and d(y, z), once computed, so beyond them a
-       quad failing T costs three substitutions.
+       onto those of rot m, and the table is closed under (m, n) ->
+       (rot n, rot m).  Both symmetries keep validity, so every valid quad
+       is in the orbit of a valid candidate that is least, by letter tuples,
+       among its at most four images, and only such least candidates meet
+       the word equations.  Each basis pair's reversal and swap image are
+       computed once, so the test is three tuple comparisons.  The
+       equations are evaluated lazily in the order T, M, B, so a quad costs
+       no more equations than its first failure; the basis tests are
+       already known.  A second core keeps its images one strand up,
+       c(y, z) and d(y, z), once computed, so beyond them a quad failing T
+       costs three substitutions.
     4. Orbits.  A valid quad, the first candidate made a :class:`Quad`,
        gives its 8 symmetry images from its two cores and their inverses,
        as letter tuples; the least is its class and the only image that
@@ -576,19 +568,18 @@ def classify_search(max_len: int) -> set[Quad]:
         t_bases, k = 3 * t_bases + 2, k - 1
     if t_bases * t_bases > MAX_SEARCH_QUADS:
         raise _over_budget(f"at least {t_bases * t_bases}")
-    pairs = _braid_matrix_pairs(_matrices(max_len))
     bases = {}
-    for m in {m for pair in pairs for m in pair}:
+    for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair}:
         bases[m] = []
         for a, b in _bases_with_matrix(m, max_len):
             p = a.letters, b.letters
             r = _reversed(p)
             bases[m].append((p, r, _swapped(p), _swapped(r), AutF2(a, b)))
-    quads = sum(len(bases[m]) * len(bases[n]) for m, n in pairs)
+    quads = sum(len(bases[m]) * len(bases[n]) for m, n in _BRAID_MATRIX_PAIRS)
     if quads > MAX_SEARCH_QUADS:
         raise _over_budget(str(quads))
     found, seen = set(), set()
-    for m, n in pairs:
+    for m, n in _BRAID_MATRIX_PAIRS:
         for p, p_r, p_s, p_rs, tau in bases[m]:
             if p > p_r:
                 continue  # each (p, p2) exceeds its backward image (p_r, p2_r)

@@ -71,8 +71,9 @@ class TestClassify:
         assert len(data["classes"]) == 7
 
     def test_search_budget_counts_every_quad(self, capsys, monkeypatch):
-        # Length 3 has 450 candidate quads: 18 surviving matrix pairs over 55
-        # basis pairs.  One quad over the budget is refused, with no output.
+        # Length 3 has 450 candidate quads: the 18 of the 34 matrix pairs that
+        # have basis pairs at length 3, over 55 basis pairs.  One quad over
+        # the budget is refused, with no output.
         monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 449)
         for json_flag in ((), ("--json",)):
             code, out, err = run(capsys, "classify", "--max-len", "3", *json_flag)
@@ -153,6 +154,14 @@ class TestCatalog:
         code, out, err = run(capsys, "catalog", "--family", "A1:r=2", "--r", "3")
         assert (code, out) == (1, "")
         assert err == "error: --family A1:r=2 and --r 3 both give the parameter r\n"
+
+    def test_decoration_with_all_decorations_exits_one(self, capsys):
+        code, out, err = run(capsys, "catalog", "--family", "A1:-s", "--r", "1", "--all-decorations")
+        assert (code, out) == (1, "")
+        assert err == "error: --family A1:-s and --all-decorations both give the decoration\n"
+        code, out, _ = run(capsys, "catalog", "--family", "A1", "--r", "2", "--all-decorations")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 8
 
     def test_repeated_decoration_exits_one(self, capsys):
         for family, part in (("D2:-:-", "-"), ("D2:s:-s", "-s")):

@@ -12,13 +12,11 @@ from braidact.localrep import (
     LocalRep,
     PathError,
     Quad,
-    _abelian_braid,
+    _BRAID_MATRIX_PAIRS,
     _bases_with_matrix,
-    _braid_matrix_pairs,
     _catalog_level,
     _DECORATIONS,
     _equations,
-    _matrices,
     _representative,
     _reversed,
     _swapped,
@@ -42,8 +40,11 @@ from braidact.localrep import (
 from braidact.words import Word, word_sort_key
 
 from .util import (
+    abelian_braid,
     abelian_braid_by_product,
     all_candidates_classify,
+    braid_matrix_pairs_by_enumeration,
+    det_one_matrices,
     nielsen_basis_pairs_by_matrix,
     oracle_base_quad,
     reduced_words,
@@ -114,7 +115,7 @@ class TestCheckPairViaBraid:
         bases = sorted(
             (
                 (u, v)
-                for m in _matrices(5)
+                for m in det_one_matrices(5)
                 for u, v in _bases_with_matrix(m, 5)
                 if len(u) + len(v) >= 5
             ),
@@ -380,39 +381,49 @@ class TestClassifySearch:
         assert classify_search(max_len) == scan_classify(max_len)
 
     def test_catalog_passes_abelian_prune(self):
-        # A prune that rejected a valid pair would drop classes silently.
+        # A table that missed a valid pair would drop classes silently.
         for fid in scan_family_ids(13):
             quad = catalog(fid)
             m, n = (
                 tuple(w.exponent_sum(g) for w in (core.image_a, core.image_b) for g in (1, 2))
                 for core in (quad.tau, quad.kappa)
             )
-            assert _abelian_braid(m, n), str(fid)
+            assert (m, n) in _BRAID_MATRIX_PAIRS, str(fid)
+
+    def test_table_solves_the_abelian_braid_relation(self):
+        assert len(set(_BRAID_MATRIX_PAIRS)) == len(_BRAID_MATRIX_PAIRS) == 34
+        matrices = {m for pair in _BRAID_MATRIX_PAIRS for m in pair}
+        assert len(matrices) == 19
+        assert all(abs(m0 * m3 - m1 * m2) == 1 for m0, m1, m2, m3 in matrices)
+        assert all(abelian_braid_by_product(m, n) for m, n in _BRAID_MATRIX_PAIRS)
+
+    @pytest.mark.parametrize("max_len", [*range(1, 13), 33])
+    def test_table_equals_enumeration(self, max_len):
+        # The proof in classify_search's docstring, checked on every pair of
+        # matrices whose rows fit in max_len.
+        fitting = set(det_one_matrices(max_len))
+        table = {(m, n) for m, n in _BRAID_MATRIX_PAIRS if m in fitting and n in fitting}
+        assert set(braid_matrix_pairs_by_enumeration(max_len)) == table
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
+    def test_matrices_that_do_not_fit_have_no_bases(self, max_len):
+        # So the search needs no length filter on the table.
+        fitting = set(det_one_matrices(max_len))
+        for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair} - fitting:
+            assert _bases_with_matrix(m, max_len) == [], m
 
     @pytest.mark.parametrize("max_len, count", [(5, 296), (6, 360)])
     def test_closed_form_prune_matches_matrix_product(self, max_len, count):
-        matrices = _matrices(max_len)
+        matrices = det_one_matrices(max_len)
         assert len(matrices) == count
         survivors = []
         for m, n in itertools.product(matrices, repeat=2):
-            assert _abelian_braid(m, n) == abelian_braid_by_product(m, n), (m, n)
-            if _abelian_braid(m, n):
+            assert abelian_braid(m, n) == abelian_braid_by_product(m, n), (m, n)
+            if abelian_braid(m, n):
                 survivors.append((m, n))
         assert len(survivors) == 34
         # Solving the conditions for n0 drops no surviving pair.
-        assert sorted(_braid_matrix_pairs(matrices)) == sorted(survivors)
-
-    def test_prune_tries_only_matrices_with_a_solved_n0(self, monkeypatch):
-        # An m with m1 m2 = 0 passes the first condition only with m0 = 1;
-        # unless it is diagonal, the second then needs n0 = 1/2 or m0 = 0,
-        # so only the two diagonal such m are tried against all 104.
-        calls = []
-        abelian_braid = _abelian_braid
-        monkeypatch.setattr(
-            localrep, "_abelian_braid", lambda m, n: calls.append(m) or abelian_braid(m, n)
-        )
-        assert len(_braid_matrix_pairs(_matrices(3))) == 18
-        assert len(calls) == 1328
+        assert sorted(braid_matrix_pairs_by_enumeration(max_len)) == sorted(survivors)
 
     @pytest.mark.parametrize(
         "max_len", [1, 2, 3, 4, 5, pytest.param(7, marks=pytest.mark.extended)]
@@ -420,7 +431,9 @@ class TestClassifySearch:
     def test_basis_pairs_match_unfiltered_scan(self, max_len):
         # Neither generator misses a basis pair or makes one up.
         scan = scan_basis_pairs_by_matrix(max_len)
-        generated = {m: set(_bases_with_matrix(m, max_len)) for m in _matrices(max_len)}
+        generated = {
+            m: set(_bases_with_matrix(m, max_len)) for m in det_one_matrices(max_len)
+        }
         assert generated == scan
         assert nielsen_basis_pairs_by_matrix(max_len) == scan
 
@@ -433,7 +446,7 @@ class TestClassifySearch:
         # Matrix by matrix: every listed matrix has a basis pair within the
         # bound, and its conjugate flood fill equals the Nielsen search's.
         oracle = nielsen_basis_pairs_by_matrix(max_len)
-        matrices = _matrices(max_len)
+        matrices = det_one_matrices(max_len)
         assert len(matrices) == len(set(matrices)) == count
         assert set(matrices) == set(oracle)
         for m in matrices:
@@ -442,7 +455,7 @@ class TestClassifySearch:
             assert set(bases) == oracle[m], m
 
     def test_representatives_have_their_matrix(self):
-        matrices = _matrices(12)
+        matrices = det_one_matrices(12)
         for m in matrices:
             u, v = _representative(m)
             assert (u.exponent_sum(1), u.exponent_sum(2), v.exponent_sum(1), v.exponent_sum(2)) == m
@@ -454,7 +467,7 @@ class TestClassifySearch:
         import random
 
         rng = random.Random(7)
-        matrices = _matrices(4)
+        matrices = det_one_matrices(4)
         expected = {m: set(_bases_with_matrix(m, 4)) for m in matrices}
         representative = _representative
 
@@ -550,9 +563,15 @@ class TestClassifySearch:
     @pytest.mark.parametrize("max_len", range(1, 10))
     def test_surviving_pairs_closed_under_swap(self, max_len):
         # Swap sends the matrix pair (m, n) to (rot n, rot m), rot reversing
-        # the four entries; the prune keeps the pair set closed under it.
-        pairs = set(_braid_matrix_pairs(_matrices(max_len)))
-        assert {(n[::-1], m[::-1]) for m, n in pairs} == pairs
+        # the four entries.  The table is closed under it, and so are its
+        # pairs that have basis pairs at max_len.
+        def swapped(pairs):
+            return {(n[::-1], m[::-1]) for m, n in pairs}
+
+        table = set(_BRAID_MATRIX_PAIRS)
+        assert swapped(table) == table
+        live = {pair for pair in table if all(_bases_with_matrix(m, max_len) for m in pair)}
+        assert swapped(live) == live
 
     @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
     def test_bases_closed_under_swap_and_reversal(self, max_len):
@@ -561,7 +580,7 @@ class TestClassifySearch:
         def pairs(m):
             return {(u.letters, v.letters) for u, v in _bases_with_matrix(m, max_len)}
 
-        for m in _matrices(max_len):
+        for m in det_one_matrices(max_len):
             assert {_swapped(p) for p in pairs(m)} == pairs(m[::-1]), m
             assert {_reversed(p) for p in pairs(m)} == pairs(m), m
 
@@ -577,7 +596,6 @@ class TestClassifySearch:
             raise AssertionError("bases built before the refusal")
 
         monkeypatch.setattr(localrep, "_bases_with_matrix", refuse)
-        monkeypatch.setattr(localrep, "_matrices", refuse)
         with pytest.raises(ValueError, match=r"refused: at least 19123129 quads exceeds"):
             classify_search(15)
         # The T pair's 5 basis pairs at length 3 give 25 quads.

@@ -22,9 +22,7 @@ from braidact.localrep import (
     LocalRep,
     Quad,
     _bases_with_matrix,
-    _braid_matrix_pairs,
     _equations,
-    _matrices,
     canonicalize,
     catalog,
     check_quad,
@@ -364,10 +362,10 @@ def scan_classify(max_len: int) -> set[Quad]:
 def all_candidates_classify(max_len: int) -> set[Quad]:
     """Canonical classes of valid quads with word lengths <= max_len, by
     running the word equations on every candidate quad of the search's
-    surviving matrix pairs, with no reduction by swap and backward.  A quad
-    in the symmetry orbit of an earlier valid one is skipped, since it is
-    valid too."""
-    pairs = _braid_matrix_pairs(_matrices(max_len))
+    matrix pairs, listed by enumeration, with no reduction by swap and
+    backward.  A quad in the symmetry orbit of an earlier valid one is
+    skipped, since it is valid too."""
+    pairs = braid_matrix_pairs_by_enumeration(max_len)
     bases = {
         m: [AutF2(a, b) for a, b in _bases_with_matrix(m, max_len)]
         for m in {m for pair in pairs for m in pair}
@@ -425,7 +423,70 @@ def nielsen_basis_pairs_by_matrix(max_len: int) -> dict[tuple[int, ...], set[tup
     return out
 
 
-# -- explicit-product oracle for the abelian braid-relation prune ---------------
+# -- enumeration oracle for the table of braid matrix pairs ---------------------
+
+
+def det_one_matrices(max_len: int) -> list[tuple[int, int, int, int]]:
+    """Every integer matrix (u_a, u_b, v_a, v_b) of determinant +-1 whose two
+    rows have |entries| summing to <= max_len: the exponent-sum matrices that
+    a basis pair of words of length <= max_len can have."""
+    rows = [
+        (x, y)
+        for x in range(-max_len, max_len + 1)
+        for y in range(abs(x) - max_len, max_len - abs(x) + 1)
+    ]
+    return [(ua, ub, va, vb) for ua, ub in rows for va, vb in rows if abs(ua * vb - ub * va) == 1]
+
+
+def abelian_braid(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
+    """Whether E1 = diag(m, 1) and E2 = diag(1, n), the exponent-sum
+    matrices of the 1-local and 2-local maps, satisfy E1 E2 E1 = E2 E1 E2.
+
+    The five conditions are the entries of that 3x3 equation written out;
+    the others hold identically."""
+    m0, m1, m2, m3 = m
+    n0, n1, n2, n3 = n
+    p, q = m1 * m2, n1 * n2
+    return (
+        m0 * m0 - m0 + p * n0 == 0
+        and (m1 == m2 == 0 or m0 + m3 * n0 - n0 == 0)
+        and p + m3 * m3 * n0 - m3 * n0 * n0 - q == 0
+        and (n1 == n2 == 0 or m3 * n0 - m3 + n3 == 0)
+        and n3 * n3 - n3 + m3 * q == 0
+    )
+
+
+def braid_matrix_pairs_by_enumeration(
+    max_len: int,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (m, n) of ``det_one_matrices(max_len)`` that pass
+    :func:`abelian_braid`.
+
+    Its first condition, c + p n0 = 0 with c = m0^2 - m0 and p = m1 m2,
+    fixes n0 when p != 0, and holds for every n or for none when p = 0.  If
+    it holds for every n and m is not diagonal, the second condition,
+    m0 + (m3 - 1) n0 = 0, fixes n0 when m3 != 1.  A fixed n0 is looked up;
+    a condition that fixes none passes every matrix or none."""
+    matrices = det_one_matrices(max_len)
+    by_n0: dict[int, list[tuple[int, ...]]] = {}
+    for n in matrices:
+        by_n0.setdefault(n[0], []).append(n)
+    out = []
+    for m in matrices:
+        m0, m1, m2, m3 = m
+        c, p = m0 * m0 - m0, m1 * m2
+        # The condition alpha + beta n0 = 0 that is solved for n0.
+        alpha, beta = (c, p) if p or c or not (m1 or m2) else (m0, m3 - 1)
+        if beta:
+            n0, rest = divmod(-alpha, beta)
+            tried = [] if rest else by_n0.get(n0, [])
+        else:
+            tried = [] if alpha else matrices
+        out += [(m, n) for n in tried if abelian_braid(m, n)]
+    return out
+
+
+# -- explicit-product oracle for the abelian braid relation ---------------------
 
 
 def mul3(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
