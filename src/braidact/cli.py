@@ -95,13 +95,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "quad": str(quad),
         "valid": report.valid,
-        "conditions": {
-            "aut_ab": report.basis_ab,
-            "aut_cd": report.basis_cd,
-            "T": report.eq_t,
-            "M": report.eq_m,
-            "B": report.eq_b,
-        },
+        "conditions": report.conditions(),
         "family": str(family) if family else None,
     }
     lines = [f"quad: {quad}"]
@@ -208,40 +202,31 @@ def _cmd_check_stab(args) -> int:
     if not rep.cores:
         raise ValueError("a rep on 1 strand has no core to check")
     extensions = outgoing_cores(rep.cores[-1])
-    extendable = bool(extensions)
-    core_reports = []
-    lines = []
-    for i, core in enumerate(rep.cores, start=1):
-        report = check_S1(core)
-        core_reports.append(
-            {
-                "core": str(core),
-                "s1": report.status,
-                "witness": report.witness,
-            }
-        )
-        lines.append(f"core {i} ({core}): S1 {report.status}")
-        lines.append(f"  {report.witness}")
-        if i == len(rep.cores):
-            if extensions:
-                exts = ", ".join(f"({c}) via {fid}" for c, fid in extensions)
-                lines.append(f"  S2 extensions: {exts}")
-            else:
-                lines.append("  S2 extensions: none")
-    statuses = {r["s1"] for r in core_reports}
-    if "fails" in statuses or not extendable:
+    reports = [check_S1(core) for core in rep.cores]
+    statuses = {report.status for report in reports}
+    if "fails" in statuses or not extensions:
         overall = "violated"
     elif "unknown" in statuses:
         overall = "unknown"
     else:
         overall = "satisfied"
+    lines = []
+    for i, (core, report) in enumerate(zip(rep.cores, reports), start=1):
+        lines += [f"core {i} ({core}): S1 {report.status}", f"  {report.witness}"]
+    exts = ", ".join(f"({c}) via {fid}" for c, fid in extensions)
+    lines += [
+        f"  S2 extensions: {exts or 'none'}",
+        f"extendable (S2): {'yes' if extensions else 'no'}",
+        f"stabilization properties: {overall}",
+    ]
     payload = {
-        "cores": core_reports,
-        "extendable": extendable,
+        "cores": [
+            {"core": str(core), "s1": report.status, "witness": report.witness}
+            for core, report in zip(rep.cores, reports)
+        ],
+        "extendable": bool(extensions),
         "stabilization_properties": overall,
     }
-    lines.append(f"extendable (S2): {'yes' if extendable else 'no'}")
-    lines.append(f"stabilization properties: {overall}")
     _emit(args, payload, lines)
     return 0
 

@@ -88,9 +88,7 @@ def presentation(rep: LocalRep, braid: BraidWord) -> GroupPresentation:
 
 def markov_conjugate(b: BraidWord, g: BraidWord) -> BraidWord:
     """g^-1 b g on the same strand count."""
-    if b.n != g.n:
-        raise ValueError(f"strand mismatch: {b.n} vs {g.n}")
-    return g.inverse() * b * g
+    return g.inverse() * (b * g)
 
 
 def markov_stabilize(b: BraidWord, sign: int) -> BraidWord:

@@ -96,23 +96,22 @@ class QuadReport:
     eq_m: bool
     eq_b: bool
 
+    def conditions(self) -> dict[str, bool]:
+        """Each condition by name, in check order."""
+        return {
+            "aut_ab": self.basis_ab,
+            "aut_cd": self.basis_cd,
+            "T": self.eq_t,
+            "M": self.eq_m,
+            "B": self.eq_b,
+        }
+
     @property
     def valid(self) -> bool:
-        return self.basis_ab and self.basis_cd and self.eq_t and self.eq_m and self.eq_b
+        return all(self.conditions().values())
 
     def failures(self) -> tuple[str, ...]:
-        out = []
-        if not self.basis_ab:
-            out.append("Aut(A,B)")
-        if not self.basis_cd:
-            out.append("Aut(C,D)")
-        if not self.eq_t:
-            out.append("T")
-        if not self.eq_m:
-            out.append("M")
-        if not self.eq_b:
-            out.append("B")
-        return tuple(out)
+        return tuple(name for name, ok in self.conditions().items() if not ok)
 
 
 def _equations(tau: AutF2, kappa: AutF2) -> Iterator[bool]:
@@ -183,12 +182,8 @@ _DECORATIONS = tuple(itertools.product((False, True), repeat=3))
 
 
 def _orbit(q: Quad) -> tuple[_Letters, ...]:
-    """The 8 symmetry images of q, in _DECORATIONS order; the inverse cores
-    are looked up once."""
-    quads = {False: q, True: Quad(q.tau.inverse(), q.kappa.inverse())}
-    return tuple(
-        _decorate(quads[inv], False, swap, backward) for inv, swap, backward in _DECORATIONS
-    )
+    """The 8 symmetry images of q, in _DECORATIONS order."""
+    return tuple(_decorate(q, *flags) for flags in _DECORATIONS)
 
 
 def _least(orbit: Iterable[_Letters]) -> Quad:
@@ -239,29 +234,26 @@ def canonicalize(q: Quad) -> Quad:
 # -- the fourteen classified families ------------------------------------
 
 
-def _family_texts(r: int) -> dict[str, tuple[str, str]]:
-    """Each family's two cores as text, in catalog order, with the A
-    families written at r: a^r b a^-r is ``p + "b" + m``."""
-    p, m = "a" * r, "A" * r
-    return {
-        "T": ("a,b", "a,b"),
-        "T'": ("a,B", "A,b"),
-        "A1": (p + "b" + m + ",a", p + "b" + m + ",a"),
-        "A2": (p + "b" + m + ",a", p + "B" + m + ",A"),
-        "A3": (p + "B" + m + ",A", m + "B" + p + ",A"),
-        "B1": ("B,a", "B,a"),
-        "B2": ("B,a", "b,A"),
-        "C1": ("aBa,a", "aBa,a"),
-        "C2": ("aBa,a", "aba,A"),
-        "C3": ("aba,A", "aba,A"),
-        "D1": ("ABa,bba", "ABa,bba"),
-        "D2": ("abA,bbA", "ABa,bba"),
-        "D3": ("ABa,bba", "Aba,Abb"),
-        "D4": ("abA,bbA", "Aba,Abb"),
-    }
+# Each family's two cores as text, in catalog order.  The A families are
+# templates in p = a^r and m = a^-r, so a^r b a^-r is "{p}b{m}".
+_FAMILIES = {
+    "T": ("a,b", "a,b"),
+    "T'": ("a,B", "A,b"),
+    "A1": ("{p}b{m},a", "{p}b{m},a"),
+    "A2": ("{p}b{m},a", "{p}B{m},A"),
+    "A3": ("{p}B{m},A", "{m}B{p},A"),
+    "B1": ("B,a", "B,a"),
+    "B2": ("B,a", "b,A"),
+    "C1": ("aBa,a", "aBa,a"),
+    "C2": ("aBa,a", "aba,A"),
+    "C3": ("aba,A", "aba,A"),
+    "D1": ("ABa,bba", "ABa,bba"),
+    "D2": ("abA,bbA", "ABa,bba"),
+    "D3": ("ABa,bba", "Aba,Abb"),
+    "D4": ("abA,bbA", "Aba,Abb"),
+}
 
-
-FAMILY_TAGS = tuple(_family_texts(0))
+FAMILY_TAGS = tuple(_FAMILIES)
 
 _A_FAMILIES = ("A1", "A2", "A3")
 
@@ -273,7 +265,8 @@ def base_quad(family: str, r: int | None = None) -> Quad:
         raise ValueError(f"family {family} needs a parameter r >= 0")
     if family not in _A_FAMILIES and r is not None:
         raise ValueError(f"family {family} takes no parameter r")
-    return Quad(*map(AutF2.parse, _family_texts(r or 0)[family]))
+    p, m = "a" * (r or 0), "A" * (r or 0)
+    return Quad(*(AutF2.parse(text.format(p=p, m=m)) for text in _FAMILIES[family]))
 
 
 # The two kinds of part after a family tag, each given at most once.  A
@@ -324,34 +317,32 @@ def catalog(fid: FamilyId) -> Quad:
 
 
 @functools.cache
-def _catalog_level(r: int | None) -> dict[AutF2, dict[AutF2, FamilyId]]:
-    """The one read-only index for queries whose longest word has L letters:
-    level None (L even) holds the fixed families, and level r (L = 2r+1) a
-    copy of it plus the A families at r.  Each first core maps to its second
-    cores, each with its first identifier in catalog order.
+def _catalog_level(r: int) -> dict[AutF2, dict[AutF2, FamilyId]]:
+    """The one read-only index for queries whose longest word has 2r+1
+    letters: the decorated quads of every family whose longest word has that
+    length (the fixed families at r = 0 or 1, the A families at r), added in
+    catalog order.  Each first core maps to its second cores, each with its
+    first identifier in catalog order.
 
     It answers :func:`identify_quad` and :func:`outgoing_cores`, and through
     them the successor graph and its components, with one lookup.  Every
-    decorated A quad at r has max word length 2r+1, in its first core too,
-    so no other level can hold a query's family.  No first core of an A
-    family at r is a first core of a fixed family (the tests check r <= 3;
-    for r >= 2 an A first core has a word of 2r+1 >= 5 letters, the fixed
-    families none longer than 3), so the copied and the added entries never
-    share an inner dict, and each inner dict is in catalog order as built.
+    decorated family quad keeps its family's longest word length, in its
+    first core too (the tests check r <= 6), so no other level can hold a
+    query's family, and a query of even length has none.
     """
-    if r is None:
-        level, families = {}, [f for f in FAMILY_TAGS if f not in _A_FAMILIES]
-    else:
-        level = {core: dict(targets) for core, targets in _catalog_level(None).items()}
-        families = _A_FAMILIES
-    for family in families:
-        for flags, q in zip(_DECORATIONS, map(_quad, _orbit(base_quad(family, r)))):
-            level.setdefault(q.tau, {}).setdefault(q.kappa, FamilyId(family, r, *flags))
+    level: dict[AutF2, dict[AutF2, FamilyId]] = {}
+    for family in FAMILY_TAGS:
+        fr = r if family in _A_FAMILIES else None
+        base = base_quad(family, fr)
+        if base.max_word_length() != 2 * r + 1:
+            continue
+        for flags, q in zip(_DECORATIONS, map(_quad, _orbit(base))):
+            level.setdefault(q.tau, {}).setdefault(q.kappa, FamilyId(family, fr, *flags))
     return level
 
 
 def _query_level(word_len: int) -> dict[AutF2, dict[AutF2, FamilyId]]:
-    return _catalog_level((word_len - 1) // 2 if word_len % 2 else None)
+    return _catalog_level((word_len - 1) // 2) if word_len % 2 else {}
 
 
 def identify_quad(q: Quad) -> FamilyId | None:

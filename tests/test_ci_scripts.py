@@ -1,0 +1,90 @@
+"""The CI scripts: the tier-1 junit check and the source line count."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / ".github" / "scripts"
+
+
+def load_script(monkeypatch, name):
+    """Import .github/scripts/<name>.py by path, under a sys.modules entry
+    that monkeypatch removes again."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# -- check_tier1.problems ---------------------------------------------------------
+
+RED = "test_criterion_5_markov_stabilization_type_B"
+RED_MESSAGE = "AssertionError: type-B stabilization changes the group: 80 mismatches"
+
+
+def _case(name, outcome=None, message=""):
+    child = f'<{outcome} message="{message}">trace</{outcome}>' if outcome else ""
+    return f'<testcase classname="tests.test_acceptance" name="{name}">{child}</testcase>'
+
+
+def _problems(monkeypatch, tmp_path, *cases):
+    check = load_script(monkeypatch, "check_tier1")
+    path = tmp_path / "tier1.xml"
+    path.write_text(f'<testsuites><testsuite name="pytest">{"".join(cases)}</testsuite></testsuites>')
+    return check.problems(str(path))
+
+
+def test_only_the_red_test_failing_on_its_reason_passes(monkeypatch, tmp_path):
+    cases = (_case("test_a"), _case(RED, "failure", RED_MESSAGE))
+    assert _problems(monkeypatch, tmp_path, *cases) == []
+
+
+def test_red_test_passing_is_a_problem(monkeypatch, tmp_path):
+    found = _problems(monkeypatch, tmp_path, _case("test_a"), _case(RED))
+    assert found == [f"{RED} did not fail on its stabilization mismatch"]
+
+
+def test_red_test_failing_for_another_reason_is_a_problem(monkeypatch, tmp_path):
+    for outcome in ("failure", "error"):
+        found = _problems(monkeypatch, tmp_path, _case(RED, outcome, "ImportError: no module"))
+        assert found == [f"{RED} did not fail on its stabilization mismatch"], outcome
+
+
+def test_another_failure_is_a_problem(monkeypatch, tmp_path):
+    cases = (_case("test_a", "failure", "assert 1 == 2"), _case(RED, "failure", RED_MESSAGE))
+    found = _problems(monkeypatch, tmp_path, *cases)
+    assert found == ["tests.test_acceptance::test_a: failure: assert 1 == 2"]
+
+
+def test_red_test_absent_is_a_problem(monkeypatch, tmp_path):
+    found = _problems(monkeypatch, tmp_path, _case("test_a"))
+    assert found == [f"{RED} did not run"]
+
+
+# -- src_lines.count --------------------------------------------------------------
+
+SNIPPET = '''\
+"""Module docstring,
+over two lines."""
+
+# a comment line
+import os
+
+
+class K:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring,
+        over two lines."""
+        x = (1,
+             2)  # a trailing comment
+        return x
+'''
+
+
+def test_src_lines_counts_code_only(monkeypatch):
+    src_lines = load_script(monkeypatch, "src_lines")
+    # Code: import, class, def, both lines of the assignment, return.
+    assert src_lines.count(SNIPPET) == (16, 6)

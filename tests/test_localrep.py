@@ -80,6 +80,13 @@ class TestCheckQuad:
         assert report.eq_t and not report.eq_m and not report.eq_b
         assert report.failures() == ("M", "B")
 
+    def test_conditions_in_check_order(self):
+        report = check_quad(q("1,1,1,1"))
+        assert list(report.conditions()) == ["aut_ab", "aut_cd", "T", "M", "B"]
+        assert list(report.conditions().values()) == [False, False, True, True, True]
+        assert report.failures() == ("aut_ab", "aut_cd")
+        assert not report.valid
+
     def test_rank_error(self):
         with pytest.raises(ValueError):
             check_quad(q("x3,a,b,a"))
@@ -313,11 +320,32 @@ class TestCatalogIndex:
     FIDS = list(scan_family_ids(13))  # every decorated id with r <= 6
 
     def test_a_parameter_follows_from_word_length(self):
+        # The level key: a decorated quad keeps its family's longest word
+        # length, odd, in its first core too, and 2r+1 for the A families.
         for fid in self.FIDS:
+            quad = catalog(fid)
+            length = quad.max_word_length()
+            assert length % 2 == 1, fid
+            assert length == base_quad(fid.family, fid.r).max_word_length(), fid
+            assert max(len(quad.tau.image_a), len(quad.tau.image_b)) == length, fid
             if fid.r is not None:
-                quad = catalog(fid)
-                assert quad.max_word_length() == 2 * fid.r + 1, fid
-                assert max(len(quad.tau.image_a), len(quad.tau.image_b)) == 2 * fid.r + 1, fid
+                assert length == 2 * fid.r + 1, fid
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_level_holds_exactly_the_family_quads_of_its_length(self, r):
+        expected = {}
+        for fid in scan_family_ids(2 * r + 1):
+            quad = catalog(fid)
+            if quad.max_word_length() == 2 * r + 1:
+                expected.setdefault(quad.tau, {}).setdefault(quad.kappa, fid)
+        level = _catalog_level(r)
+        assert list(level) == list(expected)
+        for core, targets in expected.items():
+            assert list(level[core].items()) == list(targets.items()), str(core)
+
+    def test_even_lengths_have_no_level(self):
+        for word_len in (0, 2, 4):
+            assert localrep._query_level(word_len) == {}
 
     def test_identify_quad_matches_scan(self):
         for fid in self.FIDS:
@@ -331,14 +359,14 @@ class TestCatalogIndex:
 
     @pytest.mark.parametrize("r", range(4))
     def test_a_first_cores_are_not_fixed_first_cores(self, r):
-        # The disjointness that lets one level answer a query exactly.
         a_cores = {
             catalog(FamilyId(family, r, *flags)).tau
             for family in ("A1", "A2", "A3")
             for flags in _DECORATIONS
         }
+        fixed_cores = {catalog(fid).tau for fid in scan_family_ids(1) if fid.r is None}
         assert a_cores <= set(_catalog_level(r))
-        assert not a_cores & set(_catalog_level(None))
+        assert not a_cores & fixed_cores
 
     def test_non_catalog_queries(self):
         for text in ("a,b,b,a", "b,a,a,b", "aa,b,a,b", "1,1,1,1", "abA,a,aBA,a"):
