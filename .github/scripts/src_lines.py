@@ -1,7 +1,9 @@
-"""Print the size of each module of src/braidact: total lines and code lines.
+"""Print the size of each module of src/braidact: total lines, code lines
+and public names.
 
 Code lines leave out blank lines, comment lines and docstrings (of the
-module, each class and each function, found through ast).
+module, each class and each function, found through ast).  Public names
+are the entries of the module's ``__all__``, also read through ast.
 
     python .github/scripts/src_lines.py
 """
@@ -51,13 +53,24 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - skip)
 
 
+def public_names(text: str) -> int:
+    """Entries of one module's ``__all__``; 0 when it has none."""
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def main() -> int:
-    total = code = 0
+    total = code = public = 0
     for path in sorted(SRC.glob("*.py")):
-        t, c = count(path.read_text())
-        total, code = total + t, code + c
-        print(f"{path.name:16} {t:6} total {c:6} code")
-    print(f"{'src/braidact':16} {total:6} total {code:6} code")
+        text = path.read_text()
+        (t, c), p = count(text), public_names(text)
+        total, code, public = total + t, code + c, public + p
+        print(f"{path.name:16} {t:6} total {c:6} code {p:4} public")
+    print(f"{'src/braidact':16} {total:6} total {code:6} code {public:4} public")
     return 0
 
 

@@ -3,8 +3,7 @@
 
 from braidact import (
     ARTIN_CORE,
-    build_gamma,
-    component_vertices,
+    component_graph,
     constant_rep,
     outgoing_cores,
     rep_from_cores,
@@ -13,7 +12,7 @@ from braidact import (
 print("== components of the classification graph ==")
 for kind in ("T", "T'", "A", "B", "C", "D"):
     r = 1 if kind == "A" else None
-    graph = build_gamma(component_vertices(kind, r))
+    graph = component_graph(kind, r)
     tag = f"{kind} (r=1)" if kind == "A" else kind
     print(f"component {tag}: {len(graph.vertices)} vertices, {len(graph.edges)} edges")
     for e in graph.edges:
@@ -21,14 +20,13 @@ for kind in ("T", "T'", "A", "B", "C", "D"):
 
 print()
 print("== the r = 0 degeneration ==")
-vertices = component_vertices("A", 0)
-graph = build_gamma(vertices)
-print(f"at r = 0 the component collapses to {len(vertices)} vertices, "
+graph = component_graph("A", 0)
+print(f"at r = 0 the component collapses to {len(graph.vertices)} vertices, "
       f"{len(graph.edges)} edges")
 
 print()
 print("== edge-paths are representations ==")
-graph = build_gamma(component_vertices("A", 1))
+graph = component_graph("A", 1)
 v1, v2 = graph.vertices[0], graph.vertices[1]
 rep = rep_from_cores([v1, v1, v2])
 print("path (v1, v1, v2) gives a representation on", rep.n, "strands")
@@ -38,7 +36,7 @@ print("successors of the constant core:",
 
 print()
 print("== DOT export ==")
-print(build_gamma(component_vertices("B")).to_dot(), end="")
+print(component_graph("B").to_dot(), end="")
 
 print()
 print("a constant path at the conjugation core recovers the classical action:")

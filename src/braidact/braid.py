@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .autf2 import AutF2, is_basis
 from .localrep import LocalRep
-from .words import Word
+from .words import MAX_IMAGE_LETTERS, Word
 
 __all__ = [
     "BraidWord",
@@ -17,10 +17,6 @@ __all__ = [
     "parse_braid",
     "verify_braid_relations",
 ]
-
-# Refuse a braid whose image words outgrow this many letters in total; the
-# images can grow exponentially with the crossing count.
-MAX_IMAGE_LETTERS = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import sys
 from .autf2 import AutF2
 from .braid import check_pair_via_braid, endo_of_braid, parse_braid
 from .groups import builtin_group
-from .invariant import check_S1, fingerprint_report
+from .invariant import S1_WEAKEST_FIRST, check_S1, fingerprint_report
 from .localrep import (
     ARTIN_CORE,
     COMPONENT_KINDS,
@@ -22,11 +22,10 @@ from .localrep import (
     FamilyId,
     LocalRep,
     Quad,
-    build_gamma,
     catalog,
     check_quad,
     classify_search,
-    component_vertices,
+    component_graph,
     constant_rep,
     identify_quad,
     outgoing_cores,
@@ -43,9 +42,7 @@ def _parse_rep(spec: str, n: int | None) -> LocalRep:
     if spec.startswith("wada:"):
         if n is None:
             raise ValueError("--n is required for wada reps")
-        fid = FamilyId.parse(spec[len("wada:") :])
-        quad = catalog(fid)
-        return constant_rep(quad.tau, n)
+        return constant_rep(catalog(FamilyId.parse(spec[len("wada:") :])).tau, n)
     if spec.startswith("cores:"):
         cores = tuple(AutF2.parse(part) for part in spec[len("cores:") :].split(";"))
         if n is not None and n != len(cores) + 1:
@@ -145,7 +142,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    graph = build_gamma(component_vertices(args.family, args.r))
+    graph = component_graph(args.family, args.r)
     dot = graph.to_dot()
     if args.dot == "-":
         print(dot, end="")
@@ -202,17 +199,16 @@ def _cmd_check_stab(args) -> int:
     if not rep.cores:
         raise ValueError("a rep on 1 strand has no core to check")
     extensions = outgoing_cores(rep.cores[-1])
-    reports = [check_S1(core) for core in rep.cores]
-    statuses = {report.status for report in reports}
-    if "fails" in statuses or not extensions:
-        overall = "violated"
-    elif "unknown" in statuses:
-        overall = "unknown"
-    else:
-        overall = "satisfied"
-    lines = []
-    for i, (core, report) in enumerate(zip(rep.cores, reports), start=1):
+    lines, entries = [], []
+    for i, core in enumerate(rep.cores, start=1):
+        report = check_S1(core)
         lines += [f"core {i} ({core}): S1 {report.status}", f"  {report.witness}"]
+        entries.append({"core": str(core), "s1": report.status, "witness": report.witness})
+    weakest = min((entry["s1"] for entry in entries), key=S1_WEAKEST_FIRST.index)
+    if weakest == "fails" or not extensions:
+        overall = "violated"
+    else:
+        overall = "unknown" if weakest == "unknown" else "satisfied"
     exts = ", ".join(f"({c}) via {fid}" for c, fid in extensions)
     lines += [
         f"  S2 extensions: {exts or 'none'}",
@@ -220,12 +216,7 @@ def _cmd_check_stab(args) -> int:
         f"stabilization properties: {overall}",
     ]
     payload = {
-        "cores": [
-            {"core": str(core), "s1": report.status, "witness": report.witness}
-            for core, report in zip(rep.cores, reports)
-        ],
-        "extendable": bool(extensions),
-        "stabilization_properties": overall,
+        "cores": entries, "extendable": bool(extensions), "stabilization_properties": overall
     }
     _emit(args, payload, lines)
     return 0

@@ -368,6 +368,10 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     return GroupPresentation(ngens, tuple(relators))
 
 
+# The S1 statuses, weakest verdict first.
+S1_WEAKEST_FIRST = ("fails", "unknown", "holds-up-to-inversion", "holds")
+
+
 @dataclass(frozen=True)
 class S1Report:
     """Verdict on whether a core collapses the two-generator quotient to Z.
@@ -418,8 +422,7 @@ def check_S1(core: AutF2) -> S1Report:
     statuses = {s1, s2}
     if statuses == {"holds", "holds-up-to-inversion"}:
         return S1Report("fails", f"the two sides collapse differently: {witness}")
-    weakest_first = ("fails", "unknown", "holds-up-to-inversion", "holds")
-    return S1Report(min(statuses, key=weakest_first.index), witness)
+    return S1Report(min(statuses, key=S1_WEAKEST_FIRST.index), witness)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .autf2 import AutF2, aut_sort_key, is_basis
-from .words import Word, _letters_sort_key, _swapped_letters, _word, word_sort_key
+from .words import MAX_IMAGE_LETTERS, Word, _letters_sort_key, _swapped_letters, _word
+from .words import word_sort_key
 
 __all__ = [
     "ARTIN_CORE",
@@ -34,12 +35,11 @@ __all__ = [
     "QuadReport",
     "backward_dual",
     "base_quad",
-    "build_gamma",
     "canonicalize",
     "catalog",
     "check_quad",
     "classify_search",
-    "component_vertices",
+    "component_graph",
     "constant_rep",
     "identify_quad",
     "inverse_rep",
@@ -265,6 +265,11 @@ def base_quad(family: str, r: int | None = None) -> Quad:
         raise ValueError(f"family {family} needs a parameter r >= 0")
     if family not in _A_FAMILIES and r is not None:
         raise ValueError(f"family {family} takes no parameter r")
+    if r is not None and 2 * r + 1 > MAX_IMAGE_LETTERS:
+        raise ValueError(
+            f"family {family} at r={r} has a word of {2 * r + 1} letters, "
+            f"over MAX_IMAGE_LETTERS ({MAX_IMAGE_LETTERS})"
+        )
     p, m = "a" * (r or 0), "A" * (r or 0)
     return Quad(*(AutF2.parse(text.format(p=p, m=m)) for text in _FAMILIES[family]))
 
@@ -595,7 +600,8 @@ def classify_search(max_len: int) -> set[Quad]:
 
 @dataclass(frozen=True)
 class LocalRep:
-    """Cores (tau_1, ..., tau_{n-1}) of a local action on F_n."""
+    """Cores (tau_1, ..., tau_{n-1}) of a local action on F_n, checked for
+    their count only; :func:`rep_from_cores` checks that they define one."""
 
     n: int
     cores: tuple[AutF2, ...]
@@ -606,38 +612,38 @@ class LocalRep:
         if len(self.cores) != self.n - 1:
             raise ValueError(f"{self.n} strands need {self.n - 1} cores, got {len(self.cores)}")
 
-    def validate(self) -> None:
-        """Check that every core is a basis of F_2, each by one basis test, and
-        every adjacent pair by the three word equations; raises PathError on
-        the first bad pair, in strand order, or on a lone bad core."""
-        bases = []
-        for i, core in enumerate(self.cores):
-            bases.append(is_basis(core.image_a, core.image_b))
-            if i == 0:
-                continue
-            prev = self.cores[i - 1]
-            if not (bases[i - 1] and bases[i] and all(_equations(prev, core))):
-                raise PathError(
-                    f"cores {i} and {i + 1} (({prev}); ({core})) do not define a local action"
-                )
-        for i, (core, basis) in enumerate(zip(self.cores, bases), start=1):
-            if not basis:
-                raise PathError(f"core {i} ({core}) is not a basis of F_2")
-
 
 def rep_from_cores(cores: Sequence[AutF2]) -> LocalRep:
-    """The validated rep with these cores, for example the vertices of an
-    edge-path of the successor graph in order."""
+    """The rep with these cores, for example the vertices of an edge-path of
+    the successor graph in order.  Every core is checked to be a basis of
+    F_2, each by one basis test, and every adjacent pair by the three word
+    equations; raises PathError on the first bad pair, in strand order, or on
+    a lone bad core."""
     rep = LocalRep(len(cores) + 1, tuple(cores))
-    rep.validate()
+    bases = []
+    for i, core in enumerate(rep.cores):
+        bases.append(is_basis(core.image_a, core.image_b))
+        if i == 0:
+            continue
+        prev = rep.cores[i - 1]
+        if not (bases[i - 1] and bases[i] and all(_equations(prev, core))):
+            raise PathError(
+                f"cores {i} and {i + 1} (({prev}); ({core})) do not define a local action"
+            )
+    for i, (core, basis) in enumerate(zip(rep.cores, bases), start=1):
+        if not basis:
+            raise PathError(f"core {i} ({core}) is not a basis of F_2")
     return rep
 
 
 def constant_rep(core: AutF2, n: int) -> LocalRep:
-    """The rep with every core equal (requires a self-adjacency for n >= 3)."""
-    rep = LocalRep(n, (core,) * (n - 1))
-    rep.validate()
-    return rep
+    """The rep with every core equal (requires a self-adjacency for n >= 3),
+    refused before any core is repeated past MAX_IMAGE_LETTERS strands."""
+    if n < 1:
+        raise ValueError("strand count must be >= 1")
+    if n > MAX_IMAGE_LETTERS:
+        raise ValueError(f"strand count {n} is over MAX_IMAGE_LETTERS ({MAX_IMAGE_LETTERS})")
+    return rep_from_cores((core,) * (n - 1))
 
 
 # -- the successor graph ----------------------------------------------------
@@ -665,28 +671,16 @@ class GammaGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_gamma(vertices: Iterable[AutF2]) -> GammaGraph:
-    """Every edge of the successor graph between the given vertices, self-loops
-    included, labelled as :func:`outgoing_cores` labels it."""
-    verts = tuple(sorted(set(vertices), key=aut_sort_key))
-    for v in verts:
-        if not is_basis(v.image_a, v.image_b):
-            raise ValueError(f"vertex ({v}) is not a basis of F_2")
-    edges = []
-    for v in verts:
-        targets = dict(outgoing_cores(v))
-        edges += [GammaEdge(v, w, str(targets[w])) for w in verts if w in targets]
-    return GammaGraph(verts, tuple(edges))
+# A component's kind is a family tag without its number.
+COMPONENT_KINDS = tuple(dict.fromkeys(tag.rstrip("0123456789") for tag in FAMILY_TAGS))
 
 
-COMPONENT_KINDS = ("T", "T'", "A", "B", "C", "D")
-
-
-def component_vertices(kind: str, r: int | None = None) -> tuple[AutF2, ...]:
-    """Vertex set of one connected component of the classification graph: the
-    cores reachable by :func:`outgoing_cores` from the first core of the
-    kind's first family (T, T', A1 at r, B1, C1 or D1), in breadth-first order.
-    """
+def component_graph(kind: str, r: int | None = None) -> GammaGraph:
+    """One connected component of the successor graph: the cores reachable by
+    :func:`outgoing_cores` from the first core of the kind's first family (T,
+    T', A1 at r, B1, C1 or D1), sorted by :func:`aut_sort_key`, and every
+    edge between them, self-loops included, labelled as outgoing_cores labels
+    it.  Each vertex reads the catalog index once."""
     if kind not in COMPONENT_KINDS:
         raise ValueError(f"unknown component {kind!r} (one of {', '.join(COMPONENT_KINDS)})")
     if kind == "A":
@@ -694,12 +688,15 @@ def component_vertices(kind: str, r: int | None = None) -> tuple[AutF2, ...]:
             raise ValueError("component A needs a parameter r >= 0")
     elif r is not None:
         raise ValueError(f"component {kind} takes no parameter r")
-    out = [base_quad(kind if kind in FAMILY_TAGS else kind + "1", r).tau]
-    for v in out:  # breadth first: the loop also visits the vertices it appends
-        for w, _ in outgoing_cores(v):
-            if w not in out:
-                out.append(w)
-    return tuple(out)
+    targets: dict[AutF2, dict[AutF2, FamilyId]] = {}
+    queue = [base_quad(kind if kind in FAMILY_TAGS else kind + "1", r).tau]
+    for v in queue:  # breadth first: the loop also visits the vertices it appends
+        if v not in targets:
+            targets[v] = dict(outgoing_cores(v))
+            queue += targets[v]
+    verts = tuple(sorted(targets, key=aut_sort_key))
+    edges = [GammaEdge(v, w, str(targets[v][w])) for v in verts for w in verts if w in targets[v]]
+    return GammaGraph(verts, tuple(edges))
 
 
 def outgoing_cores(core: AutF2) -> tuple[tuple[AutF2, FamilyId], ...]:

@@ -19,6 +19,11 @@ from typing import Iterable, Sequence
 
 __all__ = ["Word", "word_sort_key"]
 
+# Refuse a braid whose image words outgrow this many letters in total; the
+# images can grow exponentially with the crossing count.  Strand counts and
+# catalog words longer than this are refused before they are built.
+MAX_IMAGE_LETTERS = 1_000_000
+
 _TOKEN = re.compile(r"([xX])([1-9][0-9]*)")
 _CHARS = {"a": 1, "b": 2, "A": -1, "B": -2}
 _CHARS_REV = {v: k for k, v in _CHARS.items()}

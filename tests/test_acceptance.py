@@ -41,12 +41,11 @@ from braidact.localrep import (
     _reversed,
     _swapped,
     backward_dual,
-    build_gamma,
     canonicalize,
     catalog,
     check_quad,
     classify_search,
-    component_vertices,
+    component_graph,
     constant_rep,
     inverse_rep,
     outgoing_cores,
@@ -196,19 +195,18 @@ def _a_component_edges(r):
 def test_criterion_3_figure_reconstruction():
     t0 = time.time()
     for kind, expected in _FIGURE_EDGES.items():
-        graph = build_gamma(component_vertices(kind))
+        graph = component_graph(kind)
         assert {(str(e.src), str(e.dst)) for e in graph.edges} == expected, kind
         for e in graph.edges:
             assert catalog(FamilyId.parse(e.label)) == Quad(e.src, e.dst)
     for r in range(1, 6):
-        graph = build_gamma(component_vertices("A", r))
+        graph = component_graph("A", r)
         assert {(str(e.src), str(e.dst)) for e in graph.edges} == _a_component_edges(r), r
         for e in graph.edges:
             assert catalog(FamilyId.parse(e.label)) == Quad(e.src, e.dst)
     # r = 0 degeneration: the four parametric vertices collapse to two.
-    vertices0 = component_vertices("A", 0)
-    graph0 = build_gamma(vertices0)
-    assert len(vertices0) == 2 and len(graph0.edges) == 4
+    graph0 = component_graph("A", 0)
+    assert len(graph0.vertices) == 2 and len(graph0.edges) == 4
     _report(3, True,
             "all components match the figure's labelled edges for r = 1..5; "
             f"r = 0 collapses to 2 vertices with 4 edges ({time.time() - t0:.1f}s)")

@@ -88,3 +88,11 @@ def test_src_lines_counts_code_only(monkeypatch):
     src_lines = load_script(monkeypatch, "src_lines")
     # Code: import, class, def, both lines of the assignment, return.
     assert src_lines.count(SNIPPET) == (16, 6)
+
+
+def test_src_lines_counts_public_names(monkeypatch):
+    src_lines = load_script(monkeypatch, "src_lines")
+    assert src_lines.public_names(SNIPPET) == 0
+    exported = SNIPPET.replace("import os\n", 'import os\n\n__all__ = ["K", "f"]\n')
+    assert src_lines.public_names(exported) == 2
+    assert src_lines.count(exported)[1] == 7

@@ -48,6 +48,11 @@ class TestVerify:
         assert code == 1
         assert "error:" in err
 
+    def test_pair_syntax_error_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--pair", "abA,a")
+        assert (code, out) == (1, "")
+        assert err == "error: expected 'A,B;C,D' pair syntax, got 'abA,a'\n"
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
@@ -215,6 +220,11 @@ class TestGamma:
         assert out == ""
         assert err == "error: component B takes no parameter r\n"
 
+    def test_a_component_without_r_exits_one(self, capsys):
+        code, out, err = run(capsys, "gamma", "--family", "A", "--dot", "-")
+        assert (code, out) == (1, "")
+        assert err == "error: component A needs a parameter r >= 0\n"
+
 
 class TestAct:
     def test_artin_action(self, capsys):
@@ -254,6 +264,17 @@ class TestAct:
         assert code == 1
         assert out == ""
         assert err.startswith("error: braid image has 8 letters after crossing 2")
+
+    def test_missing_n_exits_one(self, capsys):
+        for rep, kind in (("artin", "the artin rep"), ("wada:C1", "wada reps")):
+            code, out, err = run(capsys, "act", "--rep", rep, "--braid", "1")
+            assert (code, out) == (1, "")
+            assert err == f"error: --n is required for {kind}\n"
+
+    def test_unknown_rep_spec_exits_one(self, capsys):
+        code, out, err = run(capsys, "act", "--rep", "bogus", "--n", "3", "--braid", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: unknown rep spec 'bogus' (use artin, wada:FAMILY, cores:A,B;...)\n"
 
 
 class TestInvariant:
@@ -343,6 +364,21 @@ class TestInvariant:
                 "--homs", homs,
             )
             assert (code, out, err) == (1, "", "error: repeated group name 'S3' in --homs\n")
+
+    def test_empty_group_names_are_skipped(self, capsys):
+        argv = ("invariant", "--rep", "artin", "--n", "2", "--braid", "1 1 1", "--homs")
+        plain = run(capsys, *argv, "Z2,S3")
+        assert plain[0] == 0 and "hom count into Z2: 2" in plain[1]
+        assert run(capsys, *argv, "Z2,,S3") == plain
+
+    def test_large_dihedral_group_exits_one(self, capsys):
+        code, out, err = run(
+            capsys,
+            "invariant", "--rep", "artin", "--n", "2", "--braid", "1 1 1",
+            "--homs", "D129",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: dihedral group D129 is too large for table form\n"
 
     def test_unsupported_builtin_group_reports_its_reason(self, capsys):
         reasons = {
@@ -442,6 +478,13 @@ class TestCheckStab:
             assert out.count("S1 holds") == cores
             assert "stabilization properties: satisfied" in out
 
+    def test_unresolved_s1_gives_unknown_core(self, capsys):
+        # The last core has no successor, so the verdict is violated anyway.
+        code, out, _ = run(capsys, "check-stab", "--rep", "cores:a,aaaB")
+        assert code == 0
+        assert out.splitlines()[0] == "core 1 (a,aaaB): S1 unknown"
+        assert out.splitlines()[-1] == "stabilization properties: violated"
+
     def test_cores_spec_with_mismatched_n_exits_one(self, capsys):
         code, _, err = run(capsys, "check-stab", "--rep", "cores:abA,a", "--n", "3")
         assert code == 1
@@ -482,3 +525,26 @@ class TestCheckStab:
         assert code == 0
         assert "S2 extensions: (aBa,a) via C1, (aba,A) via C2" in out
         assert len(calls) == 1
+
+
+class TestSizeRefusals:
+    # A strand count or an A parameter whose rep or catalog words would pass
+    # MAX_IMAGE_LETTERS is refused before any core or word is built.
+    STRANDS = "error: strand count 1000000000 is over MAX_IMAGE_LETTERS (1000000)\n"
+    WORDS = "error: family A1 at r=1000000000 has a word of 2000000001 letters, "
+    WORDS += "over MAX_IMAGE_LETTERS (1000000)\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("check-stab", "--rep", "artin", "--n", "1000000000"), STRANDS),
+            (("act", "--rep", "artin", "--n", "1000000000", "--braid", "1"), STRANDS),
+            (("catalog", "--family", "A1", "--r", "1000000000"), WORDS),
+            (("gamma", "--family", "A", "--r", "1000000000", "--dot", "-"), WORDS),
+            (("check-stab", "--rep", "wada:A1:r=1000000000"), WORDS),
+        ],
+    )
+    def test_refused_at_once(self, capsys, argv, err):
+        t0 = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", err)
+        assert time.perf_counter() - t0 < 1

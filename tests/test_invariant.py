@@ -7,6 +7,7 @@ from braidact.autf2 import AutF2, is_basis
 from braidact.braid import BraidWord, parse_braid
 from braidact.groups import builtin_group
 from braidact.invariant import (
+    Fingerprint,
     GroupPresentation,
     abelianization,
     check_S1,
@@ -81,6 +82,10 @@ class TestPresentation:
     def test_relator_bounds_checked(self):
         with pytest.raises(ValueError):
             GroupPresentation(1, (w("ab"),))
+
+    def test_negative_generator_count_refused(self):
+        with pytest.raises(ValueError, match="^generator count must be >= 0$"):
+            GroupPresentation(-1, ())
 
 
 class TestMarkovMoves:
@@ -650,6 +655,13 @@ class TestCheckS1:
         }
         assert mixed == {"B,a", "b,A"}
 
+    def test_unresolved_relators_give_unknown(self):
+        report = check_S1(AutF2.parse("a,aaaB"))
+        assert report.status == "unknown"
+        assert report.witness == (
+            "core: relator aaaBB was not resolved; inverse core: relator BaaaB was not resolved"
+        )
+
 
 class TestFingerprint:
     def test_unknot(self):
@@ -670,6 +682,9 @@ class TestFingerprint:
     def test_describe(self):
         fp = fingerprint(constant_rep(ARTIN_CORE, 2), parse_braid("1 1", 2), [S3])
         assert fp.describe() == "abelianization Z x Z; hom counts S3: 18"
+
+    def test_describe_trivial(self):
+        assert Fingerprint((), ()).describe() == "abelianization trivial"
 
     def test_unknown_group_name(self):
         fp = fingerprint(constant_rep(ARTIN_CORE, 2), parse_braid("1", 2), [])

@@ -22,12 +22,11 @@ from braidact.localrep import (
     _swapped,
     backward_dual,
     base_quad,
-    build_gamma,
     canonicalize,
     catalog,
     check_quad,
     classify_search,
-    component_vertices,
+    component_graph,
     constant_rep,
     identify_quad,
     inverse_rep,
@@ -649,15 +648,15 @@ def _pairs(graph):
 
 class TestGamma:
     def test_trivial_component(self):
-        g = build_gamma(component_vertices("T"))
+        g = component_graph("T")
         assert _pairs(g) == {("a,b", "a,b")}
 
     def test_inverting_component_single_arrow(self):
-        g = build_gamma(component_vertices("T'"))
+        g = component_graph("T'")
         assert _pairs(g) == {("a,B", "A,b")}
 
     def test_b_component(self):
-        g = build_gamma(component_vertices("B"))
+        g = component_graph("B")
         assert _pairs(g) == {
             ("B,a", "B,a"),
             ("b,A", "b,A"),
@@ -666,7 +665,7 @@ class TestGamma:
         }
 
     def test_a_component_r1(self):
-        g = build_gamma(component_vertices("A", 1))
+        g = component_graph("A", 1)
         assert _pairs(g) == {
             ("abA,a", "abA,a"),
             ("abA,a", "aBA,A"),
@@ -679,9 +678,8 @@ class TestGamma:
         }
 
     def test_a_component_r0_degenerates(self):
-        vertices = component_vertices("A", 0)
-        assert len(vertices) == 2
-        g = build_gamma(vertices)
+        g = component_graph("A", 0)
+        assert len(g.vertices) == 2
         assert _pairs(g) == {
             ("b,a", "b,a"),
             ("b,a", "B,A"),
@@ -691,7 +689,7 @@ class TestGamma:
 
     def test_labels_expand_to_edge_quads(self):
         for kind, r in [("A", 1), ("B", None), ("C", None), ("D", None)]:
-            g = build_gamma(component_vertices(kind, r))
+            g = component_graph(kind, r)
             for e in g.edges:
                 fid = FamilyId.parse(e.label)
                 assert catalog(fid) == Quad(e.src, e.dst)
@@ -703,25 +701,34 @@ class TestGamma:
         components = [(kind, None) for kind in ("T", "T'", "B", "C", "D")]
         components += [("A", r) for r in range(6)]
         for kind, r in components:
-            vertices = component_vertices(kind, r)
-            g = build_gamma(vertices)
+            g = component_graph(kind, r)
             expected = {
-                (v, w_) for v in vertices for w_ in vertices
+                (v, w_) for v in g.vertices for w_ in g.vertices
                 if check_quad(Quad(v, w_)).valid
             }
             assert {(e.src, e.dst) for e in g.edges} == expected, (kind, r)
             for e in g.edges:
                 assert e.label == str(scan_identify_quad(Quad(e.src, e.dst)))
 
-    def test_non_basis_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            build_gamma([AutF2(Word.parse("aa"), Word.parse("b"))])
-
     def test_dot_output(self):
-        g = build_gamma(component_vertices("T"))
+        g = component_graph("T")
         dot = g.to_dot()
         assert dot.startswith("digraph gamma {")
         assert '"(a,b)" -> "(a,b)" [label="T"];' in dot
+
+    def test_one_index_read_per_vertex(self, monkeypatch):
+        query_level = localrep._query_level
+        calls = []
+
+        def counted(word_len):
+            calls.append(word_len)
+            return query_level(word_len)
+
+        monkeypatch.setattr(localrep, "_query_level", counted)
+        for kind, r in [("T", None), ("B", None), ("D", None), ("A", 0), ("A", 2)]:
+            calls.clear()
+            g = component_graph(kind, r)
+            assert len(calls) == len(g.vertices), (kind, r)
 
 
 class TestReps:
@@ -730,18 +737,18 @@ class TestReps:
         assert rep.n == 4 and len(rep.cores) == 3
 
     def test_alternating_b_path(self):
-        g = build_gamma(component_vertices("B"))
+        g = component_graph("B")
         v, w_ = g.vertices
         rep = rep_from_cores([v, w_, v])
         assert rep.n == 4
 
     def test_single_vertex_path(self):
-        g = build_gamma(component_vertices("C"))
+        g = component_graph("C")
         rep = rep_from_cores([g.vertices[0]])
         assert rep.n == 2
 
     def test_missing_edge_names_pair(self):
-        g = build_gamma(component_vertices("T'"))
+        g = component_graph("T'")
         src, dst = g.vertices[1], g.vertices[0]
         assert (src, dst) not in {(e.src, e.dst) for e in g.edges}
         with pytest.raises(PathError, match=r"^cores 1 and 2 \(\(A,b\); \(a,B\)\) do not"):
@@ -776,6 +783,15 @@ class TestReps:
     def test_local_rep_shape_checked(self):
         with pytest.raises(ValueError):
             LocalRep(3, (ARTIN_CORE,))
+
+    def test_sizes_past_max_image_letters_refused(self):
+        # Refused before a core is repeated or a catalog word is built.
+        assert localrep.MAX_IMAGE_LETTERS == 1_000_000
+        with pytest.raises(ValueError, match="^strand count 1000001 is over MAX_IMAGE_LETTERS"):
+            constant_rep(ARTIN_CORE, 1_000_001)
+        assert max(map(len, base_quad("A1", 499_999).words)) == 999_999
+        with pytest.raises(ValueError, match="^family A1 at r=500000 has a word of 1000001 "):
+            base_quad("A1", 500_000)
 
 
 class TestExtension:

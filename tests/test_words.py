@@ -122,6 +122,10 @@ class TestGroupOps:
     def test_identity(self):
         assert w("abA") * Word() == w("abA")
 
+    def test_generator_index_checked(self):
+        with pytest.raises(ValueError, match="^generator index must be >= 1$"):
+            Word.gen(0)
+
     def test_inverse_law(self):
         u = w("abbA")
         assert u * u.inverse() == Word()
