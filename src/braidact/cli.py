@@ -199,12 +199,16 @@ def _cmd_check_stab(args) -> int:
     if not rep.cores:
         raise ValueError("a rep on 1 strand has no core to check")
     extensions = outgoing_cores(rep.cores[-1])
-    lines, entries = [], []
-    for i, core in enumerate(rep.cores, start=1):
+    # One S1 check and one text per distinct core; repeated cores share them.
+    by_core = {}
+    for core in dict.fromkeys(rep.cores):
         report = check_S1(core)
-        lines += [f"core {i} ({core}): S1 {report.status}", f"  {report.witness}"]
-        entries.append({"core": str(core), "s1": report.status, "witness": report.witness})
-    weakest = min((entry["s1"] for entry in entries), key=S1_WEAKEST_FIRST.index)
+        by_core[core] = {"core": str(core), "s1": report.status, "witness": report.witness}
+    entries = [by_core[core] for core in rep.cores]
+    lines = []
+    for i, e in enumerate(entries, start=1):
+        lines += [f"core {i} ({e['core']}): S1 {e['s1']}", f"  {e['witness']}"]
+    weakest = min((e["s1"] for e in by_core.values()), key=S1_WEAKEST_FIRST.index)
     if weakest == "fails" or not extensions:
         overall = "violated"
     else:

@@ -133,10 +133,11 @@ def check_quad(q: Quad) -> QuadReport:
     """Evaluate the three defining word equations in F_3 plus both basis tests.
 
     Failure is data, not an error: the report carries one flag per condition.
+    A word over more than a, b is refused by the basis test, before any
+    equation runs.  :func:`rep_from_cores` decides each distinct adjacent
+    pair of cores by this one check.
     """
     a, b, c, d = q.words
-    if any(w.max_generator() > 2 for w in (a, b, c, d)):
-        raise ValueError("quad words must be over a, b")
     return QuadReport(is_basis(a, b), is_basis(c, d), *_equations(q.tau, q.kappa))
 
 
@@ -615,24 +616,21 @@ class LocalRep:
 
 def rep_from_cores(cores: Sequence[AutF2]) -> LocalRep:
     """The rep with these cores, for example the vertices of an edge-path of
-    the successor graph in order.  Every core is checked to be a basis of
-    F_2, each by one basis test, and every adjacent pair by the three word
-    equations; raises PathError on the first bad pair, in strand order, or on
-    a lone bad core."""
+    the successor graph in order.  Each distinct adjacent pair is decided
+    once by :func:`check_quad`, in order of first occurrence, which is strand
+    order, so a constant rep costs one check at any n; raises PathError on
+    the first bad pair.  A lone core gets one basis test."""
     rep = LocalRep(len(cores) + 1, tuple(cores))
-    bases = []
-    for i, core in enumerate(rep.cores):
-        bases.append(is_basis(core.image_a, core.image_b))
-        if i == 0:
-            continue
-        prev = rep.cores[i - 1]
-        if not (bases[i - 1] and bases[i] and all(_equations(prev, core))):
+    if len(rep.cores) == 1 and not is_basis(rep.cores[0].image_a, rep.cores[0].image_b):
+        raise PathError(f"core 1 ({rep.cores[0]}) is not a basis of F_2")
+    first: dict[tuple[AutF2, AutF2], int] = {}
+    for i, pair in enumerate(zip(rep.cores, rep.cores[1:]), start=1):
+        first.setdefault(pair, i)
+    for (prev, core), i in first.items():
+        if not check_quad(Quad(prev, core)).valid:
             raise PathError(
                 f"cores {i} and {i + 1} (({prev}); ({core})) do not define a local action"
             )
-    for i, (core, basis) in enumerate(zip(rep.cores, bases), start=1):
-        if not basis:
-            raise PathError(f"core {i} ({core}) is not a basis of F_2")
     return rep
 
 

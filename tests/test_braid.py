@@ -66,6 +66,16 @@ class TestParseBraid:
             parse_braid("", 1)
 
 
+class TestOperands:
+    def test_braid_word_times_free_word_refused(self):
+        with pytest.raises(TypeError):
+            BraidWord(2, (1,)) * w("a")
+
+    def test_compose_checks_rank(self):
+        with pytest.raises(ValueError, match="^rank mismatch: 2 vs 3$"):
+            Endo.identity(2).compose(Endo.identity(3))
+
+
 class TestLocalEndo:
     def test_artin_positive(self):
         rep = constant_rep(ARTIN_CORE, 3)

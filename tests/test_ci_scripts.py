@@ -1,4 +1,5 @@
-"""The CI scripts: the tier-1 junit check and the source line count."""
+"""The CI scripts: the tier-1 junit check, the source line count and the
+untested-line finder."""
 
 import importlib.util
 import sys
@@ -96,3 +97,36 @@ def test_src_lines_counts_public_names(monkeypatch):
     exported = SNIPPET.replace("import os\n", 'import os\n\n__all__ = ["K", "f"]\n')
     assert src_lines.public_names(exported) == 2
     assert src_lines.count(exported)[1] == 7
+
+
+# -- untested_lines.untested_lines ------------------------------------------------
+
+BRANCHY = '''\
+def f(x):
+    if x:
+        return 1
+    return 2
+
+
+def main():  # pragma: no cover
+    print(f(0))
+
+
+if __name__ == "__main__":  # pragma: no cover
+    main()
+'''
+
+
+def test_untested_lines_lists_the_branch_never_taken(monkeypatch):
+    untested = load_script(monkeypatch, "untested_lines")
+    # Lines 1 and 2 and the return on line 4 ran; the pragma statements
+    # (lines 7 to 8 and 11 to 12) are never listed.
+    assert untested.untested_lines(BRANCHY, {1, 2, 4}) == [3]
+    assert untested.untested_lines(BRANCHY, set()) == [1, 2, 3, 4]
+    assert untested.untested_lines(BRANCHY, {1, 2, 3, 4}) == []
+
+
+def test_untested_lines_reads_nested_code_objects(monkeypatch):
+    untested = load_script(monkeypatch, "untested_lines")
+    source = "def f():\n    def g():\n        return [x for x in ()]\n    return g\n"
+    assert untested.untested_lines(source, {1, 2, 4}) == [3]

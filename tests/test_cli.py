@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from braidact import braid, localrep
+from braidact import braid, cli, localrep
 from braidact.cli import main
 
 
@@ -52,6 +52,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--pair", "abA,a")
         assert (code, out) == (1, "")
         assert err == "error: expected 'A,B;C,D' pair syntax, got 'abA,a'\n"
+
+    def test_word_over_three_generators_exits_one(self, capsys):
+        # The basis test is the one refusal of words over more than a, b.
+        code, out, err = run(capsys, "verify", "--quad", "x3,b,a,b")
+        assert (code, out) == (1, "")
+        assert err == "error: basis test is defined for words over a, b only\n"
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -525,6 +531,47 @@ class TestCheckStab:
         assert code == 0
         assert "S2 extensions: (aBa,a) via C1, (aba,A) via C2" in out
         assert len(calls) == 1
+
+    def test_s1_checked_once_per_distinct_core(self, capsys, monkeypatch):
+        check_S1, calls = cli.check_S1, []
+
+        def counted(core):
+            calls.append(str(core))
+            return check_S1(core)
+
+        monkeypatch.setattr(cli, "check_S1", counted)
+        code, out, _ = run(capsys, "check-stab", "--rep", "artin", "--n", "1000")
+        assert (code, calls) == (0, ["abA,a"])
+        lines = out.splitlines()
+        witness = "  core: relator aB forces a = b; inverse core: relator Ba forces a = b"
+        assert lines[:-3] == [
+            line for i in range(1, 1000) for line in (f"core {i} (abA,a): S1 holds", witness)
+        ]
+        assert lines[-1] == "stabilization properties: satisfied"
+        calls.clear()
+        code, out, _ = run(capsys, "check-stab", "--rep", "cores:B,a;b,A;B,a")
+        assert (code, calls) == (0, ["B,a", "b,A"])
+        collapse = "  the two sides collapse differently: core: relator {} forces a = {}; "
+        collapse += "inverse core: relator {} forces a = {}"
+        ba = collapse.format("aB", "b", "AB", "b^-1")
+        ab = collapse.format("AB", "b^-1", "aB", "b")
+        assert out == "\n".join([
+            "core 1 (B,a): S1 fails", ba,
+            "core 2 (b,A): S1 fails", ab,
+            "core 3 (B,a): S1 fails", ba,
+            "  S2 extensions: (B,a) via B1, (b,A) via B2",
+            "extendable (S2): yes",
+            "stabilization properties: violated",
+            "",
+        ])
+
+    def test_json_repeats_each_core_entry(self, capsys):
+        code, out, _ = run(capsys, "check-stab", "--rep", "cores:B,a;b,A;B,a", "--json")
+        assert code == 0
+        entries = json.loads(out)["cores"]
+        assert [e["core"] for e in entries] == ["B,a", "b,A", "B,a"]
+        assert entries[0] == entries[2] != entries[1]
+        assert {e["s1"] for e in entries} == {"fails"}
 
 
 class TestSizeRefusals:

@@ -769,20 +769,51 @@ class TestReps:
         with pytest.raises(PathError, match=r"^cores 2 and 3 \(\(abA,a\); \(aa,b\)\) do not"):
             rep_from_cores((ARTIN_CORE, ARTIN_CORE, AutF2.parse("aa,b"), ARTIN_CORE))
 
-    def test_each_core_tested_once(self, monkeypatch):
-        calls = []
+    def test_repeated_pair_checked_once(self, monkeypatch):
+        # Four equal cores make one distinct pair: one check_quad call, which
+        # runs one basis test per core of the pair.
+        check, quads, bases = localrep.check_quad, [], []
 
-        def counted(u, v):
-            calls.append((u, v))
+        def counted_check(quad):
+            quads.append(quad)
+            return check(quad)
+
+        def counted_basis(u, v):
+            bases.append((u, v))
             return is_basis(u, v)
 
-        monkeypatch.setattr(localrep, "is_basis", counted)
+        monkeypatch.setattr(localrep, "check_quad", counted_check)
+        monkeypatch.setattr(localrep, "is_basis", counted_basis)
         rep_from_cores((ARTIN_CORE,) * 4)
-        assert calls == [(ARTIN_CORE.image_a, ARTIN_CORE.image_b)] * 4
+        assert quads == [Quad(ARTIN_CORE, ARTIN_CORE)]
+        assert bases == [(ARTIN_CORE.image_a, ARTIN_CORE.image_b)] * 2
+
+    def test_constant_cores_evaluate_equations_once(self, monkeypatch):
+        calls = []
+
+        def counted(tau, kappa):
+            calls.append((tau, kappa))
+            return _equations(tau, kappa)
+
+        monkeypatch.setattr(localrep, "_equations", counted)
+        assert rep_from_cores((ARTIN_CORE,) * 99_999).n == 100_000
+        assert calls == [(ARTIN_CORE, ARTIN_CORE)]
+        for n in (3, 4, 40):
+            calls.clear()
+            assert constant_rep(ARTIN_CORE, n).n == n
+            assert calls == [(ARTIN_CORE, ARTIN_CORE)]
+
+    def test_repeated_bad_pair_reported_at_first_occurrence(self):
+        cores = tuple(map(AutF2.parse, "a,B;A,b;a,B;A,b".split(";")))
+        message = r"^cores 2 and 3 \(\(A,b\); \(a,B\)\) do not define a local action$"
+        with pytest.raises(PathError, match=message):
+            rep_from_cores(cores)
 
     def test_local_rep_shape_checked(self):
         with pytest.raises(ValueError):
             LocalRep(3, (ARTIN_CORE,))
+        with pytest.raises(ValueError, match="^strand count must be >= 1$"):
+            LocalRep(0, ())
 
     def test_sizes_past_max_image_letters_refused(self):
         # Refused before a core is repeated or a catalog word is built.

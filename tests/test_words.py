@@ -126,6 +126,12 @@ class TestGroupOps:
         with pytest.raises(ValueError, match="^generator index must be >= 1$"):
             Word.gen(0)
 
+    def test_foreign_operands(self):
+        # A word multiplies only words and equals only words.
+        with pytest.raises(TypeError):
+            w("a") * 3
+        assert w("a") != "a"
+
     def test_inverse_law(self):
         u = w("abbA")
         assert u * u.inverse() == Word()
