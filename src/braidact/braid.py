@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autf2 import AutF2, is_basis
-from .localrep import LocalRep
+from .localrep import LocalRep, _adjacent_pairs, _equations
 from .words import MAX_IMAGE_LETTERS, Word
 
 __all__ = [
@@ -131,21 +131,35 @@ def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
 
 def verify_braid_relations(rep: LocalRep) -> bool:
     """Check the defining relations of B_n on the braid action: i, i+1, i
-    against i+1, i, i+1, and i, j against j, i for j >= i + 2."""
+    against i+1, i, i+1, and i, j against j, i for j >= i + 2.
 
-    def same(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-        return endo_of_braid(rep, BraidWord(rep.n, u)) == endo_of_braid(rep, BraidWord(rep.n, v))
+    Crossing i rewrites images i and i+1 from those two images alone and
+    leaves the others as they are.  So for j >= i + 2 the crossings i and
+    j rewrite disjoint pairs of images, each from its own pair, and i, j
+    and j, i give the same images: the far relations hold for every rep.
+    The triple relation at i touches only images i, i+1 and i+2, and its
+    two sides there are the two sides of the relation 1 2 1 = 2 1 2 of the
+    cores i and i+1 on F_3 with x, y and z renamed x_i, x_{i+1} and
+    x_{i+2}; that renaming is injective, so the sides agree in F_n exactly
+    when they agree in F_3.  Those are the three word equations T, M and B of
+    :func:`braidact.localrep.check_quad` (the six images are written out
+    beside ``_equations``).  So the relations hold exactly when each
+    distinct adjacent pair of cores satisfies T, M and B, and each is
+    evaluated once, in order of first occurrence.
 
-    m = rep.n - 1
-    return all(same((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, m)) and all(
-        same((i, j), (j, i)) for i in range(1, m + 1) for j in range(i + 2, m + 1)
-    )
+    Raises ValueError once an equation word passes MAX_IMAGE_LETTERS.
+    """
+    return all(all(_equations(p, c)) for p, c in _adjacent_pairs(rep.cores))
 
 
 def check_pair_via_braid(tau: AutF2, kappa: AutF2) -> bool:
-    """Whether two cores satisfy the braid relation on F_3: an independent
-    cross-check of :func:`braidact.localrep.check_quad` on pairs of bases."""
+    """Whether two cores satisfy the braid relation on F_3, by the word
+    action: endo_of_braid on 1 2 1 against 2 1 2.  It shares no equation
+    code with :func:`braidact.localrep.check_quad`, so it is an independent
+    cross-check of it on pairs of bases."""
     for phi in (tau, kappa):
         if not is_basis(phi.image_a, phi.image_b):
             raise ValueError(f"core ({phi}) is not a basis of F_2")
-    return verify_braid_relations(LocalRep(3, (tau, kappa)))
+    rep = LocalRep(3, (tau, kappa))
+    lhs, rhs = (endo_of_braid(rep, BraidWord(3, side)) for side in ((1, 2, 1), (2, 1, 2)))
+    return lhs == rhs

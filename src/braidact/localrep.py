@@ -33,7 +33,6 @@ __all__ = [
     "PathError",
     "Quad",
     "QuadReport",
-    "backward_dual",
     "base_quad",
     "canonicalize",
     "catalog",
@@ -42,11 +41,9 @@ __all__ = [
     "component_graph",
     "constant_rep",
     "identify_quad",
-    "inverse_rep",
     "outgoing_cores",
     "quad_sort_key",
     "rep_from_cores",
-    "swap_dual",
     "symmetry_orbit",
 ]
 
@@ -118,15 +115,52 @@ def _equations(tau: AutF2, kappa: AutF2) -> Iterator[bool]:
     """The three defining word equations (T, M, B) in F_3 for the cores
     tau = (a, b) and kappa = (c, d), evaluated lazily in that order, so
     ``all(...)`` stops at the first that fails.  c(y, z) and d(y, z) are
-    kappa's images one strand up, kept on kappa."""
+    kappa's images one strand up, kept on kappa.
+
+    They are the braid relation 1 2 1 = 2 1 2 on F_3 = <x, y, z>, with tau
+    crossing strands 1, 2 and kappa strands 2, 3, for any two
+    endomorphisms.  Under the right action of
+    :func:`braidact.braid.endo_of_braid`, with a and b short for a(x, y)
+    and b(x, y), the six images are
+
+        1 2 1:  x -> a(a, c(b, z)),  y -> b(a, c(b, z)),  z -> d(b, z)
+        2 1 2:  x -> a(x, c(y, z)),  y -> c(b(x, c(y, z)), d(y, z)),
+                z -> d(b(x, c(y, z)), d(y, z))
+
+    and T, M and B say that the images of x, of y and of z agree.
+
+    Raises ValueError naming MAX_IMAGE_LETTERS as soon as a word it has
+    written is longer than that bound, the rule endo_of_braid applies
+    after each crossing.  Every image substituted in is a core word or an
+    earlier word within the bound, so no word is written longer than the
+    longest core word times the larger of its length and the bound.
+    """
     a, b = tau.image_a, tau.image_b
     c, d = kappa.image_a, kappa.image_b
     c_yz, d_yz = kappa.shifted
-    c_bz = c.substitute((b, _Z))
-    yield a.substitute((a, c_bz)) == a.substitute((_X, c_yz))
-    b_xc = b.substitute((_X, c_yz))
-    yield b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz))
-    yield d.substitute((b, _Z)) == d.substitute((b_xc, d_yz))
+    c_bz = _written(c, (b, _Z))
+    yield _written(a, (a, c_bz)) == _written(a, (_X, c_yz))
+    b_xc = _written(b, (_X, c_yz))
+    yield _written(b, (a, c_bz)) == _written(c, (b_xc, d_yz))
+    yield _written(d, (b, _Z)) == _written(d, (b_xc, d_yz))
+
+
+def _written(w: Word, images: tuple[Word, Word]) -> Word:
+    out = w.substitute(images)
+    if len(out) > MAX_IMAGE_LETTERS:
+        raise ValueError(
+            f"an equation word has {len(out)} letters, over MAX_IMAGE_LETTERS ({MAX_IMAGE_LETTERS})"
+        )
+    return out
+
+
+def _adjacent_pairs(cores: Sequence[AutF2]) -> dict[tuple[AutF2, AutF2], int]:
+    """Each distinct adjacent pair of cores, in order of first occurrence,
+    with the position i of that occurrence (cores i and i + 1)."""
+    first: dict[tuple[AutF2, AutF2], int] = {}
+    for i, pair in enumerate(zip(cores, cores[1:]), start=1):
+        first.setdefault(pair, i)
+    return first
 
 
 def check_quad(q: Quad) -> QuadReport:
@@ -134,7 +168,8 @@ def check_quad(q: Quad) -> QuadReport:
 
     Failure is data, not an error: the report carries one flag per condition.
     A word over more than a, b is refused by the basis test, before any
-    equation runs.  :func:`rep_from_cores` decides each distinct adjacent
+    equation runs, and an equation word over MAX_IMAGE_LETTERS letters by
+    :func:`_equations`.  :func:`rep_from_cores` decides each distinct adjacent
     pair of cores by this one check.
     """
     a, b, c, d = q.words
@@ -196,24 +231,6 @@ def _require_valid(q: Quad, op: str) -> None:
     report = check_quad(q)
     if not report.valid:
         raise ValueError(f"{op}: quad ({q}) is not valid (fails {report.failures()})")
-
-
-def inverse_rep(q: Quad) -> Quad:
-    """Quad of the inverted cores; an involution on valid quads."""
-    _require_valid(q, "inverse_rep")
-    return _quad(_decorate(q, True, False, False))
-
-
-def swap_dual(q: Quad) -> Quad:
-    """(D, C, B, A) with a and b interchanged; an involution on valid quads."""
-    _require_valid(q, "swap_dual")
-    return _quad(_decorate(q, False, True, False))
-
-
-def backward_dual(q: Quad) -> Quad:
-    """Each word read backward; an involution on valid quads."""
-    _require_valid(q, "backward_dual")
-    return _quad(_decorate(q, False, False, True))
 
 
 def symmetry_orbit(q: Quad) -> tuple[Quad, ...]:
@@ -623,10 +640,7 @@ def rep_from_cores(cores: Sequence[AutF2]) -> LocalRep:
     rep = LocalRep(len(cores) + 1, tuple(cores))
     if len(rep.cores) == 1 and not is_basis(rep.cores[0].image_a, rep.cores[0].image_b):
         raise PathError(f"core 1 ({rep.cores[0]}) is not a basis of F_2")
-    first: dict[tuple[AutF2, AutF2], int] = {}
-    for i, pair in enumerate(zip(rep.cores, rep.cores[1:]), start=1):
-        first.setdefault(pair, i)
-    for (prev, core), i in first.items():
+    for (prev, core), i in _adjacent_pairs(rep.cores).items():
         if not check_quad(Quad(prev, core)).valid:
             raise PathError(
                 f"cores {i} and {i + 1} (({prev}); ({core})) do not define a local action"

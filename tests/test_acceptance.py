@@ -40,21 +40,19 @@ from braidact.localrep import (
     Quad,
     _reversed,
     _swapped,
-    backward_dual,
     canonicalize,
     catalog,
     check_quad,
     classify_search,
     component_graph,
     constant_rep,
-    inverse_rep,
     outgoing_cores,
     rep_from_cores,
-    swap_dual,
+    symmetry_orbit,
 )
 from braidact.words import Word
 
-from .util import brute_hom_count, reduced_words
+from .util import brute_hom_count, compose_braid_relations, reduced_words
 
 GROUPS = [builtin_group(n) for n in ("Z2", "Z3", "Z4", "Z5", "S3", "S4")]
 
@@ -220,10 +218,12 @@ def test_criterion_4_braid_homomorphism():
         quad = catalog(fid)
         rep3 = LocalRep(3, (quad.tau, quad.kappa))
         assert verify_braid_relations(rep3), f"{fid} fails on 3 strands"
+        assert compose_braid_relations(rep3), f"{fid} fails the compose oracle on 3 strands"
         reps_checked += 1
         for extension, _ in outgoing_cores(quad.kappa):
             rep4 = LocalRep(4, (quad.tau, quad.kappa, extension))
             assert verify_braid_relations(rep4), f"{fid} + ({extension}) fails on 4 strands"
+            assert compose_braid_relations(rep4), f"{fid} + ({extension}) fails the compose oracle"
             on_four += 1
     rng = random.Random(4242)
     reps = [
@@ -442,7 +442,8 @@ def test_criterion_8_property_suites():
                     pair_count += 1
 
     # symmetry commutation and validity on the full catalog, r <= 5
-    ops = (inverse_rep, swap_dual, backward_dual)
+    # The inverse, swap and backward images: entries 4, 2 and 1 of the orbit.
+    ops = [lambda quad, k=k: symmetry_orbit(quad)[k] for k in (4, 2, 1)]
     for fid in _all_family_ids(5, decorations=False):
         quad = catalog(fid)
         for f in ops:

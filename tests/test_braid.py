@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from braidact import autf2, braid
+from braidact import autf2, braid, localrep
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import (
     BraidWord,
@@ -262,6 +263,60 @@ class TestBraidRelations:
         results = [verify_braid_relations(rep) for rep in reps]
         assert results == [compose_braid_relations(rep) for rep in reps]
         assert 0 < results.count(True) < results.count(False)
+
+    def test_matches_compose_oracle_on_five_and_six_strands(self):
+        # Seeded random reps over every core of one-letter words, bases or
+        # not, and seeded walks of the successor graph from catalog cores,
+        # which are local actions with several distinct pairs.  On 5 and 6
+        # strands the oracle checks far relations too.
+        words = reduced_words(1)
+        cores = [AutF2(u, v) for u in words for v in words]
+        rng = random.Random(56)
+        reps = [
+            LocalRep(n, tuple(rng.choices(cores, k=n - 1))) for n in (5, 6) for _ in range(60)
+        ]
+        for fid in scan_family_ids(3):
+            for n in (5, 6):
+                path = [catalog(fid).tau]
+                while len(path) < n - 1 and outgoing_cores(path[-1]):
+                    path.append(rng.choice(outgoing_cores(path[-1]))[0])
+                if len(path) == n - 1:
+                    reps.append(LocalRep(n, tuple(path)))
+        results = [verify_braid_relations(rep) for rep in reps]
+        assert results == [compose_braid_relations(rep) for rep in reps]
+        assert 0 < results.count(False) < results.count(True)
+        pair_counts = [len(set(zip(rep.cores, rep.cores[1:]))) for rep in reps]
+        assert max(k for k, ok in zip(pair_counts, results) if ok) >= 3
+
+    def test_one_equation_check_per_distinct_pair(self, monkeypatch):
+        # Far relations cost nothing and a repeated pair is checked once,
+        # through the pair equations: the word action is never run.
+        calls = []
+        equations, endo = braid._equations, braid.endo_of_braid
+        monkeypatch.setattr(
+            braid, "_equations", lambda *pair: calls.append(pair) or equations(*pair)
+        )
+        monkeypatch.setattr(braid, "endo_of_braid", lambda *args: calls.append(args) or endo(*args))
+        assert verify_braid_relations(LocalRep(100, (ARTIN_CORE,) * 99))
+        assert calls == [(ARTIN_CORE, ARTIN_CORE)]
+        calls.clear()
+        b, bi = MIXED_REP.cores[:2]
+        assert verify_braid_relations(LocalRep(5, (b, bi, b, bi)))
+        assert calls == [(b, bi), (bi, b)]
+
+    def test_long_constant_rep_is_quick(self):
+        # One pair equation check, well under a millisecond; the word action
+        # on both sides of all 12,561 relations takes seconds.
+        t0 = time.perf_counter()
+        assert verify_braid_relations(LocalRep(160, (ARTIN_CORE,) * 159))
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_refuses_oversized_equation_words(self, monkeypatch):
+        # c(b, z) = y^9 for these cores (see tests/test_localrep.py).
+        rep = LocalRep(3, (AutF2.parse("abb,bbb"), AutF2.parse("aaa,b")))
+        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", 8)
+        with pytest.raises(ValueError, match=r"^an equation word has 9 letters, over MAX_IMAGE"):
+            verify_braid_relations(rep)
 
     def test_no_relations_below_three_strands(self):
         for rep in (

@@ -595,3 +595,23 @@ class TestSizeRefusals:
         t0 = time.perf_counter()
         assert run(capsys, *argv) == (1, "", err)
         assert time.perf_counter() - t0 < 1
+
+
+class TestEquationWordRefusals:
+    # c(b, z) = b^1001 under a^1001 has 1,002,001 letters, and T's left side
+    # would write about 10^9 more: refused at the first.
+    TAU, KAPPA = "a" + "b" * 1000 + "," + "b" * 1001, "a" * 1001 + ",b"
+    ERR = "error: an equation word has 1002001 letters, over MAX_IMAGE_LETTERS (1000000)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--quad", f"{TAU},{KAPPA}"),
+            ("act", "--rep", f"cores:{TAU};{KAPPA}", "--braid", "1"),
+        ],
+        ids=["verify", "act"],
+    )
+    def test_refused_at_once(self, capsys, argv):
+        t0 = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", self.ERR)
+        assert time.perf_counter() - t0 < 1

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from braidact import localrep
+from braidact import braid, localrep
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import check_pair_via_braid
 from braidact.localrep import (
@@ -20,7 +20,6 @@ from braidact.localrep import (
     _representative,
     _reversed,
     _swapped,
-    backward_dual,
     base_quad,
     canonicalize,
     catalog,
@@ -29,11 +28,9 @@ from braidact.localrep import (
     component_graph,
     constant_rep,
     identify_quad,
-    inverse_rep,
     outgoing_cores,
     quad_sort_key,
     rep_from_cores,
-    swap_dual,
     symmetry_orbit,
 )
 from braidact.words import Word, word_sort_key
@@ -91,6 +88,40 @@ class TestCheckQuad:
             check_quad(q("x3,a,b,a"))
 
 
+class TestEquationWordBound:
+    # tau = (ab^2, b^3) and kappa = (a^3, b) write, in order, c(b, z) = y^9,
+    # a(a, c(b, z)) = x y^20, a(x, c(y, z)) = x y^6 (T fails),
+    # b(x, c(y, z)) = y^9 and b(a, c(b, z)) = y^27.
+    QUAD = "abb,bbb,aaa,b"
+
+    @pytest.mark.parametrize("bound, letters", [(8, 9), (9, 21), (21, 27), (26, 27)])
+    def test_refused_at_first_word_over_the_bound(self, monkeypatch, bound, letters):
+        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", bound)
+        message = rf"^an equation word has {letters} letters, over MAX_IMAGE_LETTERS \({bound}\)$"
+        with pytest.raises(ValueError, match=message):
+            check_quad(q(self.QUAD))
+
+    def test_longest_word_at_the_bound_passes(self, monkeypatch):
+        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", 27)
+        report = check_quad(q(self.QUAD))
+        assert report.failures() == ("aut_ab", "aut_cd", "T")
+
+    def test_lazy_equations_stop_before_longer_words(self, monkeypatch):
+        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", 21)
+        quad = q(self.QUAD)
+        assert not all(_equations(quad.tau, quad.kappa))
+
+    def test_refused_before_t_is_written(self):
+        # c(b, z) = b^1001 under a^1001 has 1,002,001 letters; T's left side
+        # would write about 10^9 more.
+        tau = AutF2(Word.parse("a" + "b" * 1000), Word.parse("b" * 1001))
+        kappa = AutF2(Word.parse("a" * 1001), Word.parse("b"))
+        with pytest.raises(ValueError, match="^an equation word has 1002001 letters"):
+            check_quad(Quad(tau, kappa))
+        with pytest.raises(ValueError, match="^an equation word has 1002001 letters"):
+            rep_from_cores((tau, kappa))
+
+
 class TestCheckPairViaBraid:
     def test_artin_cores(self):
         assert check_pair_via_braid(ARTIN_CORE, ARTIN_CORE)
@@ -104,6 +135,21 @@ class TestCheckPairViaBraid:
     def test_non_basis_rejected(self):
         with pytest.raises(ValueError):
             check_pair_via_braid(AutF2.parse("aa,b"), AutF2.identity())
+
+    def test_decides_the_catalog_without_the_equations(self, monkeypatch):
+        # The word action alone decides every decorated catalog quad up to
+        # r = 2, so it stays an independent cross-check of check_quad.
+        def refuse(tau, kappa):
+            raise AssertionError("the cross-check evaluated _equations")
+
+        monkeypatch.setattr(localrep, "_equations", refuse)
+        monkeypatch.setattr(braid, "_equations", refuse)
+        fids = list(scan_family_ids(5))
+        assert len(fids) == 160
+        for fid in fids:
+            quad = catalog(fid)
+            assert check_pair_via_braid(quad.tau, quad.kappa), fid
+        assert not check_pair_via_braid(AutF2.identity(), AutF2.parse("b,a"))
 
     def test_agreement_with_check_quad_exhaustive(self):
         words = reduced_words(2)
@@ -135,39 +181,48 @@ class TestCheckPairViaBraid:
             assert check_quad(Quad(tau, kappa)).valid == check_pair_via_braid(tau, kappa)
 
 
+# Each one-symmetry image is an entry of symmetry_orbit, in _DECORATIONS order.
+ONE_SYMMETRY = {"inv": 4, "swap": 2, "bw": 1}
+
+
+def one_symmetry(name, quad):
+    return symmetry_orbit(quad)[ONE_SYMMETRY[name]]
+
+
 class TestSymmetries:
+    def test_one_symmetry_entries_carry_one_flag(self):
+        for name, flags in zip(ONE_SYMMETRY, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+            assert _DECORATIONS[ONE_SYMMETRY[name]] == tuple(map(bool, flags))
+
     def test_swap_dual_rule(self):
         # (A,B,C,D) -> (D,C,B,A) with letters interchanged
-        assert swap_dual(q("B,a,B,a")) == q("b,A,b,A")
+        assert one_symmetry("swap", q("B,a,B,a")) == q("b,A,b,A")
 
     def test_trivial_inverting_family_is_swap_self_dual(self):
-        assert swap_dual(q("a,B,A,b")) == q("a,B,A,b")
+        assert one_symmetry("swap", q("a,B,A,b")) == q("a,B,A,b")
 
     def test_backward_dual_flips_conjugation_direction(self):
         expected = Quad(AutF2.parse("AAbaa,a"), AutF2.parse("AAbaa,a"))
-        assert backward_dual(catalog(FamilyId("A1", 2))) == expected
+        assert one_symmetry("bw", catalog(FamilyId("A1", 2))) == expected
 
     def test_inverse_rep_of_artin_family(self):
-        assert inverse_rep(q("abA,a,abA,a")) == q("b,Bab,b,Bab")
+        assert one_symmetry("inv", q("abA,a,abA,a")) == q("b,Bab,b,Bab")
 
     @pytest.mark.parametrize("fid", list(all_family_ids(3)), ids=str)
     def test_involutions_commutation_validity(self, fid):
         quad = catalog(fid)
-        images = {
-            "inv": inverse_rep(quad),
-            "swap": swap_dual(quad),
-            "bw": backward_dual(quad),
-        }
-        ops = {"inv": inverse_rep, "swap": swap_dual, "bw": backward_dual}
-        for name, image in images.items():
+        for name in ONE_SYMMETRY:
+            image = one_symmetry(name, quad)
             assert check_quad(image).valid
-            assert ops[name](image) == quad
-        for n1, n2 in itertools.combinations(ops, 2):
-            assert ops[n1](ops[n2](quad)) == ops[n2](ops[n1](quad))
+            assert one_symmetry(name, image) == quad
+        for n1, n2 in itertools.combinations(ONE_SYMMETRY, 2):
+            assert one_symmetry(n1, one_symmetry(n2, quad)) == one_symmetry(
+                n2, one_symmetry(n1, quad)
+            )
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError, match="not valid"):
-            swap_dual(q("a,b,b,a"))
+            symmetry_orbit(q("a,b,b,a"))
 
 
 class TestCanonicalize:
@@ -190,15 +245,15 @@ class TestCanonicalize:
             assert 8 % len(orbit) == 0
 
     def test_orbit_matches_flagwise_decoration(self):
-        # The orbit must equal the public involutions applied one flag at a
-        # time, in the order inverse, swap, backward, in _DECORATIONS order.
+        # The orbit must equal its one-symmetry entries applied one flag at
+        # a time, in the order inverse, swap, backward, in _DECORATIONS order.
         for fid in scan_family_ids(7):
             quad = catalog(fid)
             flagwise = []
             for inv, swap, backward in _DECORATIONS:
-                image = inverse_rep(quad) if inv else quad
-                image = swap_dual(image) if swap else image
-                flagwise.append(backward_dual(image) if backward else image)
+                image = one_symmetry("inv", quad) if inv else quad
+                image = one_symmetry("swap", image) if swap else image
+                flagwise.append(one_symmetry("bw", image) if backward else image)
             assert symmetry_orbit(quad) == tuple(flagwise), str(fid)
             assert canonicalize(quad) == min(flagwise, key=quad_sort_key), str(fid)
 
