@@ -101,10 +101,6 @@ class AutF2:
     image_b: Word
 
     @classmethod
-    def identity(cls) -> AutF2:
-        return cls(_A, _B)
-
-    @classmethod
     def parse(cls, text: str) -> AutF2:
         parts = text.split(",")
         if len(parts) != 2:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import words
 from .autf2 import AutF2, is_basis
 from .localrep import LocalRep, _adjacent_pairs, _equations
-from .words import MAX_IMAGE_LETTERS, Word
+from .words import Word
 
 __all__ = [
     "BraidWord",
@@ -108,7 +109,9 @@ def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
     and leaves the other n - 2 images as they are.
 
     Raises ValueError once the suffix images l_k ... l_m total more than
-    MAX_IMAGE_LETTERS; the message names k, the letter's position in the word.
+    MAX_IMAGE_LETTERS; the message names k, the letter's position in the
+    word.  That total is the sum of n images, which the bound ``substitute``
+    keeps on each word cannot bound.
     """
     if rep.n != b.n:
         raise ValueError(f"strand mismatch: rep has {rep.n}, braid has {b.n}")
@@ -122,9 +125,9 @@ def endo_of_braid(rep: LocalRep, b: BraidWord) -> Endo:
         images[i - 1] = core.image_a.substitute(pair)
         images[i] = core.image_b.substitute(pair)
         size += len(images[i - 1]) + len(images[i]) - len(pair[0]) - len(pair[1])
-        if size > MAX_IMAGE_LETTERS:
+        if size > words.MAX_IMAGE_LETTERS:
             raise ValueError(
-                f"braid image has {size} letters after crossing {k}, over {MAX_IMAGE_LETTERS}"
+                f"braid image has {size} letters after crossing {k}, over {words.MAX_IMAGE_LETTERS}"
             )
     return Endo(tuple(images))
 
@@ -145,9 +148,8 @@ def verify_braid_relations(rep: LocalRep) -> bool:
     :func:`braidact.localrep.check_quad` (the six images are written out
     beside ``_equations``).  So the relations hold exactly when each
     distinct adjacent pair of cores satisfies T, M and B, and each is
-    evaluated once, in order of first occurrence.
-
-    Raises ValueError once an equation word passes MAX_IMAGE_LETTERS.
+    evaluated once, in order of first occurrence.  An oversized equation
+    word is refused by ``substitute``.
     """
     return all(all(_equations(p, c)) for p, c in _adjacent_pairs(rep.cores))
 

@@ -30,7 +30,6 @@ _NAME = re.compile(r"([ZSD])(0|[1-9][0-9]*)")
 class FiniteGroupTable:
     name: str
     table: tuple[tuple[int, ...], ...]
-    identity: int
     inverse: tuple[int, ...]
     # The order of each element: the least m >= 1 with x^m the identity.
     orders: tuple[int, ...]
@@ -102,7 +101,7 @@ def _group(name: str, rows: list[list[int]]) -> FiniteGroupTable:
             seen |= cls
             classes.append((x, len(cls)))
     orbits = _pair_orbits(table, inverse, classes)
-    return FiniteGroupTable(name, table, 0, tuple(inverse), tuple(orders), orbits)
+    return FiniteGroupTable(name, table, tuple(inverse), tuple(orders), orbits)
 
 
 def _pair_orbits(

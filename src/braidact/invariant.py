@@ -203,7 +203,6 @@ def _walk_homs(k: int, relators: tuple, group: FiniteGroupTable) -> int:
     product = itertools.product
     tails = product(range(group.order), repeat=k - 2), product(group.inverse, repeat=k - 2)
     table = group.table
-    e = group.identity
     count = 0
     for tail in map(operator.add, *tails):
         for weight, reps in group.pair_orbits:
@@ -211,10 +210,10 @@ def _walk_homs(k: int, relators: tuple, group: FiniteGroupTable) -> int:
             for rep in reps:
                 image = rep + tail
                 for rel in relators:
-                    cur = e
+                    cur = 0  # the identity
                     for slot in rel:
                         cur = table[cur][image[slot]]
-                    if cur != e:
+                    if cur != 0:
                         break
                 else:
                     homs += 1
@@ -257,14 +256,13 @@ def pair_action(core: AutF2, group: FiniteGroupTable) -> tuple[int, ...]:
     """
     q = group.order
     table = group.table
-    e = group.identity
     words = [tuple(_slot(l, 2) for l in w.letters) for w in (core.image_a, core.image_b)]
     out = []
     for a, b in itertools.product(range(q), repeat=2):
         values = (a, b, group.inverse[a], group.inverse[b])
         image = []
         for word in words:
-            cur = e
+            cur = 0  # the identity
             for k in word:
                 cur = table[cur][values[k]]
             image.append(cur)

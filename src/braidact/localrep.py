@@ -18,9 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import words
 from .autf2 import AutF2, aut_sort_key, is_basis
-from .words import MAX_IMAGE_LETTERS, Word, _letters_sort_key, _swapped_letters, _word
-from .words import word_sort_key
+from .words import Word, _letters_sort_key, _swapped_letters, _word, word_sort_key
 
 __all__ = [
     "ARTIN_CORE",
@@ -127,31 +127,17 @@ def _equations(tau: AutF2, kappa: AutF2) -> Iterator[bool]:
         2 1 2:  x -> a(x, c(y, z)),  y -> c(b(x, c(y, z)), d(y, z)),
                 z -> d(b(x, c(y, z)), d(y, z))
 
-    and T, M and B say that the images of x, of y and of z agree.
-
-    Raises ValueError naming MAX_IMAGE_LETTERS as soon as a word it has
-    written is longer than that bound, the rule endo_of_braid applies
-    after each crossing.  Every image substituted in is a core word or an
-    earlier word within the bound, so no word is written longer than the
-    longest core word times the larger of its length and the bound.
+    and T, M and B say that the images of x, of y and of z agree.  A word
+    past MAX_IMAGE_LETTERS letters is refused by :meth:`Word.substitute`.
     """
     a, b = tau.image_a, tau.image_b
     c, d = kappa.image_a, kappa.image_b
     c_yz, d_yz = kappa.shifted
-    c_bz = _written(c, (b, _Z))
-    yield _written(a, (a, c_bz)) == _written(a, (_X, c_yz))
-    b_xc = _written(b, (_X, c_yz))
-    yield _written(b, (a, c_bz)) == _written(c, (b_xc, d_yz))
-    yield _written(d, (b, _Z)) == _written(d, (b_xc, d_yz))
-
-
-def _written(w: Word, images: tuple[Word, Word]) -> Word:
-    out = w.substitute(images)
-    if len(out) > MAX_IMAGE_LETTERS:
-        raise ValueError(
-            f"an equation word has {len(out)} letters, over MAX_IMAGE_LETTERS ({MAX_IMAGE_LETTERS})"
-        )
-    return out
+    c_bz = c.substitute((b, _Z))
+    yield a.substitute((a, c_bz)) == a.substitute((_X, c_yz))
+    b_xc = b.substitute((_X, c_yz))
+    yield b.substitute((a, c_bz)) == c.substitute((b_xc, d_yz))
+    yield d.substitute((b, _Z)) == d.substitute((b_xc, d_yz))
 
 
 def _adjacent_pairs(cores: Sequence[AutF2]) -> dict[tuple[AutF2, AutF2], int]:
@@ -168,9 +154,9 @@ def check_quad(q: Quad) -> QuadReport:
 
     Failure is data, not an error: the report carries one flag per condition.
     A word over more than a, b is refused by the basis test, before any
-    equation runs, and an equation word over MAX_IMAGE_LETTERS letters by
-    :func:`_equations`.  :func:`rep_from_cores` decides each distinct adjacent
-    pair of cores by this one check.
+    equation runs, and an oversized equation word by ``substitute``.
+    :func:`rep_from_cores` decides each distinct adjacent pair of cores by
+    this one check.
     """
     a, b, c, d = q.words
     return QuadReport(is_basis(a, b), is_basis(c, d), *_equations(q.tau, q.kappa))
@@ -283,10 +269,10 @@ def base_quad(family: str, r: int | None = None) -> Quad:
         raise ValueError(f"family {family} needs a parameter r >= 0")
     if family not in _A_FAMILIES and r is not None:
         raise ValueError(f"family {family} takes no parameter r")
-    if r is not None and 2 * r + 1 > MAX_IMAGE_LETTERS:
+    if r is not None and 2 * r + 1 > words.MAX_IMAGE_LETTERS:
         raise ValueError(
             f"family {family} at r={r} has a word of {2 * r + 1} letters, "
-            f"over MAX_IMAGE_LETTERS ({MAX_IMAGE_LETTERS})"
+            f"over MAX_IMAGE_LETTERS ({words.MAX_IMAGE_LETTERS})"
         )
     p, m = "a" * (r or 0), "A" * (r or 0)
     return Quad(*(AutF2.parse(text.format(p=p, m=m)) for text in _FAMILIES[family]))
@@ -653,8 +639,8 @@ def constant_rep(core: AutF2, n: int) -> LocalRep:
     refused before any core is repeated past MAX_IMAGE_LETTERS strands."""
     if n < 1:
         raise ValueError("strand count must be >= 1")
-    if n > MAX_IMAGE_LETTERS:
-        raise ValueError(f"strand count {n} is over MAX_IMAGE_LETTERS ({MAX_IMAGE_LETTERS})")
+    if n > words.MAX_IMAGE_LETTERS:
+        raise ValueError(f"strand count {n} is over MAX_IMAGE_LETTERS ({words.MAX_IMAGE_LETTERS})")
     return rep_from_cores((core,) * (n - 1))
 
 

@@ -19,8 +19,9 @@ from typing import Iterable, Sequence
 
 __all__ = ["Word", "word_sort_key"]
 
-# Refuse a braid whose image words outgrow this many letters in total; the
-# images can grow exponentially with the crossing count.  Strand counts and
+# Word.substitute refuses to write a word longer than this; words grow
+# through substitution, exponentially with a braid's crossing count.
+# endo_of_braid also bounds the sum of its images, and strand counts and
 # catalog words longer than this are refused before they are built.
 MAX_IMAGE_LETTERS = 1_000_000
 
@@ -133,8 +134,12 @@ class Word:
         """Replace x_i by images[i-1]; a homomorphism into the target group.
 
         Each image is reduced, so letters can cancel only where an image
-        meets the output built so far.
+        meets the output built so far.  Raises ValueError naming
+        MAX_IMAGE_LETTERS as soon as that reduced output passes it, even if
+        later images would cancel it back under: the output never holds more
+        than the bound plus one image.
         """
+        bound = MAX_IMAGE_LETTERS
         out: list[int] = []
         for letter in self.letters:
             try:
@@ -157,6 +162,11 @@ class Word:
                 del out[-k:]
                 piece = islice(piece, k, None)
             out.extend(piece)
+            if len(out) > bound:
+                raise ValueError(
+                    f"a substituted word reached {len(out)} letters, "
+                    f"over MAX_IMAGE_LETTERS ({bound})"
+                )
         return _word(tuple(out))
 
     # -- letter-level transformations -------------------------------------

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from braidact import autf2, braid, localrep
+from braidact import autf2, braid, words
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import (
     BraidWord,
@@ -209,12 +209,21 @@ class TestEndoOfBraid:
         rep = constant_rep(ARTIN_CORE, 2)
         b = parse_braid("1 1 1", 2)
         # The images total 4, 8 and 12 letters after the three crossings.
-        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 12)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 12)
         assert sum(len(img) for img in endo_of_braid(rep, b).images) == 12
-        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 7)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 7)
         for compute in (endo_of_braid, presentation, fingerprint):
             with pytest.raises(ValueError, match="8 letters after crossing 2"):
                 compute(rep, b)
+
+    def test_one_image_over_the_bound_refused_by_substitute(self, monkeypatch):
+        # At crossing 2 the first image, a b a^-1 evaluated at (x1 x2 X1, x1),
+        # reaches 5 letters: substitute refuses before the total is summed.
+        rep = constant_rep(ARTIN_CORE, 2)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 4)
+        message = r"^a substituted word reached 5 letters, over MAX_IMAGE_LETTERS \(4\)$"
+        with pytest.raises(ValueError, match=message):
+            endo_of_braid(rep, parse_braid("1 1 1", 2))
 
     def test_refusal_names_suffix_crossing(self, monkeypatch):
         rep = constant_rep(ARTIN_CORE, 3)
@@ -222,9 +231,9 @@ class TestEndoOfBraid:
         # Applied last to first, the suffixes from crossing 4, 3, 2 and 1
         # total 5, 7, 15 and 23 letters; in word order the prefixes would
         # total 5, 9, 13 and 23, and a bound of 12 would name crossing 3.
-        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 23)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 23)
         assert sum(len(img) for img in endo_of_braid(rep, b).images) == 23
-        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 12)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 12)
         with pytest.raises(ValueError, match="15 letters after crossing 2, over 12"):
             endo_of_braid(rep, b)
 
@@ -234,7 +243,7 @@ class TestBraidRelations:
         assert verify_braid_relations(constant_rep(ARTIN_CORE, 4))
 
     def test_identity_with_swap_fails(self):
-        rep = LocalRep(3, (AutF2.identity(), AutF2.parse("b,a")))
+        rep = LocalRep(3, (AutF2.parse("a,b"), AutF2.parse("b,a")))
         assert not verify_braid_relations(rep)
         assert not compose_braid_relations(rep)
 
@@ -314,8 +323,9 @@ class TestBraidRelations:
     def test_refuses_oversized_equation_words(self, monkeypatch):
         # c(b, z) = y^9 for these cores (see tests/test_localrep.py).
         rep = LocalRep(3, (AutF2.parse("abb,bbb"), AutF2.parse("aaa,b")))
-        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", 8)
-        with pytest.raises(ValueError, match=r"^an equation word has 9 letters, over MAX_IMAGE"):
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 8)
+        message = r"^a substituted word reached 9 letters, over MAX_IMAGE_LETTERS \(8\)$"
+        with pytest.raises(ValueError, match=message):
             verify_braid_relations(rep)
 
     def test_no_relations_below_three_strands(self):

@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from braidact import braid, cli, localrep
+from braidact import cli, localrep, words
 from braidact.cli import main
+
+from .util import cli_in_child
 
 
 def run(capsys, *argv):
@@ -265,7 +267,7 @@ class TestAct:
         assert code == 1
 
     def test_oversized_images_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(braid, "MAX_IMAGE_LETTERS", 7)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 7)
         code, out, err = run(capsys, "act", "--rep", "artin", "--n", "2", "--braid", "1 1 1")
         assert code == 1
         assert out == ""
@@ -598,10 +600,11 @@ class TestSizeRefusals:
 
 
 class TestEquationWordRefusals:
-    # c(b, z) = b^1001 under a^1001 has 1,002,001 letters, and T's left side
-    # would write about 10^9 more: refused at the first.
+    # c(b, z) = b^1001 under a^1001 would have 1,002,001 letters, and T's
+    # left side about 10^9 more: refused in the first, after 1000 images.
     TAU, KAPPA = "a" + "b" * 1000 + "," + "b" * 1001, "a" * 1001 + ",b"
-    ERR = "error: an equation word has 1002001 letters, over MAX_IMAGE_LETTERS (1000000)\n"
+    OVER = " letters, over MAX_IMAGE_LETTERS (1000000)\n"
+    ERR = "error: a substituted word reached 1001000" + OVER
 
     @pytest.mark.parametrize(
         "argv",
@@ -615,3 +618,18 @@ class TestEquationWordRefusals:
         t0 = time.perf_counter()
         assert run(capsys, *argv) == (1, "", self.ERR)
         assert time.perf_counter() - t0 < 1
+
+    # For the cores (a^10000, b) and (a, b), T's left side is a^(10^8): it is
+    # refused after 101 images of a^10000, long before it takes gigabytes.
+    LONG = "a" * 10_000 + ",b;a,b"
+    ERR_LONG = "error: a substituted word reached 1010000" + OVER
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--pair", LONG), ("act", "--rep", f"cores:{LONG}", "--braid", "1")],
+        ids=["verify", "act"],
+    )
+    def test_long_core_refused_in_small_memory(self, argv):
+        code, err, seconds, peak_mb = cli_in_child(*argv)
+        assert (code, err) == (1, self.ERR_LONG)
+        assert seconds < 1 and peak_mb < 100, (seconds, peak_mb)

@@ -554,6 +554,19 @@ class TestTietze:
         p = pres(3, "x1 x2 x3 x3", "x1 x1 x2 x3 x2 x2 x3")
         assert tietze_simplify(p) == GroupPresentation(2, (w("X2 X1 X2 x1 x1"),))
 
+    def test_elimination_past_the_bound_refused(self):
+        # Eliminating x1 = X2^1000 from x1^k x2 writes X2^(1000 k - 1).  At
+        # k = 999 that is 998,999 letters; at k = 2000 the substitution is
+        # refused once it has appended 1001 images of 1000 letters.
+        x2 = Word.gen(2)
+        rel = Word.gen(1) * Word.gen(2, 1000)
+        p = GroupPresentation(2, (rel, Word.gen(1, 999) * x2))
+        assert tietze_simplify(p) == GroupPresentation(1, (Word.gen(1, -998_999),))
+        p = GroupPresentation(2, (rel, Word.gen(1, 2000) * x2))
+        message = r"^a substituted word reached 1001000 letters, over MAX_IMAGE_LETTERS"
+        with pytest.raises(ValueError, match=message):
+            tietze_simplify(p)
+
     def test_stabilized_trefoil_same_fingerprints(self):
         flat = fingerprint(constant_rep(ARTIN_CORE, 2), parse_braid("1 1 1", 2), GROUPS)
         tall = fingerprint(constant_rep(ARTIN_CORE, 3), parse_braid("1 1 1 2", 3), GROUPS)
@@ -612,7 +625,7 @@ class TestCheckS1:
         assert "a = b" in report.witness
 
     def test_trivial_core_fails(self):
-        assert check_S1(AutF2.identity()).status == "fails"
+        assert check_S1(AutF2.parse("a,b")).status == "fails"
 
     def test_mixing_family_second_core_inverts(self):
         core = catalog(FamilyId("D1")).kappa

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from braidact import braid, localrep
+from braidact import braid, localrep, words
 from braidact.autf2 import AutF2, is_basis
 from braidact.braid import check_pair_via_braid
 from braidact.localrep import (
@@ -91,34 +91,38 @@ class TestCheckQuad:
 class TestEquationWordBound:
     # tau = (ab^2, b^3) and kappa = (a^3, b) write, in order, c(b, z) = y^9,
     # a(a, c(b, z)) = x y^20, a(x, c(y, z)) = x y^6 (T fails),
-    # b(x, c(y, z)) = y^9 and b(a, c(b, z)) = y^27.
+    # b(x, c(y, z)) = y^9 and b(a, c(b, z)) = y^27.  Nothing cancels, so
+    # substitute refuses in the first word over the bound, once the images
+    # it has appended pass it: y^9 after 3 images of y^3, x y^20 after x y^2
+    # and y^9, y^27 after 3 images of y^9.
     QUAD = "abb,bbb,aaa,b"
 
-    @pytest.mark.parametrize("bound, letters", [(8, 9), (9, 21), (21, 27), (26, 27)])
+    @pytest.mark.parametrize("bound, letters", [(8, 9), (9, 12), (21, 27), (26, 27)])
     def test_refused_at_first_word_over_the_bound(self, monkeypatch, bound, letters):
-        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", bound)
-        message = rf"^an equation word has {letters} letters, over MAX_IMAGE_LETTERS \({bound}\)$"
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", bound)
+        message = rf"^a substituted word reached {letters} letters, over MAX_IMAGE_LETTERS "
+        message += rf"\({bound}\)$"
         with pytest.raises(ValueError, match=message):
             check_quad(q(self.QUAD))
 
     def test_longest_word_at_the_bound_passes(self, monkeypatch):
-        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", 27)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 27)
         report = check_quad(q(self.QUAD))
         assert report.failures() == ("aut_ab", "aut_cd", "T")
 
     def test_lazy_equations_stop_before_longer_words(self, monkeypatch):
-        monkeypatch.setattr(localrep, "MAX_IMAGE_LETTERS", 21)
+        monkeypatch.setattr(words, "MAX_IMAGE_LETTERS", 21)
         quad = q(self.QUAD)
         assert not all(_equations(quad.tau, quad.kappa))
 
     def test_refused_before_t_is_written(self):
-        # c(b, z) = b^1001 under a^1001 has 1,002,001 letters; T's left side
-        # would write about 10^9 more.
+        # c(b, z) = b^1001 under a^1001 would have 1,002,001 letters, and T's
+        # left side about 10^9 more: refused in c(b, z), after 1000 images.
         tau = AutF2(Word.parse("a" + "b" * 1000), Word.parse("b" * 1001))
         kappa = AutF2(Word.parse("a" * 1001), Word.parse("b"))
-        with pytest.raises(ValueError, match="^an equation word has 1002001 letters"):
+        with pytest.raises(ValueError, match="^a substituted word reached 1001000 letters"):
             check_quad(Quad(tau, kappa))
-        with pytest.raises(ValueError, match="^an equation word has 1002001 letters"):
+        with pytest.raises(ValueError, match="^a substituted word reached 1001000 letters"):
             rep_from_cores((tau, kappa))
 
 
@@ -127,14 +131,14 @@ class TestCheckPairViaBraid:
         assert check_pair_via_braid(ARTIN_CORE, ARTIN_CORE)
 
     def test_identity_cores(self):
-        assert check_pair_via_braid(AutF2.identity(), AutF2.identity())
+        assert check_pair_via_braid(AutF2.parse("a,b"), AutF2.parse("a,b"))
 
     def test_identity_with_swap_fails(self):
-        assert not check_pair_via_braid(AutF2.identity(), AutF2.parse("b,a"))
+        assert not check_pair_via_braid(AutF2.parse("a,b"), AutF2.parse("b,a"))
 
     def test_non_basis_rejected(self):
         with pytest.raises(ValueError):
-            check_pair_via_braid(AutF2.parse("aa,b"), AutF2.identity())
+            check_pair_via_braid(AutF2.parse("aa,b"), AutF2.parse("a,b"))
 
     def test_decides_the_catalog_without_the_equations(self, monkeypatch):
         # The word action alone decides every decorated catalog quad up to
@@ -149,7 +153,7 @@ class TestCheckPairViaBraid:
         for fid in fids:
             quad = catalog(fid)
             assert check_pair_via_braid(quad.tau, quad.kappa), fid
-        assert not check_pair_via_braid(AutF2.identity(), AutF2.parse("b,a"))
+        assert not check_pair_via_braid(AutF2.parse("a,b"), AutF2.parse("b,a"))
 
     def test_agreement_with_check_quad_exhaustive(self):
         words = reduced_words(2)
@@ -262,8 +266,8 @@ def test_every_catalog_core_inverts_cleanly():
     for fid in all_family_ids(3):
         quad = catalog(fid)
         for core in (quad.tau, quad.kappa):
-            assert core.compose(core.inverse()) == AutF2.identity()
-            assert core.inverse().compose(core) == AutF2.identity()
+            assert core.compose(core.inverse()) == AutF2.parse("a,b")
+            assert core.inverse().compose(core) == AutF2.parse("a,b")
 
 
 class TestCatalog:
@@ -811,7 +815,7 @@ class TestReps:
 
     def test_rep_from_cores_validates(self):
         with pytest.raises(PathError):
-            rep_from_cores((AutF2.identity(), AutF2.parse("b,a")))
+            rep_from_cores((AutF2.parse("a,b"), AutF2.parse("b,a")))
 
     def test_two_strand_rep_checks_its_core(self):
         with pytest.raises(PathError, match=r"^core 1 \(aa,b\) is not a basis of F_2$"):
@@ -872,7 +876,7 @@ class TestReps:
 
     def test_sizes_past_max_image_letters_refused(self):
         # Refused before a core is repeated or a catalog word is built.
-        assert localrep.MAX_IMAGE_LETTERS == 1_000_000
+        assert words.MAX_IMAGE_LETTERS == 1_000_000
         with pytest.raises(ValueError, match="^strand count 1000001 is over MAX_IMAGE_LETTERS"):
             constant_rep(ARTIN_CORE, 1_000_001)
         assert max(map(len, base_quad("A1", 499_999).words)) == 999_999

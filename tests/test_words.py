@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidact import words as words_module
 from braidact.localrep import _reversed, _swapped
 from braidact.words import Word, _swapped_letters, _word, word_sort_key
 
@@ -197,6 +198,23 @@ class TestSubstitute:
         assert w("aBA").substitute((u, u)) == u.inverse()
         assert w("aB").substitute((u, u)) == Word()
         assert w("aBa").substitute((u, Word())) == u * u
+
+    def test_output_at_the_bound_passes(self, monkeypatch):
+        monkeypatch.setattr(words_module, "MAX_IMAGE_LETTERS", 10)
+        assert len(w("aab").substitute((w("aaa"), w("bbbb")))) == 10
+
+    def test_output_over_the_bound_refused(self, monkeypatch):
+        monkeypatch.setattr(words_module, "MAX_IMAGE_LETTERS", 10)
+        message = r"^a substituted word reached 11 letters, over MAX_IMAGE_LETTERS \(10\)$"
+        with pytest.raises(ValueError, match=message):
+            w("aab").substitute((w("aaa"), w("bbbbb")))
+
+    def test_refused_on_the_output_so_far(self, monkeypatch):
+        # x1 x2 under x1 -> x1^11, x2 -> X1^11 x2 is x2, but after the first
+        # image the output has 11 letters: the bound holds at every step.
+        monkeypatch.setattr(words_module, "MAX_IMAGE_LETTERS", 10)
+        with pytest.raises(ValueError, match="^a substituted word reached 11 letters"):
+            Word((1, 2)).substitute((Word.gen(1, 11), Word.gen(1, -11) * Word.gen(2)))
 
     @given(substituted_words, image_tuples())
     def test_matches_concatenation_oracle(self, u, images):

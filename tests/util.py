@@ -5,6 +5,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from braidact.autf2 import _MOVES, AutF2, is_basis
 from braidact.braid import BraidWord, Endo
@@ -77,10 +82,10 @@ def brute_hom_count(p: GroupPresentation, group: FiniteGroupTable) -> int:
                 images[l - 1] if l > 0 else group.inverse[images[-l - 1]]
                 for l in rel.letters
             ]
-            acc = group.identity
+            acc = 0  # the identity
             for e in elems:
                 acc = group.table[acc][e]
-            if acc != group.identity:
+            if acc != 0:
                 ok = False
                 break
         if ok:
@@ -95,7 +100,7 @@ def plain_count_homs(p: GroupPresentation, group: FiniteGroupTable) -> int:
     # A tuple's images hold x_j's value at j - 1 and x_j^-1's at n + j - 1.
     relators = [tuple(l - 1 if l > 0 else n - l - 1 for l in r.letters) for r in p.relators]
     table = group.table
-    e = group.identity
+    e = 0  # the identity
     count = 0
     for values, inverted in zip(
         itertools.product(range(group.order), repeat=n),
@@ -580,3 +585,31 @@ def one_relator_side(core: AutF2) -> tuple[str, str]:
         shape = "Z x Z" if g == 0 else f"Z x Z/{g}"
         return "fails", f"abelianized quotient is {shape}"
     return "unknown", f"relator {relator.text(2)} was not resolved"
+
+
+# The child runs the command, then prints the peak resident set size of its
+# own address space, VmHWM in kB, as the last line of its stdout.  Its
+# ru_maxrss would not do: Linux carries the spawning process's peak across
+# exec, so under pytest it reads over 100 MB before the child does anything.
+_CLI_CHILD = """
+import re, sys
+from braidact.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+sys.exit(code)
+"""
+
+
+def cli_in_child(*argv: str) -> tuple[int, str, float, float]:
+    """Run ``braidact.cli.main(argv)`` in a fresh interpreter, so its memory
+    peak is its own.  Returns the exit code, stderr, the wall time in
+    seconds and the child's peak resident set size in MB."""
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = [sys.executable, "-c", _CLI_CHILD, *argv]
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    seconds = time.perf_counter() - t0
+    peak_kb = int(done.stdout.splitlines()[-1])
+    return done.returncode, done.stderr, seconds, peak_kb / 1024
