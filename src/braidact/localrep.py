@@ -361,9 +361,10 @@ def identify_quad(q: Quad) -> FamilyId | None:
 
 # -- bounded exhaustive classification search ------------------------------
 
-# Past this many candidate quads the search refuses before checking any word
-# equation.  It counts the candidates before the reduction to one quad per
-# orbit of swap and backward, so it still bounds the quads word-checked.
+# Past this many candidate quads, the quads of the 18 matrix pairs of
+# _BRAID_MATRIX_PAIRS, the search refuses before checking any word equation.
+# It counts the candidates before the reduction to one quad per orbit of
+# swap and backward, so it still bounds the quads word-checked.
 MAX_SEARCH_QUADS = 10_000_000
 
 
@@ -373,11 +374,11 @@ def _over_budget(quads: str) -> ValueError:
     )
 
 
-# The exponent-sum matrix pairs (m, n) of the two cores of a valid quad: the
-# 34 solutions of the abelianized braid relation with det m and det n = +-1,
-# over 19 matrices.  A matrix (m0, m1, m2, m3) holds the exponent sums of a
-# and b in the first word, then in the second.  Stage 1 of classify_search
-# proves the list complete.
+# The exponent-sum matrix pairs (m, n) that the two cores of a valid quad can
+# have: 18 pairs over 11 matrices.  A matrix (m0, m1, m2, m3) holds the
+# exponent sums of a and b in the first word, then in the second.  Stage 1
+# of classify_search proves that the abelianized braid relation leaves these
+# and 16 pairs with an entry +-3, which hold no valid quad.
 _BRAID_MATRIX_PAIRS = (
     ((1, 0, 0, 1), (1, 0, 0, 1)),
     ((1, 0, 0, -1), (-1, 0, 0, 1)),
@@ -388,10 +389,6 @@ _BRAID_MATRIX_PAIRS = (
     ),
     *(((0, s, -s, 2), (0, u, -u, 2)) for s, u in itertools.product((1, -1), repeat=2)),
     *(((2, s, -s, 0), (2, u, -u, 0)) for s, u in itertools.product((1, -1), repeat=2)),
-    *(
-        ((-2, s, -3 // s, 2), (2, u, -3 // u, -2))
-        for s, u in itertools.product((1, -1, 3, -3), repeat=2)
-    ),
 )
 
 
@@ -477,8 +474,9 @@ def classify_search(max_len: int) -> set[Quad]:
          (3) p + m3^2 n0 - m3 n0^2 - q = 0,
          (4) n1 = n2 = 0, or n3 + m3 (n0 - 1) = 0,
          (5) n3^2 - n3 + m3 q = 0.
-       Their solutions are exactly the 34 pairs of ``_BRAID_MATRIX_PAIRS``,
-       whatever the word length.  Proof, calling a matrix diagonal when
+       Their solutions are exactly 34 pairs, whatever the word length: the
+       18 of ``_BRAID_MATRIX_PAIRS`` and 16 with an entry +-3, which hold
+       no valid quad (see below).  Proof, calling a matrix diagonal when
        both its off-diagonal entries are 0:
        - m diagonal.  Then m0, m3 = +-1 and p = 0, so (1) gives m0 = 1.
          If m3 = 1 and n is not diagonal, (4) gives n3 = 1 - n0 and (3)
@@ -501,6 +499,19 @@ def classify_search(max_len: int) -> set[Quad]:
          nonzero, t = e = +-1 makes both factors of t equal +-1, so n0 =
          m3 = 2 and e = -1, hence m0 = n3 = -2: m = (-2, s, s', 2) and
          n = (2, u, u', -2) with s s' = u u' = -3, 16 pairs.
+       Theorem: these 16 blocks (a block is the quads of one matrix pair)
+       hold no valid quad at any word length.  Proof, by a certificate in
+       S3.  By Nielsen's theorem (stage 2) the basis pairs with matrix m
+       are the (w u0 w^-1, w v0 w^-1), w in F_2, for (u0, v0) =
+       ``_representative(m)``.  Send x, y, z to any X, Y, Z in S3: an
+       equation that holds in F_3 holds there.  Each side of T, M and B evaluates the core words at points
+       of S3^2, so it depends on w only through w's word function
+       S3^2 -> S3, and there are 972 of those, the closure of the two
+       coordinate projections under pointwise product.  For each of the 16
+       blocks and each of the 972^2 pairs of word functions, some point of
+       S3^3 breaks T, M or B; ``tests/test_localrep.py::TestS3Certificate``
+       checks this.  Swap (stage 3) maps the 16 blocks onto each other, so
+       the 18 that remain are closed under it.
        No matrix is listed per search: a word with exponent sums (x, y) has
        at least |x| + |y| letters, so a matrix with a row that does not fit
        in max_len has no basis pairs in stage 2, and its pairs add no
@@ -513,7 +524,7 @@ def classify_search(max_len: int) -> set[Quad]:
        2 3^k - 1 words.  The square of that count is a lower bound on the
        quads; it is grown only until it passes the budget, so no huge
        integer is built.
-    2. Bases, for the 19 matrices of the table.  They are generated, not
+    2. Bases, for the 11 matrices of the table.  They are generated, not
        tested.  By Nielsen's theorem (Math. Ann. 78, 1918)
        the kernel of Aut(F_2) -> GL_2(Z) is Inn(F_2), so the basis pairs
        with matrix M are exactly the simultaneous conjugates

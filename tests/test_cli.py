@@ -84,9 +84,9 @@ class TestClassify:
         assert len(data["classes"]) == 7
 
     def test_search_budget_counts_every_quad(self, capsys, monkeypatch):
-        # Length 3 has 450 candidate quads: the 18 of the 34 matrix pairs that
-        # have basis pairs at length 3, over 55 basis pairs.  One quad over
-        # the budget is refused, with no output.
+        # Length 3 has 450 candidate quads: the 18 matrix pairs of the table,
+        # each with basis pairs at length 3, over 55 basis pairs.  One quad
+        # over the budget is refused, with no output.
         monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 449)
         for json_flag in ((), ("--json",)):
             code, out, err = run(capsys, "classify", "--max-len", "3", *json_flag)
@@ -105,7 +105,7 @@ class TestClassify:
         assert code == 1
         assert out == ""
         assert err == (
-            "error: classification search refused: 48682978 quads exceeds the budget "
+            "error: classification search refused: 38211282 quads exceeds the budget "
             "of 10000000\n"
         )
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -44,6 +45,11 @@ from .util import (
     nielsen_basis_pairs_by_matrix,
     oracle_base_quad,
     reduced_words,
+    s3_core_tables,
+    s3_equations_hold,
+    s3_survivors,
+    s3_word_function,
+    s3_word_functions,
     scan_basis_pairs_by_matrix,
     scan_classify,
     scan_family_ids,
@@ -477,19 +483,24 @@ class TestClassifySearch:
             assert (m, n) in _BRAID_MATRIX_PAIRS, str(fid)
 
     def test_table_solves_the_abelian_braid_relation(self):
-        assert len(set(_BRAID_MATRIX_PAIRS)) == len(_BRAID_MATRIX_PAIRS) == 34
+        assert len(set(_BRAID_MATRIX_PAIRS)) == len(_BRAID_MATRIX_PAIRS) == 18
         matrices = {m for pair in _BRAID_MATRIX_PAIRS for m in pair}
-        assert len(matrices) == 19
+        assert len(matrices) == 11
         assert all(abs(m0 * m3 - m1 * m2) == 1 for m0, m1, m2, m3 in matrices)
         assert all(abelian_braid_by_product(m, n) for m, n in _BRAID_MATRIX_PAIRS)
 
     @pytest.mark.parametrize("max_len", [*range(1, 13), 33])
     def test_table_equals_enumeration(self, max_len):
         # The proof in classify_search's docstring, checked on every pair of
-        # matrices whose rows fit in max_len.
+        # matrices whose rows fit in max_len: the enumeration finds the
+        # table's pairs that fit, and besides them exactly the 16 pairs with
+        # an entry +-3 that the S3 certificate proves empty.
         fitting = set(det_one_matrices(max_len))
         table = {(m, n) for m, n in _BRAID_MATRIX_PAIRS if m in fitting and n in fitting}
-        assert set(braid_matrix_pairs_by_enumeration(max_len)) == table
+        enumerated = set(braid_matrix_pairs_by_enumeration(max_len))
+        proved_empty = {(m, n) for m, n in enumerated if 3 in map(abs, m + n)}
+        assert enumerated - proved_empty == table
+        assert len(proved_empty) == (16 if max_len >= 5 else 0)
 
     @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
     def test_matrices_that_do_not_fit_have_no_bases(self, max_len):
@@ -699,6 +710,89 @@ class TestClassifySearch:
     def test_bad_max_len(self):
         with pytest.raises(ValueError):
             classify_search(0)
+
+    def test_classes_by_kind_of_block(self):
+        # The baseline table's split at length 7, read from the exponent-sum
+        # matrices of each class's cores: 2 classes in the T blocks
+        # (diagonal), 14 in the A-type blocks (0, +-1, +-1, 0) and 6 in the
+        # blocks with an entry 2.
+        def kind(core):
+            m0, m1, m2, m3 = (
+                w.exponent_sum(g) for w in (core.image_a, core.image_b) for g in (1, 2)
+            )
+            if 2 in map(abs, (m0, m1, m2, m3)):
+                return "2"
+            return "T" if m1 == m2 == 0 else "A"
+
+        classes = classify_search(7)
+        assert all(kind(quad.tau) == kind(quad.kappa) for quad in classes)
+        assert Counter(kind(quad.tau) for quad in classes) == {"T": 2, "A": 14, "2": 6}
+
+
+# The matrix pairs of the abelianized braid relation with an entry +-3, taken
+# from the enumeration: the blocks the S3 certificate proves empty.
+# test_table_equals_enumeration checks that they are 16 and outside the table.
+_PROVED_EMPTY = [
+    (m, n) for m, n in braid_matrix_pairs_by_enumeration(5) if 3 in map(abs, m + n)
+]
+
+
+class TestS3Certificate:
+    # The certificate in classify_search's docstring: a valid quad's cores,
+    # seen through S3, satisfy T, M and B at every point of S3^3, and depend
+    # on the conjugator w only through its word function S3^2 -> S3.
+
+    def test_word_function_count(self):
+        functions = s3_word_functions()
+        assert len(functions) == len(set(functions)) == 972
+
+    def test_catalog_quads_hold_at_every_point(self):
+        # Guards the evaluator against a swapped argument: every valid quad
+        # must pass it.
+        fids = list(scan_family_ids(7))
+        assert len(fids) == 184
+        for fid in fids:
+            tables = map(s3_word_function, catalog(fid).words)
+            assert s3_equations_hold(*tables), str(fid)
+
+    def test_failure_at_a_point_fails_the_word_equations(self):
+        # On a seeded sample of basis-pair quads up to length 3, a failure
+        # in S3 is a failure in F_3.
+        import random
+
+        rng = random.Random(33)
+        bases = [
+            AutF2(u, v) for pairs in nielsen_basis_pairs_by_matrix(3).values() for u, v in pairs
+        ]
+        failing = 0
+        for _ in range(3000):
+            quad = Quad(rng.choice(bases), rng.choice(bases))
+            if not s3_equations_hold(*map(s3_word_function, quad.words)):
+                failing += 1
+                assert not all(_equations(quad.tau, quad.kappa)), str(quad)
+        assert failing > 2000
+
+    def test_core_tables_cover_every_basis_pair(self):
+        # Guards the conjugation: for each of the 19 matrices of the
+        # abelianized braid relation, the word functions of every basis pair
+        # up to length 5 are among those built from its representative.
+        matrices = {m for pair in braid_matrix_pairs_by_enumeration(5) for m in pair}
+        assert len(matrices) == 19
+        for m in matrices:
+            tables = set(s3_core_tables(m))
+            for u, v in _bases_with_matrix(m, 5):
+                assert (s3_word_function(u), s3_word_function(v)) in tables, (m, u, v)
+
+    @pytest.mark.extended
+    def test_identity_block_keeps_its_survivors(self):
+        # The control: a block that holds valid quads keeps survivors, so an
+        # evaluator that rejects everything fails here.
+        assert s3_survivors((1, 0, 0, 1), (1, 0, 0, 1)) == 81
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("m, n", _PROVED_EMPTY, ids=str)
+    def test_block_with_an_entry_three_is_empty(self, m, n):
+        assert s3_survivors(m, n) == 0
 
 
 def _pairs(graph):

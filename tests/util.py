@@ -28,6 +28,7 @@ from braidact.localrep import (
     Quad,
     _bases_with_matrix,
     _equations,
+    _representative,
     canonicalize,
     catalog,
     check_quad,
@@ -510,6 +511,96 @@ def abelian_braid_by_product(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
     e1 = (m[0], m[1], 0, m[2], m[3], 0, 0, 0, 1)
     e2 = (1, 0, 0, 0, n[0], n[1], 0, n[2], n[3])
     return mul3(mul3(e1, e2), e1) == mul3(mul3(e2, e1), e2)
+
+
+# -- the S3 certificate for the matrix pairs with an entry +-3 -------------------
+#
+# S3 is the permutations of (0, 1, 2) in itertools order, the identity at 0,
+# multiplied as maps: (p q)(i) = p(q(i)).  A function S3^2 -> S3 is a tuple
+# of 36 elements, its value at (X, Y) at index 6 X + Y.
+
+_S3 = tuple(itertools.permutations(range(3)))
+_S3_MUL = tuple(tuple(_S3.index(tuple(p[i] for i in q)) for q in _S3) for p in _S3)
+_S3_INV = tuple(row.index(0) for row in _S3_MUL)
+_S3_PROJECTIONS = (tuple(i // 6 for i in range(36)), tuple(i % 6 for i in range(36)))
+# The identity last: every equation holds at (e, e, e), so a failing pair
+# tends to fail sooner.
+_S3_POINTS = tuple(itertools.product(range(5, -1, -1), repeat=3))
+
+
+def _pointwise(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(_S3_MUL[x][y] for x, y in zip(f, g))
+
+
+def s3_word_function(w: Word) -> tuple[int, ...]:
+    """The word function (X, Y) |-> w(X, Y) of a word over a, b into S3."""
+    f = (0,) * 36
+    for letter in w.letters:
+        g = _S3_PROJECTIONS[abs(letter) - 1]
+        f = _pointwise(f, g if letter > 0 else tuple(_S3_INV[x] for x in g))
+    return f
+
+
+@functools.cache
+def s3_word_functions() -> tuple[tuple[int, ...], ...]:
+    """Every word function S3^2 -> S3: the closure of the constant identity
+    under pointwise right multiplication by the two coordinate projections.
+    A finite monoid inside a group is a group, so no inverse is needed."""
+    functions = [(0,) * 36]
+    seen = set(functions)
+    for f in functions:  # breadth first: the loop also visits what it appends
+        for g in _S3_PROJECTIONS:
+            h = _pointwise(f, g)
+            if h not in seen:
+                seen.add(h)
+                functions.append(h)
+    return tuple(functions)
+
+
+def s3_core_tables(m: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The word functions of the two words of (w u0 w^-1, w v0 w^-1), for
+    (u0, v0) = ``_representative(m)`` and each word function of w, in the
+    order of :func:`s3_word_functions`.  By Nielsen's theorem these pairs
+    are every basis pair with matrix m, so these are all their functions."""
+    u0, v0 = map(s3_word_function, _representative(m))
+    return [
+        tuple(
+            tuple(_S3_MUL[_S3_MUL[x][y]][_S3_INV[x]] for x, y in zip(w, f)) for f in (u0, v0)
+        )
+        for w in s3_word_functions()
+    ]
+
+
+def s3_equations_hold(a, b, c, d) -> bool:
+    """Whether the core functions a, b (of tau) and c, d (of kappa) satisfy
+    T, M and B, as ``localrep._equations`` writes them, at every point
+    (X, Y, Z) of S3^3; stops at the first failing point:
+
+        T: a(a(X, Y), c(b(X, Y), Z)) = a(X, c(Y, Z))
+        M: b(a(X, Y), c(b(X, Y), Z)) = c(b(X, c(Y, Z)), d(Y, Z))
+        B: d(b(X, Y), Z) = d(b(X, c(Y, Z)), d(Y, Z))
+    """
+    for x, y, z in _S3_POINTS:
+        xy, yz = 6 * x + y, 6 * y + z
+        a_xy, b_xy, c_yz, d_yz = a[xy], b[xy], c[yz], d[yz]
+        c_bz = c[6 * b_xy + z]
+        b_xc = b[6 * x + c_yz]
+        if (
+            a[6 * a_xy + c_bz] != a[6 * x + c_yz]
+            or b[6 * a_xy + c_bz] != c[6 * b_xc + d_yz]
+            or d[6 * b_xy + z] != d[6 * b_xc + d_yz]
+        ):
+            return False
+    return True
+
+
+def s3_survivors(m: tuple[int, ...], n: tuple[int, ...]) -> int:
+    """The pairs (w^, w'^) of word functions whose cores, built by
+    :func:`s3_core_tables` for the matrix pair (m, n), satisfy T, M and B at
+    every point of S3^3.  A valid quad of the block maps to a survivor at
+    every word length, so 0 survivors prove the block empty."""
+    kappas = s3_core_tables(n)
+    return sum(s3_equations_hold(a, b, c, d) for a, b in s3_core_tables(m) for c, d in kappas)
 
 
 # -- per-round renumbering oracles for Tietze elimination and the S1 test ------
