@@ -68,10 +68,14 @@ _MOVES = (
 
 def _greedy_reduce(u: Word, v: Word):
     """Greedily shorten (u, v) by elementary moves.  Returns the shortened
-    pair, the move tags, and (a, b) taken through the same moves."""
+    pair, the move tags, and (a, b) taken through the same moves.  A pair of
+    one-letter words over different generators is returned at once: every
+    move makes it longer."""
     moves: list[str] = []
     mirror = (_A, _B)
     while True:
+        if len(u) == len(v) == 1 and u.letters[0] not in (v.letters[0], -v.letters[0]):
+            return (u, v), tuple(moves), mirror
         total = len(u) + len(v)
         for tag, f in _MOVES:
             u2, v2 = f(u, v)

@@ -47,7 +47,7 @@ __all__ = [
     "symmetry_orbit",
 ]
 
-_X, _Z = Word((1,)), Word((3,))
+_X, _Y, _Z = Word((1,)), Word((2,)), Word((3,))
 
 ARTIN_CORE = AutF2(Word((1, 2, -1)), _X)
 
@@ -361,17 +361,13 @@ def identify_quad(q: Quad) -> FamilyId | None:
 
 # -- bounded exhaustive classification search ------------------------------
 
-# Past this many candidate quads, the quads of the 18 matrix pairs of
-# _BRAID_MATRIX_PAIRS, the search refuses before checking any word equation.
-# It counts the candidates before the reduction to one quad per orbit of
-# swap and backward, so it still bounds the quads word-checked.
-MAX_SEARCH_QUADS = 10_000_000
-
-
-def _over_budget(quads: str) -> ValueError:
-    return ValueError(
-        f"classification search refused: {quads} quads exceeds the budget of {MAX_SEARCH_QUADS}"
-    )
+# A search whose 7 signed permutation matrices alone have more than this
+# many basis pairs is refused before it builds any.  The search builds each
+# basis pair once and joins it to few others, so the pairs bound its work.
+# From word length 3 on, the other 4 matrices of _BRAID_MATRIX_PAIRS have as
+# many as each of the 7, so length 15 builds 48,103 (30,611 counted), and
+# length 17 (91,847 counted) is refused.
+MAX_SEARCH_BASES = 60_000
 
 
 # The exponent-sum matrix pairs (m, n) that the two cores of a valid quad can
@@ -458,7 +454,7 @@ def _bases_with_matrix(m: tuple[int, ...], max_len: int) -> list[tuple[Word, Wor
 def classify_search(max_len: int) -> set[Quad]:
     """All canonical classes of valid quads with word lengths <= max_len.
 
-    The search runs in four stages, each doing its work once.
+    The search runs in five stages, each doing its work once.
 
     1. Matrices.  A quad is valid exactly when its two cores satisfy the
        braid relation on F_3 (:func:`braidact.braid.check_pair_via_braid`),
@@ -504,26 +500,29 @@ def classify_search(max_len: int) -> set[Quad]:
        S3.  By Nielsen's theorem (stage 2) the basis pairs with matrix m
        are the (w u0 w^-1, w v0 w^-1), w in F_2, for (u0, v0) =
        ``_representative(m)``.  Send x, y, z to any X, Y, Z in S3: an
-       equation that holds in F_3 holds there.  Each side of T, M and B evaluates the core words at points
-       of S3^2, so it depends on w only through w's word function
-       S3^2 -> S3, and there are 972 of those, the closure of the two
-       coordinate projections under pointwise product.  For each of the 16
-       blocks and each of the 972^2 pairs of word functions, some point of
-       S3^3 breaks T, M or B; ``tests/test_localrep.py::TestS3Certificate``
-       checks this.  Swap (stage 3) maps the 16 blocks onto each other, so
-       the 18 that remain are closed under it.
+       equation that holds in F_3 holds there.  Each side of T, M and B
+       evaluates the core words at points of S3^2, so it depends on w only
+       through w's word function S3^2 -> S3, and there are 972 of those,
+       the closure of the two coordinate projections under pointwise
+       product.  For each of the 16 blocks and each of the 972^2 pairs of
+       word functions, some point of S3^3 breaks T, M or B;
+       ``tests/test_localrep.py::TestS3Certificate`` checks this.  Swap
+       (stage 4) maps the 16 blocks onto each other, so the 18 that remain
+       are closed under it.
        No matrix is listed per search: a word with exponent sums (x, y) has
        at least |x| + |y| letters, so a matrix with a row that does not fit
        in max_len has no basis pairs in stage 2, and its pairs add no
-       candidates.  Before any of this, a search whose T pair alone passes
-       ``MAX_SEARCH_QUADS`` is refused.  Its matrix pair is (I, I), and its
-       basis pairs are the (w a w^-1, w b w^-1), one per w (stage 2).
-       w a w^-1 has length 2 |w'| + 1 for w' = w less its trailing power of
-       a, likewise for b, and w ends in at most one of the two letters, so
-       both fit in max_len exactly when |w| <= k = (max_len - 1) // 2:
-       2 3^k - 1 words.  The square of that count is a lower bound on the
-       quads; it is grown only until it passes the budget, so no huge
-       integer is built.
+       candidates.  Before any of this, a search is refused whose 7
+       signed permutation matrices alone have more than
+       ``MAX_SEARCH_BASES`` basis pairs.  Those of I are the (w a w^-1,
+       w b w^-1), one per w (stage 2).  w a w^-1 has length 2 |w'| + 1 for
+       w' = w less its trailing power of a, likewise for b, and w ends in
+       at most one of the two letters, so both fit in max_len exactly when
+       |w| <= k = (max_len - 1) // 2: 2 3^k - 1 words.  A signed
+       permutation matrix is the matrix of a letter renaming, which keeps
+       word lengths and commutes with conjugation, so it has as many basis
+       pairs as I.  The count 7 (2 3^k - 1) is grown only until it passes
+       the budget, so no huge integer is built.
     2. Bases, for the 11 matrices of the table.  They are generated, not
        tested.  By Nielsen's theorem (Math. Ann. 78, 1918)
        the kernel of Aut(F_2) -> GL_2(Z) is Inn(F_2), so the basis pairs
@@ -539,11 +538,28 @@ def classify_search(max_len: int) -> set[Quad]:
        shortens (in max(|u|, |v|)) is a global minimum of f, and from it a
        flood fill over one-letter conjugations that keeps f <= max_len
        reaches every pair of the sublevel set and no other.  Both run on
-       letter tuples, which also key each pair in stages 3 and 4.  Once the
-       bases are built, a search over more than ``MAX_SEARCH_QUADS``
-       candidate quads is refused with ValueError before any word equation
-       runs.
-    3. Words, once per orbit of swap and backward.  The candidates are the
+       letter tuples, which also key each pair in stages 3 to 5.  From
+       max_len = 3 on, each of the 11 matrices has 2 3^k - 1 basis pairs
+       (the tests check this up to 17), so a search builds at most 11/7 of
+       the count that stage 1 bounds.
+    3. Join.  A homomorphism F_3 -> F_2 keeps an identity, so each block
+       pairs its bases through four images of T and B, with a = A(x, y),
+       b = B(x, y) and c(u, v) = C(u, v):
+       - T, a(a, c(b, z)) = a(x, c(y, z)), under z -> 1, where c(u, 1) =
+         u^n0: A(A, B^n0) = A(x, y^n0), so tau fixes A(a, b^n0).
+       - B, d(b, z) = d(b(x, c(y, z)), d(y, z)), under x -> 1, where
+         b(1, y) = y^m3: D(y^m3, z) = D(C(y, z)^m3, D(y, z)), so kappa
+         fixes D(a^m3, b).
+       - T under y -> 1: A(x^m0, C(x^m2, z)) = A(x, z^n1).  If m0 = 0 the
+         left side is C(x^m2, z)^m1, so C = A(a^m2, b^n1)^m1.
+       - B under y -> 1: D(x^m2, z) = D(B(x, z^n1), z^n3).  If n3 = 0 the
+         right side is B(x, z^n1)^n2, so D = B(a^m2, b^n1)^n2.
+       The last two take m1, m2 and n2 to be +-1, as they are in every
+       block with m0 = 0 or n3 = 0.  So the 8 A-type blocks find at most
+       one kappa per tau, by (C, D); the 8 blocks with an entry 2 find
+       kappa by C alone and filter kappa, or by D alone and filter tau; the
+       2 T blocks pair their filtered cores.  Every valid quad passes.
+    4. Words, once per orbit of swap and backward.  The candidates are the
        quads of the table's matrix pairs, and they are closed under both
        symmetries.  Backward reads each word backward, which keeps every
        word length and exponent-sum matrix, and takes a basis pair to a
@@ -555,15 +571,16 @@ def classify_search(max_len: int) -> set[Quad]:
        onto those of rot m, and the table is closed under (m, n) ->
        (rot n, rot m).  Both symmetries keep validity, so every valid quad
        is in the orbit of a valid candidate that is least, by letter tuples,
-       among its at most four images, and only such least candidates meet
-       the word equations.  Each basis pair's reversal and swap image are
-       computed once, so the test is three tuple comparisons.  The
+       among its at most four images.  That candidate passes the join, and
+       only such least joined quads meet the word equations.  Each basis
+       pair's reversal and swap image are computed once, so the test is
+       three tuple comparisons.  The
        equations are evaluated lazily in the order T, M, B, so a quad costs
        no more equations than its first failure; the basis tests are
        already known.  A second core keeps its images one strand up,
        c(y, z) and d(y, z), once computed, so beyond them a quad failing T
        costs three substitutions.
-    4. Orbits.  A valid quad, the first candidate made a :class:`Quad`,
+    5. Orbits.  A valid quad, the first candidate made a :class:`Quad`,
        gives its 8 symmetry images from its two cores and their inverses,
        as letter tuples; the least is its class and the only image that
        becomes a Quad, and later quads of the same orbit are skipped
@@ -573,12 +590,16 @@ def classify_search(max_len: int) -> set[Quad]:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    # The T pair's 2 3^j - 1 basis pairs, from j = 0 up to (max_len - 1) // 2.
-    t_bases, k = 1, (max_len - 1) // 2
-    while k and t_bases * t_bases <= MAX_SEARCH_QUADS:
-        t_bases, k = 3 * t_bases + 2, k - 1
-    if t_bases * t_bases > MAX_SEARCH_QUADS:
-        raise _over_budget(f"at least {t_bases * t_bases}")
+    # The 7 signed permutation matrices' 2 3^j - 1 basis pairs each, from
+    # j = 0 up to (max_len - 1) // 2.
+    perm_bases, k = 1, (max_len - 1) // 2
+    while k and 7 * perm_bases <= MAX_SEARCH_BASES:
+        perm_bases, k = 3 * perm_bases + 2, k - 1
+    if 7 * perm_bases > MAX_SEARCH_BASES:
+        raise ValueError(
+            f"classification search refused: at least {7 * perm_bases} basis pairs "
+            f"exceeds the budget of {MAX_SEARCH_BASES}"
+        )
     bases = {}
     for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair}:
         bases[m] = []
@@ -586,21 +607,35 @@ def classify_search(max_len: int) -> set[Quad]:
             p = a.letters, b.letters
             r = _reversed(p)
             bases[m].append((p, r, _swapped(p), _swapped(r), AutF2(a, b)))
-    quads = sum(len(bases[m]) * len(bases[n]) for m, n in _BRAID_MATRIX_PAIRS)
-    if quads > MAX_SEARCH_QUADS:
-        raise _over_budget(str(quads))
     found, seen = set(), set()
+    # Per first matrix and n0, the bases that pass T under z -> 1 and are no
+    # greater than their reversal (a quad (p, p2) with p > p_r exceeds its
+    # backward image).  Per second matrix, the bases by the words a block
+    # forces on them, and B under x -> 1 once per basis pair and m3 (stage 3).
+    taus: dict[tuple, list] = {}
+    indexes: dict[tuple, dict[tuple, list]] = {}
+    kappa_kept: dict[tuple[_Pair, int], bool] = {}
     for m, n in _BRAID_MATRIX_PAIRS:
-        for p, p_r, p_s, p_rs, tau in bases[m]:
-            if p > p_r:
-                continue  # each (p, p2) exceeds its backward image (p_r, p2_r)
-            for p2, p2_r, p2_s, p2_rs, kappa in bases[n]:
+        n0, m3, forced = n[0], m[3], (m[0] == 0, n[3] == 0)
+        if (m, n0) not in taus:
+            taus[m, n0] = [
+                e for e in bases[m] if e[0] <= e[1] and (not n0 or _t_without_z(e[4], n0))
+            ]
+        if (n, forced) not in indexes:
+            index = indexes[n, forced] = {}
+            for e in bases[n]:
+                index.setdefault(tuple(w for w, f in zip(e[0], forced) if f), []).append(e)
+        index = indexes[n, forced]
+        for p, p_r, p_s, p_rs, tau in taus[m, n0]:
+            for p2, p2_r, p2_s, p2_rs, kappa in index.get(_forced_by_y(tau, m, n), ()):
                 # The quad against its backward, swap and swap-backward images.
                 q = p, p2
+                if not ((p < p_r or p2 <= p2_r) and q <= (p2_s, p_s) and q <= (p2_rs, p_rs)):
+                    continue
+                if m3 and (p2, m3) not in kappa_kept:
+                    kappa_kept[p2, m3] = _b_without_x(kappa, m3)
                 if (
-                    (p < p_r or p2 <= p2_r)
-                    and q <= (p2_s, p_s)
-                    and q <= (p2_rs, p_rs)
+                    (not m3 or kappa_kept[p2, m3])
                     and q not in seen
                     and all(_equations(tau, kappa))
                 ):
@@ -608,6 +643,33 @@ def classify_search(max_len: int) -> set[Quad]:
                     seen.update(orbit)
                     found.add(_least(orbit))
     return found
+
+
+def _t_without_z(tau: AutF2, n0: int) -> bool:
+    """T under z -> 1: whether tau fixes A(a, b^n0)."""
+    w = tau.image_a.substitute((_X, Word.gen(2, n0)))
+    return tau.apply(w) == w
+
+
+def _b_without_x(kappa: AutF2, m3: int) -> bool:
+    """B under x -> 1: whether kappa fixes D(a^m3, b)."""
+    w = kappa.image_b.substitute((Word.gen(1, m3), _Y))
+    return kappa.apply(w) == w
+
+
+def _forced_by_y(tau: AutF2, m: tuple[int, ...], n: tuple[int, ...]) -> tuple:
+    """The words that T and B under y -> 1 force on kappa in the block
+    (m, n), as letter tuples: C = A(a^m2, b^n1)^m1 if m0 = 0, then
+    D = B(a^m2, b^n1)^n2 if n3 = 0."""
+    images = Word.gen(1, m[2]), Word.gen(2, n[1])
+    forced = ()
+    if m[0] == 0:
+        c = tau.image_a.substitute(images)
+        forced += ((c if m[1] > 0 else c.inverse()).letters,)
+    if n[3] == 0:
+        d = tau.image_b.substitute(images)
+        forced += ((d if n[2] > 0 else d.inverse()).letters,)
+    return forced
 
 
 # -- representations as core sequences -------------------------------------

@@ -224,4 +224,5 @@ def word_sort_key(w: Word) -> tuple:
 
 
 def _letters_sort_key(letters: tuple[int, ...]) -> tuple:
-    return (len(letters), tuple((abs(l), 0 if l > 0 else 1) for l in letters))
+    # Letter l ranks 2|l| + (l < 0), so a < a^-1 < b < b^-1 < x3 < ...
+    return (len(letters), tuple(2 * abs(l) + (l < 0) for l in letters))

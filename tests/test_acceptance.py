@@ -127,36 +127,28 @@ def test_criterion_2_classification_completeness():
     search6 = classify_search(6)
     assert search6 == _truncated_catalog_classes(6)
     assert len(search6) == 19
-    search7 = classify_search(7)
-    assert search7 == _truncated_catalog_classes(7)
-    assert len(search7) == 22
+    for max_len, count in ((7, 22), (8, 22), (9, 25), (10, 25), (11, 28)):
+        search = classify_search(max_len)
+        assert search == _truncated_catalog_classes(max_len)
+        assert len(search) == count
     _report(2, True,
-            f"search(1) = 7, search(3) = 16, search(5) = search(6) = 19, search(7) = 22 "
-            f"classes, each equal to the truncated catalog; D2/D3 share one symmetry orbit "
+            f"search(1) = 7, search(3) = 16, search(5) = search(6) = 19, search(7) = "
+            f"search(8) = 22, search(9) = search(10) = 25, search(11) = 28 classes, each "
+            f"equal to the truncated catalog; D2/D3 share one symmetry orbit "
             f"({time.time() - t0:.1f}s)")
 
 
 @pytest.mark.extended
-def test_criterion_2_extended_lengths_eight_nine():
+def test_criterion_2_extended_lengths_thirteen_fifteen():
     t0 = time.time()
-    search8 = classify_search(8)
-    assert search8 == _truncated_catalog_classes(8)
-    assert len(search8) == 22
-    search9 = classify_search(9)
-    assert search9 == _truncated_catalog_classes(9)
-    assert len(search9) == 25
-    _report("2x", True, f"search(8) = {len(search8)}, search(9) = {len(search9)} classes, "
+    search13 = classify_search(13)
+    assert search13 == _truncated_catalog_classes(13)
+    assert len(search13) == 31
+    search15 = classify_search(15)
+    assert search15 == _truncated_catalog_classes(15)
+    assert len(search15) == 34
+    _report("2x", True, f"search(13) = {len(search13)}, search(15) = {len(search15)} classes, "
                         f"each equal to the truncated catalog ({time.time() - t0:.1f}s)")
-
-
-@pytest.mark.extended
-def test_criterion_2_extended_length_eleven():
-    t0 = time.time()
-    search11 = classify_search(11)
-    assert search11 == _truncated_catalog_classes(11)
-    assert len(search11) == 28
-    _report("2x", True, f"search(11) = {len(search11)} classes, equal to the truncated "
-                        f"catalog ({time.time() - t0:.1f}s)")
 
 
 # Expected labelled edge sets read off the classification graph figure,

@@ -9,7 +9,7 @@ from braidact.autf2 import _MOVES, AutF2, commutator, is_basis, nielsen_reduce
 from braidact.localrep import catalog
 from braidact.words import Word
 
-from .util import reduced_words, scan_family_ids
+from .util import greedy_reduce, reduced_words, scan_basis_pairs_by_matrix, scan_family_ids
 
 rank2_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(Word)
 
@@ -115,6 +115,16 @@ class TestNielsenReduce:
                 if all(back(*move(u, v)) == (u, v) for u, v in samples)
             ]
             assert len(partners) == 1, tag
+
+    def test_early_stop_matches_full_loop(self):
+        # The reduction returns a one-letter pair over different generators
+        # at once; the oracle tries every move on it first.  Both must give
+        # the same pair, tags and mirror, on bases and on non-bases.
+        pairs = [p for ps in scan_basis_pairs_by_matrix(5).values() for p in ps]
+        assert len(pairs) == 3176
+        pairs += [(w("a"), w("A")), (w("ab"), w("ab")), (w("a"), w("a")), (w("b"), Word())]
+        for u, v in pairs:
+            assert autf2._greedy_reduce(u, v) == greedy_reduce(u, v), (u, v)
 
 
 class TestCompose:

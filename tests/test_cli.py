@@ -83,44 +83,42 @@ class TestClassify:
         assert data["count"] == 7
         assert len(data["classes"]) == 7
 
-    def test_search_budget_counts_every_quad(self, capsys, monkeypatch):
-        # Length 3 has 450 candidate quads: the 18 matrix pairs of the table,
-        # each with basis pairs at length 3, over 55 basis pairs.  One quad
-        # over the budget is refused, with no output.
-        monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 449)
+    def test_search_budget_counts_every_basis_pair(self, capsys, monkeypatch):
+        # Length 3 has 35 basis pairs, 5 for each of the 7 signed permutation
+        # matrices.  One pair over the budget is refused, with no output.
+        monkeypatch.setattr(localrep, "MAX_SEARCH_BASES", 34)
         for json_flag in ((), ("--json",)):
             code, out, err = run(capsys, "classify", "--max-len", "3", *json_flag)
             assert code == 1
             assert out == ""
             assert err == (
-                "error: classification search refused: 450 quads exceeds the budget of 449\n"
+                "error: classification search refused: at least 35 basis pairs exceeds the "
+                "budget of 34\n"
             )
-        monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 450)
+        monkeypatch.setattr(localrep, "MAX_SEARCH_BASES", 35)
         code, out, _ = run(capsys, "classify", "--max-len", "3")
         assert code == 0
         assert "canonical classes with word length <= 3: 16" in out
 
-    def test_length_13_is_refused(self, capsys):
-        code, out, err = run(capsys, "classify", "--max-len", "13")
-        assert code == 1
-        assert out == ""
-        assert err == (
-            "error: classification search refused: 38211282 quads exceeds the budget "
-            "of 10000000\n"
-        )
+    def test_length_13_is_searched(self, capsys):
+        # 16,027 basis pairs, 1,457 per matrix, within the budget.
+        code, out, _ = run(capsys, "classify", "--max-len", "13")
+        assert code == 0
+        assert out.startswith("canonical classes with word length <= 13: 31\n")
 
     @pytest.mark.parametrize("max_len", [17, 21, 25, 1000000])
     def test_long_searches_refused_at_once(self, capsys, max_len):
-        # The T pair alone passes the budget from length 15 on, so these are
-        # refused before any basis pair is built, with a lower bound.
+        # The 7 signed permutation matrices alone pass the budget from length
+        # 17 on, so these are refused before any basis pair is built, with a
+        # lower bound.
         t0 = time.perf_counter()
         code, out, err = run(capsys, "classify", "--max-len", str(max_len))
         assert time.perf_counter() - t0 < 2
         assert code == 1
         assert out == ""
         assert err == (
-            "error: classification search refused: at least 19123129 quads exceeds the "
-            "budget of 10000000\n"
+            "error: classification search refused: at least 91847 basis pairs exceeds the "
+            "budget of 60000\n"
         )
 
 

@@ -17,10 +17,13 @@ from braidact.localrep import (
     _bases_with_matrix,
     _catalog_level,
     _DECORATIONS,
+    _b_without_x,
     _equations,
+    _forced_by_y,
     _representative,
     _reversed,
     _swapped,
+    _t_without_z,
     base_quad,
     canonicalize,
     catalog,
@@ -630,9 +633,10 @@ class TestClassifySearch:
 
         monkeypatch.setattr(localrep, "_equations", counted)
         assert len(classify_search(3)) == 16
-        # Only the least quad of each swap/backward orbit is word-checked:
-        # 80 fail T, against 276 when every candidate was.
-        assert len(t_costs) == 80
+        # Only the least joined quad of each swap/backward orbit is
+        # word-checked: 4 fail T, against 80 before the join and 276 when
+        # every candidate was checked.
+        assert len(t_costs) == 4
         assert set(t_costs) == {3}
 
     def test_search_inverts_each_basis_pair_once(self, monkeypatch):
@@ -681,23 +685,34 @@ class TestClassifySearch:
             assert {_swapped(p) for p in pairs(m)} == pairs(m[::-1]), m
             assert {_reversed(p) for p in pairs(m)} == pairs(m), m
 
-    @pytest.mark.parametrize("max_len", range(1, 14))
+    @pytest.mark.parametrize(
+        "max_len",
+        [*range(1, 14), *(pytest.param(n, marks=pytest.mark.extended) for n in (15, 17))],
+    )
     def test_t_pair_basis_count(self, max_len):
-        # The early refusal's lower bound: the identity matrix has exactly
-        # 2 3^k - 1 basis pairs, k = (max_len - 1) // 2.
+        # The budget's count.  The identity, the T pair's matrix, has exactly
+        # 2 3^k - 1 basis pairs, k = (max_len - 1) // 2, and so has each of
+        # the 7 signed permutation matrices of the table (the early refusal's
+        # lower bound) and, from length 3 on, each of the other 4.
         k = (max_len - 1) // 2
         assert len(_bases_with_matrix((1, 0, 0, 1), max_len)) == 2 * 3**k - 1
+        for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair}:
+            signed_permutation = m.count(0) == 2
+            expected = 2 * 3**k - 1 if signed_permutation or max_len >= 3 else 0
+            assert len(_bases_with_matrix(m, max_len)) == expected, m
 
     def test_refuses_before_building_bases(self, monkeypatch):
         def refuse(m, max_len):
             raise AssertionError("bases built before the refusal")
 
         monkeypatch.setattr(localrep, "_bases_with_matrix", refuse)
-        with pytest.raises(ValueError, match=r"refused: at least 19123129 quads exceeds"):
-            classify_search(15)
-        # The T pair's 5 basis pairs at length 3 give 25 quads.
-        monkeypatch.setattr(localrep, "MAX_SEARCH_QUADS", 24)
-        with pytest.raises(ValueError, match=r"refused: at least 25 quads exceeds the budget of 24$"):
+        with pytest.raises(ValueError, match=r"refused: at least 91847 basis pairs exceeds"):
+            classify_search(17)
+        # The 7 signed permutation matrices have 5 basis pairs each at length 3.
+        monkeypatch.setattr(localrep, "MAX_SEARCH_BASES", 34)
+        with pytest.raises(
+            ValueError, match=r"refused: at least 35 basis pairs exceeds the budget of 34$"
+        ):
             classify_search(3)
 
     def test_search_makes_no_basis_test(self, monkeypatch):
@@ -717,9 +732,7 @@ class TestClassifySearch:
         # (diagonal), 14 in the A-type blocks (0, +-1, +-1, 0) and 6 in the
         # blocks with an entry 2.
         def kind(core):
-            m0, m1, m2, m3 = (
-                w.exponent_sum(g) for w in (core.image_a, core.image_b) for g in (1, 2)
-            )
+            m0, m1, m2, m3 = _matrix(core)
             if 2 in map(abs, (m0, m1, m2, m3)):
                 return "2"
             return "T" if m1 == m2 == 0 else "A"
@@ -727,6 +740,52 @@ class TestClassifySearch:
         classes = classify_search(7)
         assert all(kind(quad.tau) == kind(quad.kappa) for quad in classes)
         assert Counter(kind(quad.tau) for quad in classes) == {"T": 2, "A": 14, "2": 6}
+
+
+def _matrix(core):
+    """The exponent-sum matrix (m0, m1, m2, m3) of a core."""
+    return tuple(w.exponent_sum(g) for w in (core.image_a, core.image_b) for g in (1, 2))
+
+
+class TestJoin:
+    # Stage 3 of classify_search: T and B under x, y or z -> 1, identities
+    # in F_2 that every valid quad satisfies.
+
+    def test_forced_words_need_only_unit_exponents(self):
+        # C is forced where m0 = 0 and D where n3 = 0; both formulas take
+        # m1, m2, n1 and n2 to be +-1.
+        for m, n in _BRAID_MATRIX_PAIRS:
+            if m[0] == 0 or n[3] == 0:
+                assert {abs(m[1]), abs(m[2]), abs(n[1]), abs(n[2])} == {1}, (m, n)
+
+    def test_catalog_quads_pass_the_join(self):
+        # Every decorated catalog quad with r <= 6 passes both filters and
+        # equals its forced words, and together they cover all 18 blocks.
+        fids = list(scan_family_ids(13))
+        assert len(fids) == 256
+        blocks = set()
+        for fid in fids:
+            tau, kappa = catalog(fid).tau, catalog(fid).kappa
+            m, n = _matrix(tau), _matrix(kappa)
+            blocks.add((m, n))
+            assert not n[0] or _t_without_z(tau, n[0]), str(fid)
+            assert not m[3] or _b_without_x(kappa, m[3]), str(fid)
+            kappa_words = kappa.image_a.letters, kappa.image_b.letters
+            forced = tuple(w for w, f in zip(kappa_words, (m[0] == 0, n[3] == 0)) if f)
+            assert _forced_by_y(tau, m, n) == forced, str(fid)
+        assert blocks == set(_BRAID_MATRIX_PAIRS)
+
+    @pytest.mark.parametrize("max_len, checked", [(3, 30), (7, 172)])
+    def test_join_leaves_few_quads_to_word_check(self, monkeypatch, max_len, checked):
+        # Before the join the search word-checked 128 quads at length 3 and
+        # 12,798 at length 7.
+        calls = []
+        equations = _equations
+        monkeypatch.setattr(
+            localrep, "_equations", lambda tau, kappa: calls.append(1) or equations(tau, kappa)
+        )
+        classify_search(max_len)
+        assert len(calls) == checked
 
 
 # The matrix pairs of the abelianized braid relation with an entry +-3, taken

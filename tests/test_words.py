@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from braidact import words as words_module
 from braidact.localrep import _reversed, _swapped
-from braidact.words import Word, _swapped_letters, _word, word_sort_key
+from braidact.words import Word, _letters_sort_key, _swapped_letters, _word, word_sort_key
 
-from .util import concat_substitute
+from .util import concat_substitute, letters_sort_key
 
 letters = st.integers(-3, 3).filter(lambda x: x != 0)
 raw_words = st.lists(letters, max_size=24)
@@ -351,6 +351,18 @@ class TestExponentSum:
 def test_sort_key_orders_by_length_then_letters():
     ordering = [w("a"), w("A"), w("b"), w("B"), w("aa"), w("ab")]
     assert sorted(ordering, key=word_sort_key) == ordering
+
+
+def test_sort_key_order_matches_oracle():
+    # Every reduced word up to length 4 over x1..x4 and their inverses.
+    words, frontier = [()], [()]
+    for _ in range(4):
+        frontier = [
+            w + (l,) for w in frontier for l in (1, -1, 2, -2, 3, -3, 4, -4) if not w or w[-1] != -l
+        ]
+        words += frontier
+    assert len(words) == 1 + 8 + 56 + 392 + 2744
+    assert sorted(words, key=_letters_sort_key) == sorted(words, key=letters_sort_key)
 
 
 def test_module_doctests():

@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from braidact.autf2 import _MOVES, AutF2, is_basis
+from braidact.autf2 import _A, _B, _MOVES, AutF2, is_basis
 from braidact.braid import BraidWord, Endo
 from braidact.groups import FiniteGroupTable, _group
 from braidact.invariant import (
@@ -56,6 +56,30 @@ def reduced_letter_tuples(max_len: int) -> list[tuple[int, ...]]:
 
 def reduced_words(max_len: int) -> list[Word]:
     return [Word(t) for t in reduced_letter_tuples(max_len)]
+
+
+def letters_sort_key(letters: tuple[int, ...]) -> tuple:
+    """Oracle for ``words._letters_sort_key``: length, then each letter as
+    (generator, 0 for a positive letter or 1 for an inverse)."""
+    return (len(letters), tuple((abs(l), 0 if l > 0 else 1) for l in letters))
+
+
+def greedy_reduce(u: Word, v: Word):
+    """Oracle for ``autf2._greedy_reduce``: the same greedy loop without its
+    early stop, so it ends only when none of the 8 moves shortens the pair."""
+    moves: list[str] = []
+    mirror = (_A, _B)
+    while True:
+        total = len(u) + len(v)
+        for tag, f in _MOVES:
+            u2, v2 = f(u, v)
+            if len(u2) + len(v2) < total:
+                u, v = u2, v2
+                mirror = f(*mirror)
+                moves.append(tag)
+                break
+        else:
+            return (u, v), tuple(moves), mirror
 
 
 def concat_substitute(word: Word, images) -> Word:
