@@ -111,6 +111,13 @@ class AutF2:
             raise ValueError(f"expected 'A,B' core syntax, got {text!r}")
         return cls(Word.parse(parts[0]), Word.parse(parts[1]))
 
+    def _with_inverse(self, inverse: AutF2) -> AutF2:
+        """This automorphism again, holding an inverse the caller has already
+        built, so :meth:`inverse` runs no Nielsen reduction for it."""
+        phi = AutF2(self.image_a, self.image_b)
+        phi.__dict__["_inverse"] = inverse
+        return phi
+
     def apply(self, w: Word) -> Word:
         return w.substitute((self.image_a, self.image_b))
 
@@ -121,7 +128,8 @@ class AutF2:
     def inverse(self) -> AutF2:
         """Invert by tracking preimages along a greedy Nielsen reduction, which
         ends at a and b (up to order and signs) exactly on a basis.  The
-        result is kept on the instance, so each core is reduced once."""
+        result is kept on the instance, so each core is reduced once, and a
+        core built by :meth:`_with_inverse` is not reduced at all."""
         return self._inverse
 
     @functools.cached_property

@@ -204,13 +204,29 @@ _DECORATIONS = tuple(itertools.product((False, True), repeat=3))
 
 
 def _orbit(q: Quad) -> tuple[_Letters, ...]:
-    """The 8 symmetry images of q, in _DECORATIONS order."""
-    return tuple(_decorate(q, *flags) for flags in _DECORATIONS)
+    """The 8 symmetry images of q, in _DECORATIONS order: as :func:`_decorate`
+    gives them, with each swap image read backward for the next."""
+    images: list[_Letters] = []
+    for tau, kappa in (q.tau, q.kappa), (q.tau.inverse(), q.kappa.inverse()):
+        p = tau.image_a.letters, tau.image_b.letters
+        p2 = kappa.image_a.letters, kappa.image_b.letters
+        for p, p2 in (p, p2), (_swapped(p2), _swapped(p)):
+            images += (p, p2), (_reversed(p), _reversed(p2))
+    return tuple(images)
 
 
 def _least(orbit: Iterable[_Letters]) -> Quad:
-    """The least image under :func:`quad_sort_key`'s order; only it becomes a Quad."""
-    return _quad(min(orbit, key=lambda q: tuple(_letters_sort_key(w) for p in q for w in p)))
+    """The least image under :func:`quad_sort_key`'s order; only it becomes a
+    Quad.  The order compares the four words in turn, so each word's key is
+    built only for the distinct images still tied on the words before it."""
+    tied = list(set(orbit))
+    for i in range(4):
+        if len(tied) == 1:
+            break
+        keys = [_letters_sort_key(q[i // 2][i % 2]) for q in tied]
+        least = min(keys)
+        tied = [q for q, key in zip(tied, keys) if key == least]
+    return _quad(tied[0])
 
 
 def _require_valid(q: Quad, op: str) -> None:
@@ -388,13 +404,18 @@ _BRAID_MATRIX_PAIRS = (
 )
 
 
-def _representative(m: tuple[int, ...]) -> tuple[Word, Word]:
-    """One basis pair with exponent-sum matrix m (determinant +-1).
+def _representative(m: tuple[int, ...]) -> AutF2:
+    """One basis pair with exponent-sum matrix m (determinant +-1), as a
+    core that knows its inverse.
 
     Euclid on the a column, then one more move, takes the rows to a signed
-    permutation matrix by row moves r_i <- r_i - q r_j; the pair of a^+-1
-    and b^+-1 with that matrix is taken back through the moves in reverse,
-    each undone by the Nielsen move w_i <- w_i w_j^q."""
+    permutation matrix by row moves r_i <- r_i - q r_j.  The pair of a^+-1
+    and b^+-1 with that matrix, a letter renaming pi, is taken back through
+    the moves in reverse, each undone by the Nielsen move w_i <- w_i w_j^q,
+    that is, by composing with nu: x_i -> x_i x_j^q.  So the core is
+    pi nu_L ... nu_1, and its inverse nu_1^-1 ... nu_L^-1 pi^-1 is (a, b)
+    taken through the moves in order, each as w_i <- w_i w_j^-q, then
+    renamed by pi^-1: as few products as the pair, and no Nielsen search."""
     rows = [list(m[:2]), list(m[2:])]
     moves = []
 
@@ -407,48 +428,73 @@ def _representative(m: tuple[int, ...]) -> tuple[Word, Word]:
         move(i, rows[i][0] // rows[1 - i][0])
     j = int(rows[0][0] == 0)  # rows[j] is (+-1, y), rows[1 - j] is (0, +-1)
     move(j, rows[j][1] * rows[1 - j][1])
-    pair = [Word((rows[0][0] + 2 * rows[0][1],)), Word((rows[1][0] + 2 * rows[1][1],))]
+    ends = [row[0] + 2 * row[1] for row in rows]  # pi(a) and pi(b), as letters
+    pair, inverse = [Word((e,)) for e in ends], [_X, _Y]
     for i, q in reversed(moves):
         pair[i] = pair[i] * pair[1 - i] ** q
-    return pair[0], pair[1]
+    for i, q in moves:
+        inverse[i] = inverse[i] * inverse[1 - i] ** -q
+    # pi^-1 sends the generator of the letter ends[i] to x_i^(sign ends[i]).
+    psi = {abs(e): w if e > 0 else w.inverse() for e, w in zip(ends, inverse)}
+    return AutF2(pair[0], pair[1])._with_inverse(AutF2(psi[1], psi[2]))
+
+
+def _times(x: int, u: tuple[int, ...]) -> tuple[int, ...]:
+    """x u for a letter x and reduced letters u."""
+    return u[1:] if u and u[0] == -x else (x,) + u
 
 
 def _conjugate(u: tuple[int, ...], x: int) -> tuple[int, ...]:
     """x u x^-1 for reduced letters u: x cancels only at the two ends."""
-    h = u[1:] if u and u[0] == -x else (x,) + u
+    h = _times(x, u)
     return h[:-1] if h and h[-1] == x else h + (-x,)
 
 
-def _conjugates(pair: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _conjugates(pair: _Pair) -> Iterator[tuple[int, _Pair]]:
+    """The four one-letter conjugations x p x^-1 of a basis pair p, each
+    with its letter x."""
     u, v = pair
     for x in (1, -1, 2, -2):
-        yield _conjugate(u, x), _conjugate(v, x)
+        yield x, (_conjugate(u, x), _conjugate(v, x))
 
 
-def _size(pair: tuple[tuple[int, ...], ...]) -> int:
+def _size(pair: _Pair) -> int:
     return max(len(pair[0]), len(pair[1]))
 
 
-def _bases_with_matrix(m: tuple[int, ...], max_len: int) -> list[tuple[Word, Word]]:
-    """Every basis pair with exponent-sum matrix m and both words of length
-    <= max_len: the bounded simultaneous conjugates of one representative,
-    found by descent and flood fill on letter tuples (see classify_search)."""
-    pair = tuple(w.letters for w in _representative(m))
+def _bases_with_matrix(rep: AutF2, max_len: int) -> list[tuple[_Pair, tuple[int, ...]]]:
+    """Every basis pair with rep's exponent-sum matrix and both words of
+    length <= max_len, as letters, each with its conjugator w: the pair is
+    (w u0 w^-1, w v0 w^-1) for rep = (u0, v0).  Found by descent and flood
+    fill over one-letter conjugations, each prepending its letter to w (see
+    classify_search).  The fill never steps back by the letter that reached
+    a pair, so it walks a tree and meets each pair once."""
+    pair, w = (rep.image_a.letters, rep.image_b.letters), ()
     while True:
-        best = min(_conjugates(pair), key=_size)
+        x, best = min(_conjugates(pair), key=lambda step: _size(step[1]))
         if _size(best) >= _size(pair):
             break
-        pair = best
+        pair, w = best, _times(x, w)
     if _size(pair) > max_len:
         return []
-    out = [pair]
-    seen = {pair}
-    for pair in out:  # breadth first: the loop also visits the pairs it appends
-        for c in _conjugates(pair):
-            if c not in seen and _size(c) <= max_len:
-                seen.add(c)
-                out.append(c)
-    return [(_word(u), _word(v)) for u, v in out]
+    fill = [(pair, w, 0)]
+    for (u, v), w, back in fill:  # breadth first: the loop also visits the pairs it appends
+        for x in (1, -1, 2, -2):
+            if x != back:
+                c = _conjugate(u, x), _conjugate(v, x)
+                if _size(c) <= max_len:
+                    fill.append((c, _times(x, w), -x))
+    return [(pair, w) for pair, w, _ in fill]
+
+
+def _inverse_of_conjugate(rep: AutF2, w: tuple[int, ...]) -> AutF2:
+    """The inverse of tau = (w u0 w^-1, w v0 w^-1), rep = (u0, v0): tau is
+    rep followed by conjugation by w, so tau^-1 sends y to g^-1 psi(y) g,
+    where psi is rep's inverse and g = psi(w)."""
+    psi = rep.inverse()
+    g = psi.apply(_word(w))
+    g_inv = g.inverse()
+    return AutF2(g_inv * psi.image_a * g, g_inv * psi.image_b * g)
 
 
 def classify_search(max_len: int) -> set[Quad]:
@@ -538,10 +584,13 @@ def classify_search(max_len: int) -> set[Quad]:
        shortens (in max(|u|, |v|)) is a global minimum of f, and from it a
        flood fill over one-letter conjugations that keeps f <= max_len
        reaches every pair of the sublevel set and no other.  Both run on
-       letter tuples, which also key each pair in stages 3 to 5.  From
-       max_len = 3 on, each of the 11 matrices has 2 3^k - 1 basis pairs
-       (the tests check this up to 17), so a search builds at most 11/7 of
-       the count that stage 1 bounds.
+       letter tuples, which also key each pair in stages 3 to 5.  Each
+       pair is kept with its conjugator w, which each one-letter step
+       extends, and the fill walks the tree of conjugators without
+       stepping back, so it meets each pair once and needs no set of pairs
+       seen.  From max_len = 3 on, each of the 11 matrices has 2 3^k - 1
+       basis pairs (the tests check this up to 17), so a search builds at
+       most 11/7 of the count that stage 1 bounds.
     3. Join.  A homomorphism F_3 -> F_2 keeps an identity, so each block
        pairs its bases through four images of T and B, with a = A(x, y),
        b = B(x, y) and c(u, v) = C(u, v):
@@ -554,11 +603,24 @@ def classify_search(max_len: int) -> set[Quad]:
          left side is C(x^m2, z)^m1, so C = A(a^m2, b^n1)^m1.
        - B under y -> 1: D(x^m2, z) = D(B(x, z^n1), z^n3).  If n3 = 0 the
          right side is B(x, z^n1)^n2, so D = B(a^m2, b^n1)^n2.
-       The last two take m1, m2 and n2 to be +-1, as they are in every
-       block with m0 = 0 or n3 = 0.  So the 8 A-type blocks find at most
-       one kappa per tau, by (C, D); the 8 blocks with an entry 2 find
-       kappa by C alone and filter kappa, or by D alone and filter tau; the
-       2 T blocks pair their filtered cores.  Every valid quad passes.
+       The last two take m1, m2 and n2 to be +-1, as they are, with n1, in
+       every block with m0 = 0 or n3 = 0.  So each forced word is tau's
+       word under a signed renaming of its letters, and no substitution.
+       Lemma (the A-type blocks, m0 = n3 = 0, every m_i and n_i +-1).  Let
+       rho: a -> a^m2, b -> b^n1 and epsilon: a -> a^m1, b -> b^n2.  The
+       forced pair (C, D) is kappa = rho tau epsilon, since C = rho(A)^m1 =
+       rho tau epsilon(a) and D = rho(B)^n2 likewise.  A composite of
+       automorphisms, kappa is a basis pair.  Renamings keep word lengths,
+       so kappa has tau's.  Its rows are those of tau, (0, m1) and (m2, 0),
+       scaled by rho to (0, m1 n1) and (1, 0), then raised to m1 and n2:
+       (0, n1) and (n2, 0), so its matrix is n.  So kappa lies among the
+       bases of n that stage 2 lists, and the 8 A-type blocks need no index
+       of them, no basis test and no second side; rho and epsilon are
+       involutions, so kappa^-1 = epsilon tau^-1 rho renames tau's inverse.
+       The other 10 blocks are joined by a dict lookup: the 8 blocks with
+       an entry 2 find kappa by C alone and filter kappa, or by D alone and
+       filter tau; the 2 T blocks pair their filtered cores.  Every valid
+       quad passes.
     4. Words, once per orbit of swap and backward.  The candidates are the
        quads of the table's matrix pairs, and they are closed under both
        symmetries.  Backward reads each word backward, which keeps every
@@ -572,9 +634,9 @@ def classify_search(max_len: int) -> set[Quad]:
        (rot n, rot m).  Both symmetries keep validity, so every valid quad
        is in the orbit of a valid candidate that is least, by letter tuples,
        among its at most four images.  That candidate passes the join, and
-       only such least joined quads meet the word equations.  Each basis
-       pair's reversal and swap image are computed once, so the test is
-       three tuple comparisons.  The
+       only such least joined quads meet the word equations.  The reversal
+       and swap images are computed once for each tau the join keeps, and
+       for a kappa only when it is joined.  The
        equations are evaluated lazily in the order T, M, B, so a quad costs
        no more equations than its first failure; the basis tests are
        already known.  A second core keeps its images one strand up,
@@ -584,9 +646,12 @@ def classify_search(max_len: int) -> set[Quad]:
        gives its 8 symmetry images from its two cores and their inverses,
        as letter tuples; the least is its class and the only image that
        becomes a Quad, and later quads of the same orbit are skipped
-       unchecked, since they are valid too.  Each core keeps its inverse,
-       so each basis pair is inverted at most once per search, and at most
-       two per class.
+       unchecked, since they are valid too.  No core is inverted by a
+       Nielsen search.  A basis pair with conjugator w is tau = i_w phi,
+       phi its matrix's representative and i_w conjugation by w, and
+       Euclid's moves give phi's inverse psi (``_representative``); so
+       tau^-1 sends y to g^-1 psi(y) g, g = psi(w).  An A-type kappa's
+       inverse renames its tau's (stage 3).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -600,49 +665,68 @@ def classify_search(max_len: int) -> set[Quad]:
             f"classification search refused: at least {7 * perm_bases} basis pairs "
             f"exceeds the budget of {MAX_SEARCH_BASES}"
         )
-    bases = {}
-    for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair}:
-        bases[m] = []
-        for a, b in _bases_with_matrix(m, max_len):
-            p = a.letters, b.letters
-            r = _reversed(p)
-            bases[m].append((p, r, _swapped(p), _swapped(r), AutF2(a, b)))
+    reps = {m: _representative(m) for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair}}
+    bases = {
+        m: [(p, AutF2(_word(p[0]), _word(p[1])), w) for p, w in _bases_with_matrix(rep, max_len)]
+        for m, rep in reps.items()
+    }
     found, seen = set(), set()
     # Per first matrix and n0, the bases that pass T under z -> 1 and are no
     # greater than their reversal (a quad (p, p2) with p > p_r exceeds its
-    # backward image).  Per second matrix, the bases by the words a block
-    # forces on them, and B under x -> 1 once per basis pair and m3 (stage 3).
+    # backward image), with their images for stage 4.  Per second matrix of
+    # a block that is not A-type, the bases by the word the block forces on
+    # them, and B under x -> 1 once per basis pair and m3 (stage 3).
     taus: dict[tuple, list] = {}
     indexes: dict[tuple, dict[tuple, list]] = {}
     kappa_kept: dict[tuple[_Pair, int], bool] = {}
     for m, n in _BRAID_MATRIX_PAIRS:
         n0, m3, forced = n[0], m[3], (m[0] == 0, n[3] == 0)
+        a_type = all(forced)
         if (m, n0) not in taus:
             taus[m, n0] = [
-                e for e in bases[m] if e[0] <= e[1] and (not n0 or _t_without_z(e[4], n0))
+                (p, _images(p), tau, w)
+                for p, tau, w in bases[m]
+                if p <= _reversed(p) and (not n0 or _t_without_z(tau, n0))
             ]
-        if (n, forced) not in indexes:
+        if not a_type and (n, forced) not in indexes:
             index = indexes[n, forced] = {}
             for e in bases[n]:
                 index.setdefault(tuple(w for w, f in zip(e[0], forced) if f), []).append(e)
-        index = indexes[n, forced]
-        for p, p_r, p_s, p_rs, tau in taus[m, n0]:
-            for p2, p2_r, p2_s, p2_rs, kappa in index.get(_forced_by_y(tau, m, n), ()):
-                # The quad against its backward, swap and swap-backward images.
-                q = p, p2
-                if not ((p < p_r or p2 <= p2_r) and q <= (p2_s, p_s) and q <= (p2_rs, p_rs)):
+        for p, (p_r, p_s, p_rs), tau, w in taus[m, n0]:
+            key = _forced_by_y(tau, m, n)
+            # An A-type block's key is its kappa, built below if it is needed.
+            joined = [(key, None, None)] if a_type else indexes[n, forced].get(key, ())
+            for p2, kappa, w2 in joined:
+                # The quad against its swap, swap-backward and backward images
+                # (a kept tau is no greater than its reversal).
+                q, p2_s = (p, p2), _swapped(p2)
+                if q > (p2_s, p_s) or q > (_reversed(p2_s), p_rs):
+                    continue
+                if p == p_r and p2 > _reversed(p2):
                     continue
                 if m3 and (p2, m3) not in kappa_kept:
                     kappa_kept[p2, m3] = _b_without_x(kappa, m3)
-                if (
-                    (not m3 or kappa_kept[p2, m3])
-                    and q not in seen
-                    and all(_equations(tau, kappa))
-                ):
-                    orbit = _orbit(Quad(tau, kappa))
-                    seen.update(orbit)
-                    found.add(_least(orbit))
+                if (not m3 or kappa_kept[p2, m3]) and q not in seen:
+                    kappa = kappa or AutF2(_word(p2[0]), _word(p2[1]))
+                    if all(_equations(tau, kappa)):
+                        tau_inv = _inverse_of_conjugate(reps[m], w)
+                        if a_type:
+                            kappa_inv = _forced_inverse(tau_inv, m, n)
+                        else:
+                            kappa_inv = _inverse_of_conjugate(reps[n], w2)
+                        orbit = _orbit(
+                            Quad(tau._with_inverse(tau_inv), kappa._with_inverse(kappa_inv))
+                        )
+                        seen.update(orbit)
+                        found.add(_least(orbit))
     return found
+
+
+def _images(p: _Pair) -> tuple[_Pair, _Pair, _Pair]:
+    """The backward, swap and swap-backward images of a basis pair p, in
+    the form stage 4 compares them."""
+    s = _swapped(p)
+    return _reversed(p), s, _reversed(s)
 
 
 def _t_without_z(tau: AutF2, n0: int) -> bool:
@@ -657,19 +741,31 @@ def _b_without_x(kappa: AutF2, m3: int) -> bool:
     return kappa.apply(w) == w
 
 
+def _renamed(u: tuple[int, ...], s: int, t: int, e: int) -> tuple[int, ...]:
+    """rho(u)^e for reduced letters u and the renaming rho: a -> a^s,
+    b -> b^t, with s, t and e each +-1; still reduced."""
+    table = {1: s * e, -1: -s * e, 2: 2 * t * e, -2: -2 * t * e}
+    return tuple(map(table.__getitem__, u if e > 0 else u[::-1]))
+
+
 def _forced_by_y(tau: AutF2, m: tuple[int, ...], n: tuple[int, ...]) -> tuple:
     """The words that T and B under y -> 1 force on kappa in the block
     (m, n), as letter tuples: C = A(a^m2, b^n1)^m1 if m0 = 0, then
-    D = B(a^m2, b^n1)^n2 if n3 = 0."""
-    images = Word.gen(1, m[2]), Word.gen(2, n[1])
+    D = B(a^m2, b^n1)^n2 if n3 = 0.  Each is a signed renaming of tau's
+    letters, since m1, m2, n1 and n2 are +-1 wherever a word is forced."""
     forced = ()
     if m[0] == 0:
-        c = tau.image_a.substitute(images)
-        forced += ((c if m[1] > 0 else c.inverse()).letters,)
+        forced += (_renamed(tau.image_a.letters, m[2], n[1], m[1]),)
     if n[3] == 0:
-        d = tau.image_b.substitute(images)
-        forced += ((d if n[2] > 0 else d.inverse()).letters,)
+        forced += (_renamed(tau.image_b.letters, m[2], n[1], n[2]),)
     return forced
+
+
+def _forced_inverse(tau_inv: AutF2, m: tuple[int, ...], n: tuple[int, ...]) -> AutF2:
+    """The inverse of an A-type block's forced kappa = rho tau epsilon, from
+    tau's inverse: epsilon tau^-1 rho (stage 3)."""
+    a, b = tau_inv.image_a.letters, tau_inv.image_b.letters
+    return AutF2(_word(_renamed(a, m[1], n[2], m[2])), _word(_renamed(b, m[1], n[2], n[1])))
 
 
 # -- representations as core sequences -------------------------------------

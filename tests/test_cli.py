@@ -628,6 +628,18 @@ class TestEquationWordRefusals:
         ids=["verify", "act"],
     )
     def test_long_core_refused_in_small_memory(self, argv):
-        code, err, seconds, peak_mb = cli_in_child(*argv)
-        assert (code, err) == (1, self.ERR_LONG)
+        code, out, err, seconds, peak_mb = cli_in_child(*argv)
+        assert (code, out, err) == (1, "", self.ERR_LONG)
         assert seconds < 1 and peak_mb < 100, (seconds, peak_mb)
+
+
+@pytest.mark.extended
+def test_classify_length_fifteen_in_small_memory():
+    # The longest search under MAX_SEARCH_BASES, as a whole process.  It
+    # keeps each of its 48,103 basis pairs as its letters, core and
+    # conjugator only, and other letter forms for few of them.
+    code, out, err, seconds, peak_mb = cli_in_child("classify", "--max-len", "15")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "canonical classes with word length <= 15: 34"
+    assert len(out.splitlines()) == 35
+    assert peak_mb < 80, (seconds, peak_mb)

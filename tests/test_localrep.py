@@ -20,6 +20,8 @@ from braidact.localrep import (
     _b_without_x,
     _equations,
     _forced_by_y,
+    _forced_inverse,
+    _inverse_of_conjugate,
     _representative,
     _reversed,
     _swapped,
@@ -43,7 +45,9 @@ from .util import (
     abelian_braid,
     abelian_braid_by_product,
     all_candidates_classify,
+    basis_pairs,
     braid_matrix_pairs_by_enumeration,
+    concat_substitute,
     det_one_matrices,
     nielsen_basis_pairs_by_matrix,
     oracle_base_quad,
@@ -181,7 +185,7 @@ class TestCheckPairViaBraid:
             (
                 (u, v)
                 for m in det_one_matrices(5)
-                for u, v in _bases_with_matrix(m, 5)
+                for u, v in basis_pairs(m, 5)
                 if len(u) + len(v) >= 5
             ),
             key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1])),
@@ -510,7 +514,7 @@ class TestClassifySearch:
         # So the search needs no length filter on the table.
         fitting = set(det_one_matrices(max_len))
         for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair} - fitting:
-            assert _bases_with_matrix(m, max_len) == [], m
+            assert basis_pairs(m, max_len) == [], m
 
     @pytest.mark.parametrize("max_len, count", [(5, 296), (6, 360)])
     def test_closed_form_prune_matches_matrix_product(self, max_len, count):
@@ -532,7 +536,7 @@ class TestClassifySearch:
         # Neither generator misses a basis pair or makes one up.
         scan = scan_basis_pairs_by_matrix(max_len)
         generated = {
-            m: set(_bases_with_matrix(m, max_len)) for m in det_one_matrices(max_len)
+            m: set(basis_pairs(m, max_len)) for m in det_one_matrices(max_len)
         }
         assert generated == scan
         assert nielsen_basis_pairs_by_matrix(max_len) == scan
@@ -550,35 +554,54 @@ class TestClassifySearch:
         assert len(matrices) == len(set(matrices)) == count
         assert set(matrices) == set(oracle)
         for m in matrices:
-            bases = _bases_with_matrix(m, max_len)
+            bases = basis_pairs(m, max_len)
             assert len(bases) == len(set(bases))
             assert set(bases) == oracle[m], m
 
     def test_representatives_have_their_matrix(self):
+        # Each representative also carries the inverse built from Euclid's
+        # moves, which is the one greedy Nielsen reduction finds.
         matrices = det_one_matrices(12)
         for m in matrices:
-            u, v = _representative(m)
+            rep = _representative(m)
+            u, v = rep.image_a, rep.image_b
             assert (u.exponent_sum(1), u.exponent_sum(2), v.exponent_sum(1), v.exponent_sum(2)) == m
             assert is_basis(u, v), m
+            assert rep.inverse() == AutF2(u, v).inverse(), m
+            assert rep.compose(rep.inverse()) == AutF2.parse("a,b"), m
 
-    def test_descent_from_any_conjugate(self, monkeypatch):
+    def test_descent_from_any_conjugate(self):
         # The flood fill starts from a minimum wherever the representative
-        # sits in its conjugacy class.
+        # sits in its conjugacy class, and each conjugator is taken relative
+        # to the representative it was given.
         import random
 
         rng = random.Random(7)
-        matrices = det_one_matrices(4)
-        expected = {m: set(_bases_with_matrix(m, 4)) for m in matrices}
-        representative = _representative
-
-        def far_representative(m):
+        for m in det_one_matrices(4):
             w = Word(rng.choice((1, -1, 2, -2)) for _ in range(12))
-            u, v = representative(m)
-            return w * u * w.inverse(), w * v * w.inverse()
+            rep = _representative(m)
+            far = AutF2(w * rep.image_a * w.inverse(), w * rep.image_b * w.inverse())
+            near_pairs = _bases_with_matrix(rep, 4)
+            far_pairs = _bases_with_matrix(far, 4)
+            assert {p for p, _ in far_pairs} == {p for p, _ in near_pairs}, m
+            for (u, v), g in far_pairs:
+                g = Word(g)
+                conjugate = AutF2(g * far.image_a * g.inverse(), g * far.image_b * g.inverse())
+                assert conjugate == AutF2(Word(u), Word(v)), m
 
-        monkeypatch.setattr(localrep, "_representative", far_representative)
-        for m in matrices:
-            assert set(_bases_with_matrix(m, 4)) == expected[m], m
+    def test_conjugator_inverse_matches_greedy_inverse(self):
+        # Stage 2's conjugators: every basis pair of the 11 matrices up to
+        # length 9 is (w u0 w^-1, w v0 w^-1), and the inverse built from w
+        # and the representative's inverse is the greedy Nielsen inverse.
+        for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair}:
+            rep = _representative(m)
+            pairs = _bases_with_matrix(rep, 9)
+            assert len(pairs) == 161, m
+            for (u, v), w in pairs:
+                w = Word(w)
+                tau = AutF2(Word(u), Word(v))
+                assert tau == AutF2(w * rep.image_a * w.inverse(), w * rep.image_b * w.inverse())
+                assert _inverse_of_conjugate(rep, w.letters) == tau.inverse(), (m, str(tau))
 
     def test_equations_are_lazy_in_order_t_m_b(self, monkeypatch):
         # Each quad fails exactly one equation, so the order shows.
@@ -605,10 +628,11 @@ class TestClassifySearch:
         assert len(calls) == 5
 
     def test_search_fails_t_in_three_substitutions(self, monkeypatch):
-        # Each basis pair is one AutF2 for the whole search, which computes
-        # c(y, z) and d(y, z) on its first quad as a second core and keeps
-        # them.  So the T check of a search substitutes only c(b, z),
-        # a(a, c(b, z)) and a(x, c(y, z)).
+        # A second core computes c(y, z) and d(y, z) on its first quad and
+        # keeps them: a basis pair is one AutF2 for the whole search, and an
+        # A-type kappa one AutF2 per quad it is built for.  So the T check
+        # of a search substitutes only c(b, z), a(a, c(b, z)) and
+        # a(x, c(y, z)).  Each kappa is kept here, so no id is reused.
         calls = []
         substitute = Word.substitute
         monkeypatch.setattr(
@@ -616,13 +640,13 @@ class TestClassifySearch:
         )
         equations = _equations
         t_costs = []
-        kappas = set()
+        kappas = {}
 
         def counted(tau, kappa):
             before = len(calls)
             kappa.shifted
             assert len(calls) - before == (0 if id(kappa) in kappas else 2)
-            kappas.add(id(kappa))
+            kappas[id(kappa)] = kappa
             flags = equations(tau, kappa)
             before = len(calls)
             t = next(flags)
@@ -639,21 +663,17 @@ class TestClassifySearch:
         assert len(t_costs) == 4
         assert set(t_costs) == {3}
 
-    def test_search_inverts_each_basis_pair_once(self, monkeypatch):
-        # Each basis pair of a quad that starts a new class is inverted by
-        # one greedy reduction per search, not one per class that holds it,
-        # and a class inverts only its own two cores.
+    def test_search_runs_no_nielsen_reduction(self, monkeypatch):
+        # Every core a search inverts gets its inverse in closed form: from
+        # its conjugator (stage 2) or, for an A-type kappa, by renaming its
+        # tau's inverse (stage 3).  None is inverted by greedy reduction.
         from braidact import autf2
 
-        calls = []
-        reduce = autf2._greedy_reduce
-        monkeypatch.setattr(
-            autf2, "_greedy_reduce", lambda *args: calls.append(args[:2]) or reduce(*args)
-        )
-        classes = classify_search(3)
-        assert len(classes) == 16
-        assert 0 < len(calls) <= 2 * len(classes)
-        assert len(calls) == len(set(calls))
+        def refuse(u, v):
+            raise AssertionError("classify_search ran a greedy Nielsen reduction")
+
+        monkeypatch.setattr(autf2, "_greedy_reduce", refuse)
+        assert len(classify_search(3)) == 16
 
     @pytest.mark.parametrize("max_len", [3, 4, 5])
     def test_matches_all_candidates_oracle(self, max_len):
@@ -671,7 +691,7 @@ class TestClassifySearch:
 
         table = set(_BRAID_MATRIX_PAIRS)
         assert swapped(table) == table
-        live = {pair for pair in table if all(_bases_with_matrix(m, max_len) for m in pair)}
+        live = {pair for pair in table if all(basis_pairs(m, max_len) for m in pair)}
         assert swapped(live) == live
 
     @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
@@ -679,7 +699,7 @@ class TestClassifySearch:
         # Swap maps the bases of m onto those of rot m, reversal maps them
         # onto themselves: both keep the candidate quads a closed set.
         def pairs(m):
-            return {(u.letters, v.letters) for u, v in _bases_with_matrix(m, max_len)}
+            return {p for p, _ in _bases_with_matrix(_representative(m), max_len)}
 
         for m in det_one_matrices(max_len):
             assert {_swapped(p) for p in pairs(m)} == pairs(m[::-1]), m
@@ -695,14 +715,14 @@ class TestClassifySearch:
         # the 7 signed permutation matrices of the table (the early refusal's
         # lower bound) and, from length 3 on, each of the other 4.
         k = (max_len - 1) // 2
-        assert len(_bases_with_matrix((1, 0, 0, 1), max_len)) == 2 * 3**k - 1
+        assert len(basis_pairs((1, 0, 0, 1), max_len)) == 2 * 3**k - 1
         for m in {m for pair in _BRAID_MATRIX_PAIRS for m in pair}:
             signed_permutation = m.count(0) == 2
             expected = 2 * 3**k - 1 if signed_permutation or max_len >= 3 else 0
-            assert len(_bases_with_matrix(m, max_len)) == expected, m
+            assert len(basis_pairs(m, max_len)) == expected, m
 
     def test_refuses_before_building_bases(self, monkeypatch):
-        def refuse(m, max_len):
+        def refuse(rep, max_len):
             raise AssertionError("bases built before the refusal")
 
         monkeypatch.setattr(localrep, "_bases_with_matrix", refuse)
@@ -747,6 +767,10 @@ def _matrix(core):
     return tuple(w.exponent_sum(g) for w in (core.image_a, core.image_b) for g in (1, 2))
 
 
+# The blocks with m0 = n3 = 0, where kappa is forced whole.
+_A_TYPE_BLOCKS = [(m, n) for m, n in _BRAID_MATRIX_PAIRS if m[0] == n[3] == 0]
+
+
 class TestJoin:
     # Stage 3 of classify_search: T and B under x, y or z -> 1, identities
     # in F_2 that every valid quad satisfies.
@@ -774,6 +798,36 @@ class TestJoin:
             forced = tuple(w for w, f in zip(kappa_words, (m[0] == 0, n[3] == 0)) if f)
             assert _forced_by_y(tau, m, n) == forced, str(fid)
         assert blocks == set(_BRAID_MATRIX_PAIRS)
+
+    def test_forced_words_by_renaming_equal_substitution(self):
+        # In all 18 blocks, the forced words read by renaming tau's letters
+        # are C = A(a^m2, b^n1)^m1 and D = B(a^m2, b^n1)^n2 as substituted.
+        for m, n in _BRAID_MATRIX_PAIRS:
+            images = Word.gen(1, m[2]), Word.gen(2, n[1])
+            for a, b in basis_pairs(m, 7):
+                expected = ()
+                if m[0] == 0:
+                    expected += ((concat_substitute(a, images) ** m[1]).letters,)
+                if n[3] == 0:
+                    expected += ((concat_substitute(b, images) ** n[2]).letters,)
+                assert _forced_by_y(AutF2(a, b), m, n) == expected, (m, n, a, b)
+
+    @pytest.mark.parametrize("m, n", _A_TYPE_BLOCKS, ids=str)
+    def test_a_type_kappa_is_tau_renamed(self, m, n):
+        # The lemma of stage 3: in an A-type block the forced pair is
+        # kappa = rho tau epsilon, a basis pair with matrix n and tau's word
+        # lengths, and its inverse epsilon tau^-1 rho renames tau's inverse.
+        images = Word.gen(1, m[2]), Word.gen(2, n[1])
+        for a, b in basis_pairs(m, 9):
+            tau = AutF2(a, b)
+            c, d = map(Word, _forced_by_y(tau, m, n))
+            kappa = AutF2(c, d)
+            assert _matrix(kappa) == n
+            assert (len(c), len(d)) == (len(a), len(b))
+            assert is_basis(c, d)
+            assert c == concat_substitute(a, images) ** m[1]
+            assert d == concat_substitute(b, images) ** n[2]
+            assert _forced_inverse(tau.inverse(), m, n) == kappa.inverse(), str(tau)
 
     @pytest.mark.parametrize("max_len, checked", [(3, 30), (7, 172)])
     def test_join_leaves_few_quads_to_word_check(self, monkeypatch, max_len, checked):
@@ -839,7 +893,7 @@ class TestS3Certificate:
         assert len(matrices) == 19
         for m in matrices:
             tables = set(s3_core_tables(m))
-            for u, v in _bases_with_matrix(m, 5):
+            for u, v in basis_pairs(m, 5):
                 assert (s3_word_function(u), s3_word_function(v)) in tables, (m, u, v)
 
     @pytest.mark.extended

@@ -35,7 +35,7 @@ from braidact.localrep import (
     quad_sort_key,
     symmetry_orbit,
 )
-from braidact.words import Word
+from braidact.words import Word, _word
 
 
 def reduced_letter_tuples(max_len: int) -> list[tuple[int, ...]]:
@@ -62,6 +62,12 @@ def letters_sort_key(letters: tuple[int, ...]) -> tuple:
     """Oracle for ``words._letters_sort_key``: length, then each letter as
     (generator, 0 for a positive letter or 1 for an inverse)."""
     return (len(letters), tuple((abs(l), 0 if l > 0 else 1) for l in letters))
+
+
+def basis_pairs(m: tuple[int, ...], max_len: int) -> list[tuple[Word, Word]]:
+    """The basis pairs that ``localrep._bases_with_matrix`` generates for the
+    matrix m, as word pairs, without their conjugators."""
+    return [(_word(u), _word(v)) for (u, v), _ in _bases_with_matrix(_representative(m), max_len)]
 
 
 def greedy_reduce(u: Word, v: Word):
@@ -397,7 +403,7 @@ def all_candidates_classify(max_len: int) -> set[Quad]:
     skipped, since it is valid too."""
     pairs = braid_matrix_pairs_by_enumeration(max_len)
     bases = {
-        m: [AutF2(a, b) for a, b in _bases_with_matrix(m, max_len)]
+        m: [AutF2(a, b) for a, b in basis_pairs(m, max_len)]
         for m in {m for pair in pairs for m in pair}
     }
     found, seen = set(), set()
@@ -586,7 +592,8 @@ def s3_core_tables(m: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int,
     (u0, v0) = ``_representative(m)`` and each word function of w, in the
     order of :func:`s3_word_functions`.  By Nielsen's theorem these pairs
     are every basis pair with matrix m, so these are all their functions."""
-    u0, v0 = map(s3_word_function, _representative(m))
+    rep = _representative(m)
+    u0, v0 = s3_word_function(rep.image_a), s3_word_function(rep.image_b)
     return [
         tuple(
             tuple(_S3_MUL[_S3_MUL[x][y]][_S3_INV[x]] for x, y in zip(w, f)) for f in (u0, v0)
@@ -716,15 +723,16 @@ sys.exit(code)
 """
 
 
-def cli_in_child(*argv: str) -> tuple[int, str, float, float]:
+def cli_in_child(*argv: str) -> tuple[int, str, str, float, float]:
     """Run ``braidact.cli.main(argv)`` in a fresh interpreter, so its memory
-    peak is its own.  Returns the exit code, stderr, the wall time in
-    seconds and the child's peak resident set size in MB."""
+    peak is its own.  Returns the exit code, stdout (less the peak line),
+    stderr, the wall time in seconds and the child's peak resident set size
+    in MB."""
     paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     argv = [sys.executable, "-c", _CLI_CHILD, *argv]
     t0 = time.perf_counter()
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     seconds = time.perf_counter() - t0
-    peak_kb = int(done.stdout.splitlines()[-1])
-    return done.returncode, done.stderr, seconds, peak_kb / 1024
+    *lines, peak_kb = done.stdout.splitlines(keepends=True)
+    return done.returncode, "".join(lines), done.stderr, seconds, int(peak_kb) / 1024
