@@ -204,15 +204,8 @@ _DECORATIONS = tuple(itertools.product((False, True), repeat=3))
 
 
 def _orbit(q: Quad) -> tuple[_Letters, ...]:
-    """The 8 symmetry images of q, in _DECORATIONS order: as :func:`_decorate`
-    gives them, with each swap image read backward for the next."""
-    images: list[_Letters] = []
-    for tau, kappa in (q.tau, q.kappa), (q.tau.inverse(), q.kappa.inverse()):
-        p = tau.image_a.letters, tau.image_b.letters
-        p2 = kappa.image_a.letters, kappa.image_b.letters
-        for p, p2 in (p, p2), (_swapped(p2), _swapped(p)):
-            images += (p, p2), (_reversed(p), _reversed(p2))
-    return tuple(images)
+    """The 8 symmetry images of q, in _DECORATIONS order."""
+    return tuple(_decorate(q, *flags) for flags in _DECORATIONS)
 
 
 def _least(orbit: Iterable[_Letters]) -> Quad:
@@ -636,7 +629,7 @@ def classify_search(max_len: int) -> set[Quad]:
        among its at most four images.  That candidate passes the join, and
        only such least joined quads meet the word equations.  The reversal
        and swap images are computed once for each tau the join keeps, and
-       for a kappa only when it is joined.  The
+       once per block for a kappa the join reaches.  The
        equations are evaluated lazily in the order T, M, B, so a quad costs
        no more equations than its first failure; the basis tests are
        already known.  A second core keeps its images one strand up,
@@ -692,33 +685,39 @@ def classify_search(max_len: int) -> set[Quad]:
             index = indexes[n, forced] = {}
             for e in bases[n]:
                 index.setdefault(tuple(w for w, f in zip(e[0], forced) if f), []).append(e)
-        for p, (p_r, p_s, p_rs), tau, w in taus[m, n0]:
-            key = _forced_by_y(tau, m, n)
+        # The block's taus by the words they force on kappa, so that each
+        # joined kappa is swapped once for all its taus.
+        groups: dict[tuple, list] = {}
+        for t in taus[m, n0]:
+            groups.setdefault(_forced_by_y(t[2], m, n), []).append(t)
+        for key, group in groups.items():
             # An A-type block's key is its kappa, built below if it is needed.
             joined = [(key, None, None)] if a_type else indexes[n, forced].get(key, ())
             for p2, kappa, w2 in joined:
-                # The quad against its swap, swap-backward and backward images
-                # (a kept tau is no greater than its reversal).
-                q, p2_s = (p, p2), _swapped(p2)
-                if q > (p2_s, p_s) or q > (_reversed(p2_s), p_rs):
-                    continue
-                if p == p_r and p2 > _reversed(p2):
-                    continue
-                if m3 and (p2, m3) not in kappa_kept:
-                    kappa_kept[p2, m3] = _b_without_x(kappa, m3)
-                if (not m3 or kappa_kept[p2, m3]) and q not in seen:
-                    kappa = kappa or AutF2(_word(p2[0]), _word(p2[1]))
-                    if all(_equations(tau, kappa)):
-                        tau_inv = _inverse_of_conjugate(reps[m], w)
-                        if a_type:
-                            kappa_inv = _forced_inverse(tau_inv, m, n)
-                        else:
-                            kappa_inv = _inverse_of_conjugate(reps[n], w2)
-                        orbit = _orbit(
-                            Quad(tau._with_inverse(tau_inv), kappa._with_inverse(kappa_inv))
-                        )
-                        seen.update(orbit)
-                        found.add(_least(orbit))
+                p2_s = _swapped(p2)
+                for p, (p_r, p_s, p_rs), tau, w in group:
+                    # The quad against its swap, swap-backward and backward
+                    # images (a kept tau is no greater than its reversal).
+                    q = p, p2
+                    if q > (p2_s, p_s) or q > (_reversed(p2_s), p_rs):
+                        continue
+                    if p == p_r and p2 > _reversed(p2):
+                        continue
+                    if m3 and (p2, m3) not in kappa_kept:
+                        kappa_kept[p2, m3] = _b_without_x(kappa, m3)
+                    if (not m3 or kappa_kept[p2, m3]) and q not in seen:
+                        kappa = kappa or AutF2(_word(p2[0]), _word(p2[1]))
+                        if all(_equations(tau, kappa)):
+                            tau_inv = _inverse_of_conjugate(reps[m], w)
+                            if a_type:
+                                kappa_inv = _forced_inverse(tau_inv, m, n)
+                            else:
+                                kappa_inv = _inverse_of_conjugate(reps[n], w2)
+                            orbit = _orbit(
+                                Quad(tau._with_inverse(tau_inv), kappa._with_inverse(kappa_inv))
+                            )
+                            seen.update(orbit)
+                            found.add(_least(orbit))
     return found
 
 

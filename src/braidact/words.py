@@ -223,13 +223,6 @@ def word_sort_key(w: Word) -> tuple:
     return _letters_sort_key(w.letters)
 
 
-# Letter l ranks 2|l| + (l < 0), so a < a^-1 < b < b^-1 < x3 < ...; the
-# table holds the ranks of the letters of F_2, where every sorted quad lives.
-_RANKS = {l: 2 * abs(l) + (l < 0) for l in (1, -1, 2, -2)}
-
-
 def _letters_sort_key(letters: tuple[int, ...]) -> tuple:
-    try:
-        return (len(letters), tuple(map(_RANKS.__getitem__, letters)))
-    except KeyError:
-        return (len(letters), tuple(2 * abs(l) + (l < 0) for l in letters))
+    # Letter l ranks 2|l| + (l < 0), so a < a^-1 < b < b^-1 < x3 < ...
+    return (len(letters), tuple(2 * abs(l) + (l < 0) for l in letters))

@@ -365,22 +365,6 @@ def test_sort_key_order_matches_oracle():
     assert sorted(words, key=_letters_sort_key) == sorted(words, key=letters_sort_key)
 
 
-def test_sort_key_from_rank_table_matches_oracle():
-    # The rank table holds a, b and their inverses; x3 takes the fallback.
-    # Every reduced word up to length 5 over x1..x3 sorts as the oracle
-    # sorts it, and each letter l keeps the rank 2|l| + (l < 0).
-    words, frontier = [()], [()]
-    for _ in range(5):
-        frontier = [
-            w + (l,) for w in frontier for l in (1, -1, 2, -2, 3, -3) if not w or w[-1] != -l
-        ]
-        words += frontier
-    assert len(words) == 1 + 6 + 30 + 150 + 750 + 3750
-    assert sorted(words, key=_letters_sort_key) == sorted(words, key=letters_sort_key)
-    for w in words:
-        assert _letters_sort_key(w) == (len(w), tuple(2 * abs(l) + (l < 0) for l in w))
-
-
 def test_module_doctests():
     import doctest
 
